@@ -15,8 +15,6 @@ from .core import (
     StageInterval,
     VitalsSample,
     compute_gaps,
-    stage_code,
-    stage_from_code,
 )
 from .devicesim import (
     DeviceServer,
@@ -39,9 +37,8 @@ from .evaluation import (
 )
 from .features import (
     FEATURE_NAMES,
-    FeatureWindow,
+    FeatureTable,
     compute_stats,
-    feature_means_report,
     pca_explained_variance,
     standardize_apply,
     standardize_fit,

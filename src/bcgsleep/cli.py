@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import devicesim, evaluation, features, ingest, models, preprocess, report
 from . import sleepwake, synth
 from .core import Stage
@@ -125,17 +127,14 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
-def _load_feature_files(paths) -> list[features.FeatureWindow]:
-    windows: list[features.FeatureWindow] = []
+def _load_feature_files(paths) -> features.FeatureTable:
+    """One table for all files; each file's rows take its stem as night id."""
+    tables = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            parsed = features.parse_feature_csv(fh)
-        stem = _night_stem(path)
-        windows.extend(
-            features.FeatureWindow(w.start_t, w.stats, w.label, night_id=stem)
-            for w in parsed
-        )
-    if not windows:
+            tables.append(features.parse_feature_csv(fh, night_id=_night_stem(path)))
+    windows = features.FeatureTable.concat(tables)
+    if not len(windows):
         raise AllMissing("feature windows")
     return windows
 
@@ -163,8 +162,7 @@ def _split(windows, args):
 def _cmd_train(args) -> int:
     windows = _load_feature_files(args.features)
     train, test = _split(windows, args)
-    x, y = features.windows_to_matrix(train)
-    model = _train_kind(args.model, x, y, args.seed, args)
+    model = _train_kind(args.model, train.x, train.y, args.seed, args)
     models.save_model(model, args.out)
     print(f"trained {model.kind} on {len(train)} windows "
           f"({len(test)} held out) -> {args.out}")
@@ -191,18 +189,14 @@ def _cmd_evaluate(args) -> int:
     if args.kfold:
         if not args.model_kind:
             raise ValueError("--kfold needs --model-kind")
-        x, y = features.windows_to_matrix(windows)
+        x, y = windows.x, windows.y
         folds = models.kfold_indices(len(windows), args.kfold, seed=args.seed)
         fold_blocks = []
         for fold in folds:
-            mask = [i in set(int(v) for v in fold) for i in range(len(windows))]
-            test_idx = [i for i, m in enumerate(mask) if m]
-            train_idx = [i for i, m in enumerate(mask) if not m]
-            model = _train_kind(
-                args.model_kind, x[train_idx], y[train_idx], args.seed, args
-            )
-            preds = models.predict(model, x[test_idx])
-            fold_blocks.append(_metric_block([Stage(int(v)) for v in y[test_idx]], preds))
+            test = np.zeros(len(windows), dtype=bool)
+            test[fold] = True
+            model = _train_kind(args.model_kind, x[~test], y[~test], args.seed, args)
+            fold_blocks.append(_metric_block(y[test], models.predict(model, x[test])))
         doc["kfold"] = {
             "folds": fold_blocks,
             "mean": {
@@ -216,9 +210,7 @@ def _cmd_evaluate(args) -> int:
             raise ValueError("need --model (or --kfold with --model-kind)")
         model = models.load_model(args.model)
         train, test = _split(windows, args)
-        x_test, y_test = features.windows_to_matrix(test)
-        preds = models.predict(model, x_test)
-        block = _metric_block([Stage(int(v)) for v in y_test], preds)
+        block = _metric_block(test.y, models.predict(model, test.x))
         doc.update(block)
         doc["kind"] = model.kind
         doc["n_train"] = len(train)
@@ -290,9 +282,7 @@ def _cmd_report(args) -> int:
             )
             wrote.append("hypnogram_pair.svg")
             windows = features.window_night(cleaned, aligned)
-            x, y = features.windows_to_matrix(windows)
-            preds = models.predict(model, x)
-            block = _metric_block([Stage(int(v)) for v in y], preds)
+            block = _metric_block(windows.y, models.predict(model, windows.x))
             doc["windows"] = block
             doc["windows"]["kind"] = model.kind
             _write_text(

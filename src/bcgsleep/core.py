@@ -43,18 +43,6 @@ class Stage(IntEnum):
 _NAME_TO_STAGE = {s.name.lower(): s for s in Stage}
 
 
-def stage_code(stage: Stage) -> int:
-    """Fixed numeric code for a stage (WAKE=0, REM=1, LIGHT=2, DEEP=3)."""
-    return int(stage)
-
-
-def stage_from_code(code: int) -> Stage:
-    """Inverse of stage_code; raises InvalidStageCode outside 0..3."""
-    if not isinstance(code, int) or isinstance(code, bool) or not 0 <= code <= 3:
-        raise InvalidStageCode(code)
-    return Stage(code)
-
-
 _VITAL_FIELDS = ("hr", "rr", "sv", "hrv", "b2b")
 
 

@@ -29,14 +29,42 @@ WINDOW_LEN = 10
 FEATURE_CSV_HEADER = ",".join(FEATURE_NAMES + ("label",))
 
 
-@dataclass(frozen=True)
-class FeatureWindow:
-    """One kept window: its start second, 30 statistics, and its stage."""
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Kept windows as columns; row i of every column is one window.
 
-    start_t: int
-    stats: tuple[float, ...]
-    label: Stage
-    night_id: str = ""
+    x is float64 (n, 30) in FEATURE_NAMES order, y the int64 stage codes,
+    start_t each window's first second (int64) and night_id its night (str).
+    Indexing with an index array or boolean mask selects rows, in order; an
+    integer gives one row with scalar fields.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    start_t: np.ndarray
+    night_id: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, rows) -> "FeatureTable":
+        return FeatureTable(
+            self.x[rows], self.y[rows], self.start_t[rows], self.night_id[rows]
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence["FeatureTable"]) -> "FeatureTable":
+        """Stack tables row-wise, in the order given."""
+        return cls(
+            np.concatenate([t.x for t in tables]),
+            np.concatenate([t.y for t in tables]),
+            np.concatenate([t.start_t for t in tables]),
+            np.concatenate([t.night_id for t in tables]),
+        )
+
+
+def _table(x: np.ndarray, y: np.ndarray, start_t: np.ndarray, night_id: str) -> FeatureTable:
+    return FeatureTable(x, y, start_t, np.full(len(y), night_id))
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -97,7 +125,7 @@ def window_night(
     record: NightRecord,
     labels: Sequence[Optional[Stage]],
     window_len: int = WINDOW_LEN,
-) -> list[FeatureWindow]:
+) -> FeatureTable:
     """Extract labeled feature windows from a cleaned record.
 
     labels is the per-second alignment over [0, last_t]. A candidate is kept
@@ -108,29 +136,18 @@ def window_night(
     n = record.last_t + 1
     if len(labels) != n:
         raise ValueError(f"need one label per second: {len(labels)} != {n}")
-    if n < window_len:
-        return []
 
     codes = np.array([-1 if s is None else int(s) for s in labels], dtype=np.int64)
-    label_windows = np.lib.stride_tricks.sliding_window_view(codes, window_len)
-    lo = label_windows.min(axis=1)
-    hi = label_windows.max(axis=1)
-    keep = (lo == hi) & (lo >= 0)
-    starts = np.nonzero(keep)[0]
-    if starts.size == 0:
-        return []
-
-    matrix = _signal_matrix(record)
-    stats = feature_matrix_for_starts(matrix, starts)
-    return [
-        FeatureWindow(
-            start_t=int(s),
-            stats=tuple(float(x) for x in row),
-            label=Stage(int(codes[s])),
-            night_id=record.night_id,
-        )
-        for s, row in zip(starts, stats)
-    ]
+    starts = np.empty(0, dtype=np.int64)
+    if n >= window_len:
+        label_windows = np.lib.stride_tricks.sliding_window_view(codes, window_len)
+        lo = label_windows.min(axis=1)
+        hi = label_windows.max(axis=1)
+        starts = np.nonzero((lo == hi) & (lo >= 0))[0]
+    stats = np.empty((0, N_FEATURES))
+    if starts.size:
+        stats = feature_matrix_for_starts(_signal_matrix(record), starts)
+    return _table(stats, codes[starts], starts, record.night_id)
 
 
 def feature_matrix_for_starts(matrix: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -142,11 +159,9 @@ def feature_matrix_for_starts(matrix: np.ndarray, starts: np.ndarray) -> np.ndar
     return np.hstack(blocks)
 
 
-def windows_to_matrix(windows: Sequence[FeatureWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack kept windows into (X, y) with y as integer stage codes."""
-    x = np.array([w.stats for w in windows], dtype=float)
-    y = np.array([int(w.label) for w in windows], dtype=np.int64)
-    return x, y
+def windows_to_matrix(windows: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) of a window table, y as integer stage codes."""
+    return windows.x, windows.y
 
 
 def standardize_fit(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,30 +201,26 @@ def pca_explained_variance(matrix: np.ndarray) -> list[float]:
     return [float(r) for r in sorted(ratios, reverse=True)]
 
 
-def feature_means_report(record: NightRecord) -> dict[str, float]:
-    """Arithmetic mean of each signal over a cleaned night."""
-    if not record.samples:
-        raise EmptyMatrix()
-    matrix = _signal_matrix(record)
-    means = matrix.mean(axis=0)
-    return {sig: float(m) for sig, m in zip(SIGNAL_ORDER, means)}
+_LEVEL_NAMES = tuple(s.level_name for s in Stage)
 
 
-def windows_to_csv(windows: Sequence[FeatureWindow]):
+def windows_to_csv(windows: FeatureTable):
     """Feature windows as CSV lines: 30 statistics then the stage name."""
     yield FEATURE_CSV_HEADER
-    for w in windows:
-        stats = ",".join(repr(v) for v in w.stats)
-        yield f"{stats},{w.label.level_name}"
+    for stats, code in zip(windows.x.tolist(), windows.y.tolist()):
+        yield ",".join(map(repr, stats)) + "," + _LEVEL_NAMES[code]
 
 
-def parse_feature_csv(lines) -> list[FeatureWindow]:
-    """Read windows back from the 31-column CSV (start_t is not persisted)."""
+def parse_feature_csv(lines, night_id: str = "") -> FeatureTable:
+    """Read windows back from the 31-column CSV; every row gets night_id.
+
+    start_t is not persisted, so rows are numbered 0..n-1.
+    """
     it = iter(lines)
     header = next(it, None)
     if header is None or header.strip() != FEATURE_CSV_HEADER:
         raise MalformedRow(1, "bad feature csv header")
-    out = []
+    rows, codes = [], []
     for i, line in enumerate(it):
         line = line.strip()
         if not line:
@@ -218,8 +229,10 @@ def parse_feature_csv(lines) -> list[FeatureWindow]:
         if len(parts) != N_FEATURES + 1:
             raise MalformedRow(i + 2, f"expected {N_FEATURES + 1} columns")
         try:
-            stats = tuple(float(p) for p in parts[:-1])
+            rows.append([float(p) for p in parts[:-1]])
         except ValueError as exc:
             raise MalformedRow(i + 2, str(exc)) from exc
-        out.append(FeatureWindow(start_t=i, stats=stats, label=Stage.from_name(parts[-1])))
-    return out
+        codes.append(int(Stage.from_name(parts[-1])))
+    x = np.array(rows, dtype=float).reshape(len(rows), N_FEATURES)
+    y = np.array(codes, dtype=np.int64)
+    return _table(x, y, np.arange(len(y), dtype=np.int64), night_id)

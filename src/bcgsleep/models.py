@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .core import Stage
 from .errors import EmptyTrainingSet, SchemaMismatch, TooFewItems
-from .features import FeatureWindow, standardize_apply, standardize_fit
+from .features import FeatureTable, standardize_apply, standardize_fit
 
 MODEL_SCHEMA = 1
 WINDOW_GROUPING = "window-level"
@@ -51,14 +51,16 @@ class SplitSpec:
 
 
 def split_train_test(
-    windows: Sequence[FeatureWindow], spec: SplitSpec
-) -> tuple[list[FeatureWindow], list[FeatureWindow]]:
+    windows: FeatureTable, spec: SplitSpec
+) -> tuple[FeatureTable, FeatureTable]:
     """Disjoint, exhaustive train/test split, deterministic under spec.seed.
 
     Window-level shuffles individual windows and puts round(train_fraction*N)
-    of them in train. Night-level keeps every night intact on one side, adding
-    shuffled nights to train until it reaches that target; overlapping windows
-    from one night then never straddle the split.
+    of them in train, in table order. Night-level keeps every night intact on
+    one side: shuffled nights join train, in shuffled order, until it reaches
+    that target, but the last shuffled night always goes to test, so
+    overlapping windows from one night never straddle the split and test is
+    never empty.
     """
     n = len(windows)
     if n < 2:
@@ -68,23 +70,20 @@ def split_train_test(
 
     if spec.grouping == WINDOW_GROUPING:
         perm = rng.permutation(n)
-        train_idx = np.sort(perm[:target])
-        test_idx = np.sort(perm[target:])
-        return [windows[i] for i in train_idx], [windows[i] for i in test_idx]
+        return windows[np.sort(perm[:target])], windows[np.sort(perm[target:])]
 
-    night_order: list[str] = []
-    by_night: dict[str, list[FeatureWindow]] = {}
-    for w in windows:
-        if w.night_id not in by_night:
-            night_order.append(w.night_id)
-            by_night[w.night_id] = []
-        by_night[w.night_id].append(w)
-    train: list[FeatureWindow] = []
-    test: list[FeatureWindow] = []
-    for i in rng.permutation(len(night_order)):
-        bucket = train if len(train) < target else test
-        bucket.extend(by_night[night_order[i]])
-    return train, test
+    nights, first = np.unique(windows.night_id, return_index=True)
+    if nights.size < 2:
+        raise TooFewItems(int(nights.size), 2)
+    # nights in order of first appearance, then shuffled
+    by_night = [np.nonzero(windows.night_id == nights[j])[0] for j in np.argsort(first)]
+    order = [by_night[i] for i in rng.permutation(len(by_night))]
+    n_train = k = 0
+    while k < len(order) - 1 and n_train < target:
+        n_train += order[k].size
+        k += 1
+    rows = np.concatenate(order)
+    return windows[rows[:n_train]], windows[rows[n_train:]]
 
 
 def kfold_indices(n: int, folds: int = 5, seed: int = 0) -> list[np.ndarray]:

@@ -21,6 +21,7 @@ from bcgsleep.core import Stage, compute_gaps
 from bcgsleep.devicesim import RetryPolicy, StreamScript, record_stream, serve_stream
 from bcgsleep.evaluation import accuracy, confusion_matrix, macro_f1, pearson_r
 from bcgsleep.features import (
+    FeatureTable,
     compute_stats,
     pca_explained_variance,
     window_night,
@@ -175,11 +176,12 @@ def test_05_end_to_end_staging(capsys):
     """4 synthetic nights, RF(100, seed 7) acc >= 0.90 / F1 >= 0.85, DT >= 0.85,
     NB and kNN > 0.25, all inside 10 minutes."""
     t0 = time.perf_counter()
-    windows = []
+    nights = []
     for night in generate_cohort(4, seed=7, duration_s=28800):
         cleaned = clean_for_features(night.record)
         aligned = align_labels(cleaned, night.intervals)
-        windows.extend(window_night(cleaned, aligned))
+        nights.append(window_night(cleaned, aligned))
+    windows = FeatureTable.concat(nights)
     assert 100_000 <= len(windows) <= 120_000, len(windows)
 
     train, test = split_train_test(windows, SplitSpec(seed=7))
@@ -253,7 +255,7 @@ def test_07_windowing_identity(capsys):
             labels.extend([fill] * dur)
         labels = labels[:n]
         record = flat_record(n)
-        got = {w.start_t for w in window_night(record, labels)}
+        got = set(window_night(record, labels).start_t.tolist())
         want = {
             s for s in range(n - 9)
             if labels[s] is not None and all(l == labels[s] for l in labels[s:s + 10])

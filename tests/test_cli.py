@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files written, config flow."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -188,6 +189,79 @@ class TestEvaluateCommand:
         doc = json.loads((out_dir / "metrics.json").read_text())
         assert len(doc["kfold"]["folds"]) == 3
         assert 0.0 <= doc["kfold"]["mean"]["accuracy"] <= 1.0
+
+    def test_night_level_split_on_equal_nights(self, tmp_path):
+        nights = tmp_path / "nights"
+        assert main(["synth", "--out", str(nights), "--nights", "4", "--seed", "5",
+                     "--duration", "3600"]) == 0
+        feats = []
+        for i in range(4):
+            feats.append(tmp_path / f"night0{i}.features.csv")
+            assert main(["featurize", "--in", str(nights / f"night0{i}.ndjson"),
+                         "--labels", str(nights / f"night0{i}.labels.json"),
+                         "--out", str(feats[-1])]) == 0
+        flags = ["--features", *map(str, feats), "--grouping", "night-level",
+                 "--seed", "1"]
+        model = tmp_path / "nb.json"
+        assert main(["train", "--model", "nb", "--out", str(model), *flags]) == 0
+        assert main(["evaluate", "--model", str(model),
+                     "--out-dir", str(tmp_path / "eval"), *flags]) == 0
+        doc = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        rows = [len(f.read_text().splitlines()) - 1 for f in feats]
+        assert doc["n_test"] in rows  # exactly one whole night held out
+        assert doc["n_train"] + doc["n_test"] == sum(rows)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# Artifacts of the workdir cohort (synth seed 11) as produced before feature
+# windows became a columnar table; a refactor must reproduce them byte for byte.
+GOLDEN_SHA256 = {
+    "features/night00.features.csv": "893a92137de425cc3da786db6fdefe55d8a2ec4ef126d65d1b549b451de463ee",
+    "features/night01.features.csv": "d298929664027b6ff77bd7e933ea1130e60e89f9d7812321b5274aec152a341f",
+    "features/night02.features.csv": "53e6e6195b7a5625d6ec3fa68d00c00334478c0733e79991d9c2adeec63db2d0",
+    "tree.json": "d9f7bdfb3e17664a539e0991a55d80521b45235368070c5ec13d46fcda78f98a",
+    "forest.json": "2cd9a0c8347e6134f3946ff47b407b119dcfc723cfca7a54ae016b02c14fd0d2",
+    "knn.json": "6f41127d0fd5b1dee8a09de9561a7c53db19f670ce80d7d1342e9e5ab5cb918a",
+    "nb.json": "b409beae8b495814cf6be5a9856de5486b7fb0281fddac9af2356d0b5bf94d59",
+    "eval-tree/metrics.json": "149823729821bfea0a378b958af8a0b94e7edbad40036ed336ff7d876bc2cb17",
+    "eval-tree/confusion.csv": "25c66261954b51c59085183af3337e3de6e5b6a58b699b6f1124c28d4b4d2076",
+    "eval-forest/metrics.json": "1be705670f4d1d412f25de3c8a6f950512f749f5fa01e1e511279a7d62e78c9d",
+    "eval-forest/confusion.csv": "25c66261954b51c59085183af3337e3de6e5b6a58b699b6f1124c28d4b4d2076",
+    "eval-knn/metrics.json": "2395a2f24a6e289250e6fe0fe2aa2b17dd039f0069bfcab3f974eb6e08da30db",
+    "eval-knn/confusion.csv": "25c66261954b51c59085183af3337e3de6e5b6a58b699b6f1124c28d4b4d2076",
+    "eval-nb/metrics.json": "191b1f50f3da5f524ba34cd4bd7c00c3b3419569807a9d5d80b629fa2dacdddc",
+    "eval-nb/confusion.csv": "56119480588bbbcf0335d0b0985a702b6bfe15c97a21424aece050e52c0477a9",
+    "kfold-nb/metrics.json": "5034cfc77d72a3635c5de9fffafbf2945304ca46623cf6e5eec3f7d10e79dd8f",
+    "report-tree/metrics.json": "cf433375f1efbaf31322b3e283b9db34a08442b7bae6dfc18efdfe8599ad5b0d",
+    "report-tree/confusion.csv": "1501e4d3b6299182f308f3fed92d480c68ca93da9aac186afad14b9b05c9b975",
+}
+
+
+class TestGoldenArtifacts:
+    def test_artifacts_match_golden_digests(self, workdir, tmp_path):
+        feats = feature_args(workdir)
+        for kind in ("tree", "forest", "knn", "nb"):
+            model = tmp_path / f"{kind}.json"
+            assert main(["train", "--features", *feats, "--model", kind,
+                         "--n-trees", "10", "--seed", "3", "--out", str(model)]) == 0
+            assert main(["evaluate", "--features", *feats, "--model", str(model),
+                         "--seed", "3", "--out-dir", str(tmp_path / f"eval-{kind}")]) == 0
+        assert main(["evaluate", "--features", *feats, "--kfold", "3",
+                     "--model-kind", "nb", "--seed", "3",
+                     "--out-dir", str(tmp_path / "kfold-nb")]) == 0
+        nights = workdir / "nights"
+        assert main(["report", "--night", str(nights / "night01.ndjson"),
+                     "--labels", str(nights / "night01.labels.json"),
+                     "--model", str(tmp_path / "tree.json"),
+                     "--out-dir", str(tmp_path / "report-tree")]) == 0
+        got = {
+            name: _sha256((workdir if name.startswith("features/") else tmp_path) / name)
+            for name in GOLDEN_SHA256
+        }
+        assert got == GOLDEN_SHA256
 
 
 class TestReportCommand:

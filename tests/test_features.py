@@ -16,7 +16,7 @@ from bcgsleep.features import (
     FEATURE_NAMES,
     N_FEATURES,
     WINDOW_LEN,
-    FeatureWindow,
+    FeatureTable,
     candidate_starts,
     compute_stats,
     feature_matrix_for_starts,
@@ -106,8 +106,9 @@ class TestWindowing:
 
     def test_kept_windows_are_label_pure(self):
         rec, intervals = self.two_stage_record()
-        for w in window_night(rec, align_labels(rec, intervals)):
-            assert w.label is (Stage.WAKE if w.start_t <= 90 else Stage.LIGHT)
+        windows = window_night(rec, align_labels(rec, intervals))
+        want = np.where(windows.start_t <= 90, Stage.WAKE, Stage.LIGHT)
+        assert windows.y.tolist() == want.tolist()
 
     @given(
         layout=st.lists(
@@ -126,7 +127,7 @@ class TestWindowing:
             n = len(per_second)
         rec = flat_record(n)
         windows = window_night(rec, per_second)
-        kept = {w.start_t for w in windows}
+        kept = set(windows.start_t.tolist())
         expected = set()
         for s in range(0, n - WINDOW_LEN + 1):
             chunk = per_second[s : s + WINDOW_LEN]
@@ -150,13 +151,13 @@ class TestWindowing:
         rec = NightRecord("n", "s", EPOCH_ZERO, samples)
         windows = window_night(rec, [Stage.DEEP] * 40)
         assert len(windows) == 31
-        w = windows[17]
+        row = windows.x[17]
         window_samples = samples[17:27]
         expected = []
         for sig in ("hr", "rr", "sv", "b2b", "hrv"):
             expected.extend(_stats_oracle([getattr(s, sig) for s in window_samples]))
-        assert len(w.stats) == N_FEATURES
-        for g, e in zip(w.stats, expected):
+        assert len(row) == N_FEATURES
+        for g, e in zip(row, expected):
             assert g == pytest.approx(e, abs=1e-10)
 
     def test_feature_matrix_for_starts_matches_loop(self):
@@ -231,26 +232,26 @@ class TestPca:
 
 class TestCsvRoundTrip:
     def make_windows(self):
-        rng = random.Random(5)
-        out = []
-        for i in range(8):
-            stats = tuple(rng.uniform(0.0, 150.0) for _ in range(N_FEATURES))
-            out.append(
-                FeatureWindow(
-                    start_t=i, stats=stats, label=Stage(i % 4), night_id="n1"
-                )
-            )
-        return out
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 150.0, size=(8, N_FEATURES))
+        y = np.arange(8, dtype=np.int64) % 4
+        return FeatureTable(x, y, np.arange(8, dtype=np.int64), np.full(8, "n1"))
 
     def test_round_trip_is_exact(self):
         windows = self.make_windows()
         lines = list(windows_to_csv(windows))
         assert lines[0] == FEATURE_CSV_HEADER
-        back = parse_feature_csv(lines)
+        assert lines[2].endswith(",rem")
+        back = parse_feature_csv(lines, night_id="n1")
         assert len(back) == len(windows)
-        for a, b in zip(windows, back):
-            assert a.stats == b.stats  # repr text recovers exact doubles
-            assert a.label is b.label
+        assert np.array_equal(back.x, windows.x)  # repr text recovers exact doubles
+        assert back.y.tolist() == windows.y.tolist()
+        assert back.start_t.tolist() == list(range(8))
+        assert back.night_id.tolist() == ["n1"] * 8
+
+    def test_empty_table_round_trip(self):
+        back = parse_feature_csv(windows_to_csv(self.make_windows()[np.arange(0)]))
+        assert len(back) == 0 and back.x.shape == (0, N_FEATURES)
 
     def test_bad_header_rejected(self):
         from bcgsleep.errors import MalformedRow
@@ -265,8 +266,23 @@ class TestCsvRoundTrip:
             parse_feature_csv([FEATURE_CSV_HEADER, "1.0,2.0,wake"])
         assert exc.value.line_no == 2
 
+    def test_non_number_rejected_at_its_line(self):
+        from bcgsleep.errors import MalformedRow
+
+        good = ",".join(["1.0"] * N_FEATURES) + ",wake"
+        bad = ",".join(["1.0"] * (N_FEATURES - 1) + ["x"]) + ",wake"
+        with pytest.raises(MalformedRow) as exc:
+            parse_feature_csv([FEATURE_CSV_HEADER, good, bad])
+        assert exc.value.line_no == 3
+
+    def test_unknown_stage_rejected(self):
+        from bcgsleep.errors import InvalidStageCode
+
+        with pytest.raises(InvalidStageCode):
+            parse_feature_csv([FEATURE_CSV_HEADER, ",".join(["1.0"] * N_FEATURES) + ",n3"])
+
     def test_windows_to_matrix_shapes(self):
         windows = self.make_windows()
         x, y = windows_to_matrix(windows)
         assert x.shape == (8, N_FEATURES)
-        assert y.tolist() == [w.label.value for w in windows]
+        assert x is windows.x and y is windows.y

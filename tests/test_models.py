@@ -18,7 +18,7 @@ from bcgsleep.errors import (
     SchemaMismatch,
     TooFewItems,
 )
-from bcgsleep.features import FeatureWindow, N_FEATURES, standardize_apply, standardize_fit
+from bcgsleep.features import FeatureTable, N_FEATURES, standardize_apply, standardize_fit
 from bcgsleep.models import (
     ForestParams,
     NIGHT_GROUPING,
@@ -50,14 +50,13 @@ def random_dataset(rng, n=80, d=6, n_classes=4, spread=4.0):
 
 
 def windows_for(n, night_ids=None):
-    out = []
-    for i in range(n):
-        nid = night_ids[i] if night_ids is not None else "n0"
-        out.append(
-            FeatureWindow(start_t=i, stats=(float(i),) * N_FEATURES,
-                          label=Stage(i % 4), night_id=nid)
-        )
-    return out
+    rows = np.arange(n, dtype=np.int64)
+    return FeatureTable(
+        np.repeat(rows[:, None].astype(float), N_FEATURES, axis=1),
+        rows % 4,
+        rows,
+        np.array(night_ids if night_ids is not None else ["n0"] * n),
+    )
 
 
 class TestSplit:
@@ -65,7 +64,7 @@ class TestSplit:
         windows = windows_for(100)
         train, test = split_train_test(windows, SplitSpec(seed=3))
         assert len(train) == 80 and len(test) == 20
-        ids = sorted(w.start_t for w in train + test)
+        ids = sorted(train.start_t.tolist() + test.start_t.tolist())
         assert ids == list(range(100))
 
     def test_round_based_target(self):
@@ -96,6 +95,21 @@ class TestSplit:
         assert not (train_nights & test_nights)
         assert len(train) + len(test) == 100
         assert len(train) >= 80  # grows in whole nights until the target
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_night_level_holds_out_a_night_of_equal_nights(self, seed):
+        ids = [f"night{i // 25}" for i in range(100)]
+        spec = SplitSpec(seed=seed, grouping=NIGHT_GROUPING)
+        train, test = split_train_test(windows_for(100, night_ids=ids), spec)
+        assert len(test) == 25  # three nights reach 75 % < 80 %; the last is held out
+        assert not set(train.night_id.tolist()) & set(test.night_id.tolist())
+        assert sorted(train.start_t.tolist() + test.start_t.tolist()) == list(range(100))
+
+    def test_night_level_needs_two_nights(self):
+        spec = SplitSpec(grouping=NIGHT_GROUPING)
+        with pytest.raises(TooFewItems) as exc:
+            split_train_test(windows_for(10), spec)
+        assert (exc.value.n, exc.value.needed) == (1, 2)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
