@@ -70,7 +70,7 @@ from .models import (
     train_knn,
     train_random_forest,
 )
-from .preprocess import clean_for_features, impute_missing, raw_hr_series
+from .preprocess import clean_for_features, raw_hr_series
 from .sleepwake import (
     SleepWakeEpoch,
     ThresholdConfig,

@@ -62,7 +62,7 @@ def _cmd_synth(args) -> int:
             out / f"{rec.night_id}.labels.json",
             ingest.write_labels(rec.night_id, item.intervals),
         )
-        print(f"{rec.night_id}: {len(rec.samples)} samples, "
+        print(f"{rec.night_id}: {len(rec.t)} samples, "
               f"scripted efficiency {item.scripted_efficiency:.4f}")
     return 0
 
@@ -83,7 +83,7 @@ def _cmd_serve(args) -> int:
         tick_interval=args.tick,
     )
     server = devicesim.serve_stream(script, args.endpoint)
-    print(f"serving {len(record.samples)} samples on {server.endpoint}", flush=True)
+    print(f"serving {len(record.t)} samples on {server.endpoint}", flush=True)
     try:
         while not server.wait(timeout=0.5):
             pass
@@ -276,9 +276,7 @@ def _cmd_report(args) -> int:
             predicted = models.predict_hypnogram(model, cleaned)
             _write_text(
                 out_dir / "hypnogram_pair.svg",
-                report.hypnogram_pair_svg(
-                    _fill_codes(aligned), [int(s) for s in predicted]
-                ),
+                report.hypnogram_pair_svg(_fill_codes(aligned), predicted),
             )
             wrote.append("hypnogram_pair.svg")
             windows = features.window_night(cleaned, aligned)

@@ -7,11 +7,12 @@ threads. Timestamps are integer seconds from night start (the sensor runs at
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import InvalidStageCode, NegativeVital
 
@@ -43,16 +44,13 @@ class Stage(IntEnum):
 _NAME_TO_STAGE = {s.name.lower(): s for s in Stage}
 
 
-_VITAL_FIELDS = ("hr", "rr", "sv", "hrv", "b2b")
+VITAL_FIELDS = ("hr", "rr", "sv", "hrv", "b2b")
 
 
-@dataclass(frozen=True)
-class VitalsSample:
-    """One second of the five post-processed BCG signals.
-
-    hr == 0 is the sensor's motion-artifact marker (waveform defective), not
-    a physiological reading; the other four fields may still be present.
-    """
+class VitalsSample(NamedTuple):
+    """One second of the five post-processed BCG signals: a row of a
+    NightRecord, read through NightRecord.samples. Rows are not validated;
+    the record validates its columns."""
 
     t: int
     hr: float
@@ -60,23 +58,6 @@ class VitalsSample:
     sv: float
     hrv: float
     b2b: float
-
-    def __post_init__(self):
-        for name in _VITAL_FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, float):
-                object.__setattr__(self, name, float(v))
-                v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise NegativeVital(name, t=self.t, value=v)
-
-    @property
-    def motion_invalid(self) -> bool:
-        """True iff the sensor flagged this second with a zero HR."""
-        return self.hr == 0.0
-
-    def vitals(self) -> tuple[float, float, float, float, float]:
-        return (self.hr, self.rr, self.sv, self.hrv, self.b2b)
 
 
 @dataclass(frozen=True)
@@ -96,9 +77,15 @@ class StageInterval:
         return self.start_t + self.duration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NightRecord:
-    """A time-ordered night of samples plus provenance.
+    """A time-ordered night of 1 Hz vitals as columns, plus provenance.
+
+    t is int64[n], strictly increasing; vitals is float64[n, 5], row i the
+    second t[i], columns in file order VITAL_FIELDS. Every vital is finite
+    and non-negative; hr == 0 is the sensor's motion-artifact marker
+    (waveform defective), not a physiological reading. Both arrays are
+    read-only views.
 
     gaps enumerate every missing second strictly between the first and last
     sample, as (start_t, length) runs; for a recording that starts cleanly at
@@ -108,42 +95,73 @@ class NightRecord:
     night_id: str
     subject_id: str
     start_epoch: datetime
-    samples: tuple[VitalsSample, ...]
+    t: np.ndarray
+    vitals: np.ndarray
     gaps: tuple[tuple[int, int], ...] = ()
     labels: Optional[tuple[StageInterval, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        t = np.asarray(self.t, dtype=np.int64).view()
+        vitals = np.asarray(self.vitals, dtype=np.float64).view()
+        if vitals.size == 0:
+            vitals = vitals.reshape(0, len(VITAL_FIELDS))
+        if t.ndim != 1 or vitals.shape != (t.size, len(VITAL_FIELDS)):
+            raise ValueError(
+                f"need t of shape (n,) and vitals of shape (n, {len(VITAL_FIELDS)}), "
+                f"got {t.shape} and {vitals.shape}"
+            )
+        t.flags.writeable = False
+        vitals.flags.writeable = False
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "vitals", vitals)
         object.__setattr__(self, "gaps", tuple(tuple(g) for g in self.gaps))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
-        prev = None
-        for s in self.samples:
-            if prev is not None and s.t <= prev:
-                raise ValueError(f"sample timestamps not strictly increasing at t={s.t}")
-            prev = s.t
+        check_vitals(t, vitals)
+        bad_t = first_non_increasing(t)
+        if bad_t is not None:
+            raise ValueError(f"sample timestamps not strictly increasing at t={bad_t}")
+
+    @property
+    def samples(self) -> tuple[VitalsSample, ...]:
+        """The rows as VitalsSample tuples, built from the columns on each call."""
+        return tuple(map(VitalsSample._make, zip(self.t.tolist(), *self.vitals.T.tolist())))
 
     @property
     def first_t(self) -> int:
-        return self.samples[0].t if self.samples else 0
+        return int(self.t[0]) if self.t.size else 0
 
     @property
     def last_t(self) -> int:
-        return self.samples[-1].t if self.samples else -1
+        return int(self.t[-1]) if self.t.size else -1
 
     @property
     def span_seconds(self) -> int:
         """Seconds covered from first to last sample inclusive (0 if empty)."""
-        return self.last_t - self.first_t + 1 if self.samples else 0
+        return self.last_t - self.first_t + 1 if self.t.size else 0
 
     def total_gap_seconds(self) -> int:
         return sum(length for _, length in self.gaps)
 
 
+def check_vitals(t: np.ndarray, vitals: np.ndarray) -> None:
+    """Raise NegativeVital for the first negative or non-finite value in
+    row-major order."""
+    bad = ~(vitals >= 0) | np.isinf(vitals)
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(VITAL_FIELDS))
+        raise NegativeVital(VITAL_FIELDS[col], t=int(t[row]), value=float(vitals[row, col]))
+
+
+def first_non_increasing(t: np.ndarray) -> Optional[int]:
+    """The first timestamp not above its predecessor, or None."""
+    at = np.flatnonzero(np.diff(t) <= 0)
+    return int(t[at[0] + 1]) if at.size else None
+
+
 def compute_gaps(timestamps: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Runs of missing seconds between consecutive sample timestamps."""
-    gaps = []
-    for prev, cur in zip(timestamps, timestamps[1:]):
-        if cur - prev > 1:
-            gaps.append((prev + 1, cur - prev - 1))
-    return tuple(gaps)
+    t = np.asarray(timestamps, dtype=np.int64)
+    step = np.diff(t)
+    at = np.flatnonzero(step > 1)
+    return tuple(zip((t[at] + 1).tolist(), (step[at] - 1).tolist()))

@@ -8,25 +8,27 @@ server's clock keeps running through a dropout, and outside dropouts it
 advances only on a successful send, so whatever the script says is lost is
 exactly what the recorder's gap log ends up showing.
 
-The recorder splits network and disk work across two threads joined by a
-bounded queue; each line is appended with a single unbuffered write so a
-kill at any moment leaves only complete lines behind.
+The recorder checks every received line before it is queued, splits network
+and disk work across two threads joined by a bounded queue, and appends each
+line with a single unbuffered write, so a kill at any moment leaves only
+complete, loadable lines behind.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .core import NightRecord, compute_gaps
-from .errors import InitialConnectFailure
-from .ingest import sample_line
+from .errors import InitialConnectFailure, MalformedRow
+from .ingest import parse_sample_line, write_night
 
 QUEUE_CAPACITY = 1024
 SILENCE = "silence"
@@ -97,7 +99,7 @@ class StreamScript:
 
     def expected_timestamps(self) -> tuple[int, ...]:
         """The t values a recorder should end up with."""
-        return tuple(s.t for s in self.source.samples if self.window_at(s.t) is None)
+        return tuple(t for t in self.source.t.tolist() if self.window_at(t) is None)
 
 
 Endpoint = Union[str, tuple]
@@ -204,17 +206,18 @@ class DeviceServer:
     def _serve_loop(self):
         conn: Optional[socket.socket] = None
         try:
-            for sample in self.script.source.samples:
+            source = self.script.source
+            for t, line in zip(source.t.tolist(), write_night(source, "ndjson")):
                 if self._stop.is_set():
                     return
-                window = self.script.window_at(sample.t)
+                window = self.script.window_at(t)
                 if window is not None:
                     if window.mode == DISCONNECT and conn is not None:
                         conn.close()
                         conn = None
                     self._tick()
                     continue
-                payload = (sample_line(sample) + "\n").encode("ascii")
+                payload = (line + "\n").encode("ascii")
                 while not self._stop.is_set():
                     if conn is None:
                         conn = self._next_client()
@@ -223,7 +226,7 @@ class DeviceServer:
                     self._close_extras(conn)
                     try:
                         conn.sendall(payload)
-                        self._sent.append(sample.t)
+                        self._sent.append(t)
                         break
                     except OSError:
                         try:
@@ -273,6 +276,7 @@ class RecordingResult:
     n_samples: int
     gaps: tuple[tuple[int, int], ...]
     timestamps: tuple[int, ...] = field(repr=False)
+    dropped_lines: int = 0
 
 
 class _DiskWriter(threading.Thread):
@@ -305,6 +309,34 @@ def _try_connect(host: str, port: int, timeout: float) -> Optional[socket.socket
         return None
 
 
+def _kept_t(raw: bytes, last_t: Optional[int]) -> Optional[int]:
+    """The t of a received line that load_night would accept after last_t,
+    or None if the line must be dropped: malformed, a vital that is negative
+    or not finite, or a t not above last_t."""
+    try:
+        row = parse_sample_line(raw.decode("utf-8"), 0)
+    except (UnicodeDecodeError, MalformedRow):
+        return None
+    if last_t is not None and row[0] <= last_t:
+        return None
+    if not all(0.0 <= v < math.inf for v in row[1:]):
+        return None
+    return row[0]
+
+
+def _write_sidecar(sidecar: str, timestamps: list[int], gaps, dropped: int):
+    doc = {
+        "n_samples": len(timestamps),
+        "first_t": timestamps[0] if timestamps else None,
+        "last_t": timestamps[-1] if timestamps else None,
+        "gaps": [[start, length] for start, length in gaps],
+        "dropped_lines": dropped,
+    }
+    with open(sidecar, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def record_stream(
     endpoint: Endpoint,
     output_path,
@@ -312,18 +344,24 @@ def record_stream(
 ) -> RecordingResult:
     """Record a device stream to an NDJSON file plus a gap-log sidecar.
 
-    Lines are durable before this returns. A drop triggers reconnects every
-    policy.retry_interval seconds; when an outage outlasts policy.deadline
-    the recording ends (normally if anything was ever received, with
-    InitialConnectFailure if the first connection never happened). The end
-    of the script looks like a final outage, so every run ends that way.
+    Lines are durable before this returns. Each line is checked before it
+    is written: malformed lines, lines with a negative or non-finite vital
+    and lines whose t is not above the last kept t are dropped and counted
+    (dropped_lines), so the file always loads. A drop triggers reconnects
+    every policy.retry_interval seconds; when an outage outlasts
+    policy.deadline the recording ends (normally if anything was ever
+    received, with InitialConnectFailure if the first connection never
+    happened). The end of the script looks like a final outage, so every
+    run ends that way. The sidecar is written however the run ends.
     """
     host, port = _split_endpoint(endpoint)
     path = str(output_path)
+    sidecar = path + ".gaps.json"
     lines: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
     writer = _DiskWriter(path, lines)
     writer.start()
     timestamps: list[int] = []
+    dropped = 0
     connected_once = False
     try:
         while True:
@@ -347,32 +385,28 @@ def record_stream(
                     for raw in stream:
                         if not raw.endswith(b"\n"):
                             break  # partial tail of a mid-line drop: not received
+                        t = _kept_t(raw, timestamps[-1] if timestamps else None)
+                        if t is None:
+                            dropped += 1
+                            continue
                         lines.put(raw)
-                        timestamps.append(int(json.loads(raw)["t"]))
+                        timestamps.append(t)
             except OSError:
                 pass  # a reset is just a less polite disconnect
             # server closed or died; loop back into connect-retry
     finally:
         lines.put(None)
         writer.join()
+        gaps = compute_gaps(timestamps)
+        _write_sidecar(sidecar, timestamps, gaps, dropped)
     if writer.error is not None:
         raise writer.error
 
-    gaps = tuple(compute_gaps(timestamps))
-    sidecar = path + ".gaps.json"
-    doc = {
-        "n_samples": len(timestamps),
-        "first_t": timestamps[0] if timestamps else None,
-        "last_t": timestamps[-1] if timestamps else None,
-        "gaps": [[start, length] for start, length in gaps],
-    }
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
     return RecordingResult(
         path=path,
         sidecar_path=sidecar,
         n_samples=len(timestamps),
         gaps=gaps,
         timestamps=tuple(timestamps),
+        dropped_lines=dropped,
     )

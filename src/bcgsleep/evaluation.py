@@ -21,7 +21,7 @@ N_STAGES = 4
 
 
 def _codes(stages) -> np.ndarray:
-    return np.array([int(s) for s in stages], dtype=np.int64)
+    return np.asarray(stages, dtype=np.int64)
 
 
 def confusion_matrix(true_stages, predicted_stages) -> np.ndarray:

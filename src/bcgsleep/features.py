@@ -17,11 +17,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import NightRecord, Stage
+from .core import VITAL_FIELDS, NightRecord, Stage
 from .errors import DegenerateMatrix, EmptyMatrix, MalformedRow
 
 SIGNAL_ORDER = ("hr", "rr", "sv", "b2b", "hrv")
 STAT_ORDER = ("mean", "median", "max", "min", "std", "p75")
+# record.vitals columns in SIGNAL_ORDER
+SIGNAL_COLUMNS = [VITAL_FIELDS.index(sig) for sig in SIGNAL_ORDER]
 FEATURE_NAMES = tuple(f"{sig}_{stat}" for sig in SIGNAL_ORDER for stat in STAT_ORDER)
 N_FEATURES = len(FEATURE_NAMES)
 WINDOW_LEN = 10
@@ -87,21 +89,6 @@ def compute_stats(values: Sequence[float]) -> tuple[float, ...]:
     )
 
 
-def _signal_matrix(record: NightRecord) -> np.ndarray:
-    """(n_seconds, 5) matrix in SIGNAL_ORDER; requires one sample per second."""
-    n = record.last_t + 1
-    if len(record.samples) != n:
-        raise ValueError("record has holes; clean_for_features it first")
-    out = np.empty((n, len(SIGNAL_ORDER)), dtype=float)
-    for i, s in enumerate(record.samples):
-        out[i, 0] = s.hr
-        out[i, 1] = s.rr
-        out[i, 2] = s.sv
-        out[i, 3] = s.b2b
-        out[i, 4] = s.hrv
-    return out
-
-
 def _window_stats(windows: np.ndarray) -> np.ndarray:
     """Stack the six statistics for an (n, 10) array of windows -> (n, 6)."""
     return np.column_stack(
@@ -146,7 +133,9 @@ def window_night(
         starts = np.nonzero((lo == hi) & (lo >= 0))[0]
     stats = np.empty((0, N_FEATURES))
     if starts.size:
-        stats = feature_matrix_for_starts(_signal_matrix(record), starts)
+        if len(record.t) != n:
+            raise ValueError("record has holes; clean_for_features it first")
+        stats = feature_matrix_for_starts(record.vitals[:, SIGNAL_COLUMNS], starts)
     return _table(stats, codes[starts], starts, record.night_id)
 
 

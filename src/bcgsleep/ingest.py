@@ -18,23 +18,26 @@ import json
 from datetime import datetime
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from .core import (
     EPOCH_ZERO,
+    VITAL_FIELDS,
     NightRecord,
     Stage,
     StageInterval,
-    VitalsSample,
+    check_vitals,
     compute_gaps,
+    first_non_increasing,
 )
 from .errors import (
     MalformedRow,
-    NegativeVital,
     NonMonotonicTimestamp,
     OverlappingIntervals,
     UnknownLevel,
 )
 
-SAMPLE_FIELDS = ("t", "hr", "rr", "sv", "hrv", "b2b")
+SAMPLE_FIELDS = ("t",) + VITAL_FIELDS
 CSV_HEADER = ",".join(SAMPLE_FIELDS)
 LEVEL_NAMES = frozenset(s.level_name for s in Stage)
 
@@ -47,50 +50,62 @@ def _check_format(fmt: str) -> str:
     return fmt
 
 
-def _sample_from_fields(t, vitals, line_no: int) -> VitalsSample:
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise MalformedRow(line_no, f"t must be an integer, got {t!r}")
-    try:
-        return VitalsSample(t=t, **vitals)
-    except NegativeVital:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise MalformedRow(line_no, str(exc)) from exc
+_INT64_RANGE = range(-(1 << 63), 1 << 63)
 
 
-def _parse_ndjson_row(line: str, line_no: int) -> VitalsSample:
+def _check_t(t, line_no: int) -> int:
+    if not isinstance(t, int) or isinstance(t, bool) or t not in _INT64_RANGE:
+        raise MalformedRow(line_no, f"t must be a 64-bit integer, got {t!r}")
+    return t
+
+
+def parse_sample_line(line: str, line_no: int) -> tuple:
+    """One NDJSON sample line as a (t, hr, rr, sv, hrv, b2b) tuple.
+
+    Checks structure and types only (MalformedRow); vital ranges are
+    NightRecord's to check.
+    """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRow(line_no, f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal with too many digits
+        raise MalformedRow(line_no, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedRow(line_no, "expected a JSON object")
-    missing = [k for k in SAMPLE_FIELDS if k not in obj]
-    if missing:
-        raise MalformedRow(line_no, f"missing fields: {', '.join(missing)}")
-    vitals = {}
-    for k in SAMPLE_FIELDS[1:]:
-        v = obj[k]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise MalformedRow(line_no, f"{k} must be a number, got {v!r}")
-        vitals[k] = float(v)
-    return _sample_from_fields(obj["t"], vitals, line_no)
+    try:
+        row = [obj[k] for k in SAMPLE_FIELDS]
+    except KeyError:
+        missing = [k for k in SAMPLE_FIELDS if k not in obj]
+        raise MalformedRow(line_no, f"missing fields: {', '.join(missing)}") from None
+    _check_t(row[0], line_no)
+    for i in range(1, len(row)):
+        v = row[i]
+        if type(v) is float:
+            continue
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise MalformedRow(line_no, f"{SAMPLE_FIELDS[i]} must be a number, got {v!r}")
+        try:
+            row[i] = float(v)
+        except OverflowError:
+            raise MalformedRow(line_no, f"{SAMPLE_FIELDS[i]} is out of float range") from None
+    return tuple(row)
 
 
-def _parse_csv_row(row: list[str], line_no: int) -> VitalsSample:
+def _parse_csv_row(row: list[str], line_no: int) -> tuple:
     if len(row) != len(SAMPLE_FIELDS):
         raise MalformedRow(line_no, f"expected {len(SAMPLE_FIELDS)} columns, got {len(row)}")
     try:
         t = int(row[0])
     except ValueError as exc:
         raise MalformedRow(line_no, f"t must be an integer, got {row[0]!r}") from exc
-    vitals = {}
-    for k, text in zip(SAMPLE_FIELDS[1:], row[1:]):
+    out = [_check_t(t, line_no)]
+    for k, text in zip(VITAL_FIELDS, row[1:]):
         try:
-            vitals[k] = float(text)
+            out.append(float(text))
         except ValueError as exc:
             raise MalformedRow(line_no, f"{k} is not a number: {text!r}") from exc
-    return _sample_from_fields(t, vitals, line_no)
+    return tuple(out)
 
 
 def parse_night(
@@ -105,66 +120,63 @@ def parse_night(
     Timestamps must be strictly increasing; every missing second between
     consecutive samples is recorded as a gap. Metadata (ids, start time) is
     not carried by the sample formats and is supplied by the caller.
+    Errors come in this order: MalformedRow for the first bad line, then
+    NegativeVital for the first bad value, then NonMonotonicTimestamp.
     """
     _check_format(fmt)
-    samples: list[VitalsSample] = []
-    prev_t: Optional[int] = None
-
     if fmt == "csv":
-        rows = csv.reader(lines)
+        reader = csv.reader(lines)
         try:
-            header = next(rows)
+            header = next(reader)
         except StopIteration:
             raise MalformedRow(1, "missing csv header") from None
         if [h.strip() for h in header] != list(SAMPLE_FIELDS):
             raise MalformedRow(1, f"bad csv header: {','.join(header)!r}")
-        parsed: Iterator[VitalsSample] = (
-            _parse_csv_row(row, i) for i, row in enumerate(rows, start=2) if row
-        )
+        rows = [_parse_csv_row(row, i) for i, row in enumerate(reader, start=2) if row]
     else:
-        parsed = (
-            _parse_ndjson_row(line, i)
+        rows = [
+            parse_sample_line(line, i)
             for i, line in enumerate(lines, start=1)
             if line.strip()
-        )
+        ]
 
-    for sample in parsed:
-        if prev_t is not None and sample.t <= prev_t:
-            raise NonMonotonicTimestamp(sample.t)
-        prev_t = sample.t
-        samples.append(sample)
-
+    t = np.array([r[0] for r in rows], dtype=np.int64)
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(SAMPLE_FIELDS))
+    vitals = np.ascontiguousarray(table[:, 1:])
+    check_vitals(t, vitals)
+    bad_t = first_non_increasing(t)
+    if bad_t is not None:
+        raise NonMonotonicTimestamp(bad_t)
     return NightRecord(
         night_id=night_id,
         subject_id=subject_id,
         start_epoch=start_epoch if start_epoch is not None else EPOCH_ZERO,
-        samples=tuple(samples),
-        gaps=compute_gaps([s.t for s in samples]),
+        t=t,
+        vitals=vitals,
+        gaps=compute_gaps(t),
     )
 
 
-def sample_line(s: VitalsSample) -> str:
-    """One sample as an NDJSON line body; floats use repr() so the decimal
-    text recovers the exact double."""
-    return (
-        f'{{"t":{s.t},"hr":{s.hr!r},"rr":{s.rr!r},"sv":{s.sv!r},'
-        f'"hrv":{s.hrv!r},"b2b":{s.b2b!r}}}'
-    )
+def sample_line(row) -> str:
+    """One (t, hr, rr, sv, hrv, b2b) row as an NDJSON line body; floats use
+    repr() so the decimal text recovers the exact double."""
+    t, hr, rr, sv, hrv, b2b = row
+    return f'{{"t":{t},"hr":{hr!r},"rr":{rr!r},"sv":{sv!r},"hrv":{hrv!r},"b2b":{b2b!r}}}'
 
 
 def write_night(record: NightRecord, fmt: str) -> Iterator[str]:
     """Serialize a record as lines (without trailing newlines).
 
-    parse_night(write_night(r)) == r for matching metadata.
+    parse_night(write_night(r)) reproduces r's columns bit for bit.
     """
     _check_format(fmt)
+    rows = zip(record.t.tolist(), *record.vitals.T.tolist())
     if fmt == "csv":
         yield CSV_HEADER
-        for s in record.samples:
-            yield f"{s.t},{s.hr!r},{s.rr!r},{s.sv!r},{s.hrv!r},{s.b2b!r}"
+        for row in rows:
+            yield ",".join(map(repr, row))
     else:
-        for s in record.samples:
-            yield sample_line(s)
+        yield from map(sample_line, rows)
 
 
 def load_night(path, fmt: Optional[str] = None, **meta) -> NightRecord:

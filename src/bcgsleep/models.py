@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Stage
 from .errors import EmptyTrainingSet, SchemaMismatch, TooFewItems
 from .features import FeatureTable, standardize_apply, standardize_fit
 
@@ -102,7 +101,7 @@ def _as_matrix(rows) -> np.ndarray:
 
 
 def _as_codes(labels) -> np.ndarray:
-    return np.array([int(v) for v in labels], dtype=np.int64)
+    return np.asarray(labels, dtype=np.int64)
 
 
 def _check_xy(x: np.ndarray, y: np.ndarray):
@@ -562,32 +561,33 @@ _KINDS = {
 StageModel = DecisionTree | RandomForest | Knn | GaussianNB
 
 
-def predict(model, rows) -> list[Stage]:
-    """One stage per feature row; deterministic for a given model."""
+def predict(model, rows) -> np.ndarray:
+    """One int64 stage code per feature row; deterministic for a given model."""
     x = _as_matrix(rows)
     if x.shape[0] == 0:
-        return []
+        return np.empty(0, dtype=np.int64)
     if x.shape[1] != model.n_features:
         raise SchemaMismatch(
             f"model expects {model.n_features} features, rows have {x.shape[1]}"
         )
-    return [Stage(int(c)) for c in model.predict_codes(x)]
+    return np.asarray(model.predict_codes(x), dtype=np.int64)
 
 
-def predict_hypnogram(model, record) -> list[Stage]:
-    """Per-second stages: second s takes the window starting at s; the last
-    nine seconds, which start no complete window, inherit the final one."""
+def predict_hypnogram(model, record) -> np.ndarray:
+    """Per-second int64 stage codes: second s takes the window starting at s;
+    the last nine seconds, which start no complete window, inherit the final
+    one. The record must be cleaned (one sample per second)."""
     from .errors import RecordTooShort
-    from .features import WINDOW_LEN, _signal_matrix, feature_matrix_for_starts
+    from .features import SIGNAL_COLUMNS, WINDOW_LEN, feature_matrix_for_starts
 
     n = record.last_t + 1
-    if not record.samples or n < WINDOW_LEN:
+    if n < WINDOW_LEN:
         raise RecordTooShort(max(n, 0), WINDOW_LEN)
-    matrix = _signal_matrix(record)
+    if len(record.t) != n:
+        raise ValueError("record has holes; clean_for_features it first")
     starts = np.arange(0, n - WINDOW_LEN + 1)
-    stats = feature_matrix_for_starts(matrix, starts)
-    preds = predict(model, stats)
-    return preds + [preds[-1]] * (WINDOW_LEN - 1)
+    stats = feature_matrix_for_starts(record.vitals[:, SIGNAL_COLUMNS], starts)
+    return np.pad(predict(model, stats), (0, WINDOW_LEN - 1), mode="edge")
 
 
 def model_to_json(model) -> str:

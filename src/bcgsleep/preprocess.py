@@ -9,34 +9,12 @@ seconds are treated as missing and filled from the nearest neighbor in time
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import NightRecord, VitalsSample, compute_gaps
+import numpy as np
+
+from .core import NightRecord
 from .errors import AllMissing
-
-
-def impute_missing(series: Sequence[Optional[float]]) -> list[float]:
-    """Fill None holes with the nearest previous present value.
-
-    Holes before the first present value are filled with the next present
-    value. Present values are never changed.
-    """
-    out = list(series)
-    prev: Optional[float] = None
-    first_present = None
-    for i, v in enumerate(out):
-        if v is None:
-            if prev is not None:
-                out[i] = prev
-        else:
-            prev = v
-            if first_present is None:
-                first_present = i
-    if first_present is None:
-        raise AllMissing()
-    for i in range(first_present):
-        out[i] = out[first_present]
-    return out
 
 
 def raw_hr_series(record: NightRecord) -> list[Optional[float]]:
@@ -45,58 +23,31 @@ def raw_hr_series(record: NightRecord) -> list[Optional[float]]:
     A zero means the sensor saw motion; a None means the second was never
     received. The two are deliberately never conflated.
     """
-    n = record.last_t + 1
-    series: list[Optional[float]] = [None] * max(n, 0)
-    for s in record.samples:
-        series[s.t] = s.hr
-    return series
+    series = np.full(max(record.last_t + 1, 0), None, dtype=object)
+    series[record.t] = record.vitals[:, 0].astype(object)
+    return series.tolist()
 
 
 def clean_for_features(record: NightRecord) -> NightRecord:
     """Materialize one sample per second over [0, last_t] with all holes filled.
 
-    Gap seconds become holes in every signal; samples with hr == 0 are
-    treated as holes in all five signals (the whole second is suspect when
-    the waveform was defective). Each signal is then imputed independently.
-    The input record is untouched.
+    Gap seconds are holes in every signal, and so are seconds with hr == 0
+    (the whole second is suspect when the waveform was defective). A hole
+    takes the vitals of the nearest previous valid second, or of the first
+    valid second when none precedes it. The input record is untouched.
     """
     n = record.last_t + 1
-    if n <= 0:
+    valid = record.vitals[:, 0] != 0.0
+    if n <= 0 or not valid.any():
         raise AllMissing("record")
-
-    columns: dict[str, list[Optional[float]]] = {
-        name: [None] * n for name in ("hr", "rr", "sv", "hrv", "b2b")
-    }
-    any_valid = False
-    for s in record.samples:
-        if s.hr == 0.0:
-            continue
-        any_valid = True
-        columns["hr"][s.t] = s.hr
-        columns["rr"][s.t] = s.rr
-        columns["sv"][s.t] = s.sv
-        columns["hrv"][s.t] = s.hrv
-        columns["b2b"][s.t] = s.b2b
-    if not any_valid:
-        raise AllMissing("record")
-
-    filled = {name: impute_missing(col) for name, col in columns.items()}
-    samples = tuple(
-        VitalsSample(
-            t=t,
-            hr=filled["hr"][t],
-            rr=filled["rr"][t],
-            sv=filled["sv"][t],
-            hrv=filled["hrv"][t],
-            b2b=filled["b2b"][t],
-        )
-        for t in range(n)
-    )
+    valid_t = record.t[valid]
+    source = np.searchsorted(valid_t, np.arange(n), side="right") - 1
+    np.maximum(source, 0, out=source)
     return NightRecord(
         night_id=record.night_id,
         subject_id=record.subject_id,
         start_epoch=record.start_epoch,
-        samples=samples,
-        gaps=compute_gaps([s.t for s in samples]),
+        t=np.arange(n, dtype=np.int64),
+        vitals=record.vitals[valid][source],
         labels=record.labels,
     )

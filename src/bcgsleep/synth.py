@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EPOCH_ZERO, NightRecord, Stage, StageInterval, VitalsSample
+from .core import EPOCH_ZERO, VITAL_FIELDS, NightRecord, Stage, StageInterval
 from .errors import DurationTooShort
-from .features import SIGNAL_ORDER
+from .features import SIGNAL_COLUMNS, SIGNAL_ORDER
 
 MIN_DURATION = 1800
 
@@ -248,23 +248,17 @@ def _draw_dropouts(rng, profile, duration: int) -> list[tuple[int, int]]:
 def _build_record(
     night_id: str, subject_id: str, signals: np.ndarray, gaps, intervals
 ) -> NightRecord:
-    dropped = np.zeros(signals.shape[0], dtype=bool)
+    kept = np.ones(signals.shape[0], dtype=bool)
     for start, length in gaps:
-        dropped[start : start + length] = True
-    samples = []
-    for t in np.nonzero(~dropped)[0]:
-        row = signals[t]
-        samples.append(
-            VitalsSample(
-                t=int(t), hr=float(row[0]), rr=float(row[1]), sv=float(row[2]),
-                b2b=float(row[3]), hrv=float(row[4]),
-            )
-        )
+        kept[start : start + length] = False
+    vitals = np.empty((int(kept.sum()), len(VITAL_FIELDS)))
+    vitals[:, SIGNAL_COLUMNS] = signals[kept]
     return NightRecord(
         night_id=night_id,
         subject_id=subject_id,
         start_epoch=EPOCH_ZERO,
-        samples=tuple(samples),
+        t=np.flatnonzero(kept),
+        vitals=vitals,
         gaps=tuple(gaps),
         labels=tuple(intervals),
     )

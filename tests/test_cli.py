@@ -9,7 +9,7 @@ import time
 import pytest
 
 from bcgsleep.cli import main
-from bcgsleep.ingest import load_night
+from bcgsleep.ingest import load_night, save_night
 from bcgsleep.models import load_model
 
 
@@ -217,8 +217,15 @@ def _sha256(path) -> str:
 
 
 # Artifacts of the workdir cohort (synth seed 11) as produced before feature
-# windows became a columnar table; a refactor must reproduce them byte for byte.
+# windows and night records became columnar; a refactor must reproduce them
+# byte for byte.
 GOLDEN_SHA256 = {
+    "nights/night00.ndjson": "c9a52144c1926b0a58614f21c52e1d59f22ca83b386d32356a603a66245a1abb",
+    "nights/night00.labels.json": "c1d697ab0330ecae9b2e4cdc12df1d9ed7c90d8ee8c13d35036c16eb2820aa22",
+    "nights/night01.ndjson": "99bec0ef350e977e2e361254891ec2408e8e61c978a7089c2a3a7f13f3675687",
+    "nights/night01.labels.json": "a7dade9b034440f18329416adfbbbdb0001f5f9b897dc5aa2dca354af386a343",
+    "nights/night02.ndjson": "8b52a332202c75f143818b416aaeac7ce91a988f528a80fef6a2545988e80bfa",
+    "nights/night02.labels.json": "87309ba7311bece0d35468a6eed1cfe71f0dde1d4ed04d966a526eb75bf829ca",
     "features/night00.features.csv": "893a92137de425cc3da786db6fdefe55d8a2ec4ef126d65d1b549b451de463ee",
     "features/night01.features.csv": "d298929664027b6ff77bd7e933ea1130e60e89f9d7812321b5274aec152a341f",
     "features/night02.features.csv": "53e6e6195b7a5625d6ec3fa68d00c00334478c0733e79991d9c2adeec63db2d0",
@@ -237,6 +244,13 @@ GOLDEN_SHA256 = {
     "kfold-nb/metrics.json": "5034cfc77d72a3635c5de9fffafbf2945304ca46623cf6e5eec3f7d10e79dd8f",
     "report-tree/metrics.json": "cf433375f1efbaf31322b3e283b9db34a08442b7bae6dfc18efdfe8599ad5b0d",
     "report-tree/confusion.csv": "1501e4d3b6299182f308f3fed92d480c68ca93da9aac186afad14b9b05c9b975",
+    "report-tree/threshold_trace.svg": "75805d568d51cadb26e3dc2ab6bcecd8edea55f5c51cc9d4241fbcfbf5067c35",
+    "report-tree/hypnogram_pair.svg": "feb2aade1cd8ee3d41679028ee26c0afb51cba8c8f383d465d8ab3b07e55f04e",
+    "report-tree/confusion_heatmap.svg": "5c762731b341c34435198e02822435fd18965bc2b635a025bb43ca9422b07933",
+    "report-cohort/metrics.json": "be20dfd5983595fb2d797450dc2ea2d8921ea169c518acb369195145e3fd66ac",
+    "report-cohort/efficiency_box.svg": "0aa0dbe46c0bdc1d94e7c4198cbe1d7999f584dc93f265b7ac54196995370cc0",
+    "sleepwake-night00.csv": "f12b7f2c892ee643c724eb2151ba67b448ff5f0ea0099ce8680033f782dff9ba",
+    "night01.csv": "4f591bbfab66704653c534c6d769a2975de10d74292ff845b625ccb938cfe01b",
 }
 
 
@@ -257,8 +271,14 @@ class TestGoldenArtifacts:
                      "--labels", str(nights / "night01.labels.json"),
                      "--model", str(tmp_path / "tree.json"),
                      "--out-dir", str(tmp_path / "report-tree")]) == 0
+        assert main(["report", "--cohort-dir", str(nights),
+                     "--out-dir", str(tmp_path / "report-cohort")]) == 0
+        assert main(["sleepwake", "--in", str(nights / "night00.ndjson"),
+                     "--out", str(tmp_path / "sleepwake-night00.csv")]) == 0
+        save_night(load_night(nights / "night01.ndjson"), tmp_path / "night01.csv")
+        from_workdir = ("features/", "nights/")
         got = {
-            name: _sha256((workdir if name.startswith("features/") else tmp_path) / name)
+            name: _sha256((workdir if name.startswith(from_workdir) else tmp_path) / name)
             for name in GOLDEN_SHA256
         }
         assert got == GOLDEN_SHA256

@@ -1,13 +1,15 @@
-"""Domain types: stage codes, sample validation, record invariants, gap runs."""
+"""Domain types: stage codes, vital validation, record invariants, gap runs."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bcgsleep.core import (
     EPOCH_ZERO,
+    VITAL_FIELDS,
     NightRecord,
     Stage,
     StageInterval,
@@ -16,7 +18,7 @@ from bcgsleep.core import (
 )
 from bcgsleep.errors import InvalidStageCode, NegativeVital
 
-from conftest import make_sample
+from conftest import make_record, make_sample
 
 
 class TestStage:
@@ -40,17 +42,19 @@ class TestStage:
 
 
 class TestVitalsSample:
+    """Row values as a NightRecord accepts or rejects them."""
+
     def test_zero_hr_is_motion_marker(self):
-        s = make_sample(5, hr=0.0)
-        assert s.motion_invalid
-        assert not make_sample(5, hr=55.0).motion_invalid
+        rec = make_record([make_sample(5, hr=0.0), make_sample(6, hr=55.0)])
+        assert [s.hr for s in rec.samples] == [0.0, 55.0]
 
     def test_vitals_tuple_order(self):
         s = VitalsSample(t=1, hr=1.0, rr=2.0, sv=3.0, hrv=4.0, b2b=5.0)
-        assert s.vitals() == (1.0, 2.0, 3.0, 4.0, 5.0)
+        assert s[1:] == (1.0, 2.0, 3.0, 4.0, 5.0)
+        assert make_record([s]).vitals.tolist() == [[1.0, 2.0, 3.0, 4.0, 5.0]]
 
     def test_ints_coerced_to_float(self):
-        s = VitalsSample(t=0, hr=60, rr=14, sv=70, hrv=40, b2b=1000)
+        s = make_record([(0, 60, 14, 70, 40, 1000)]).samples[0]
         assert isinstance(s.hr, float) and s.hr == 60.0
 
     @pytest.mark.parametrize("field", ["hr", "rr", "sv", "hrv", "b2b"])
@@ -58,12 +62,12 @@ class TestVitalsSample:
         kwargs = dict(t=0, hr=60.0, rr=14.0, sv=70.0, hrv=40.0, b2b=1000.0)
         kwargs[field] = -0.5
         with pytest.raises(NegativeVital):
-            VitalsSample(**kwargs)
+            make_record([VitalsSample(**kwargs)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NegativeVital):
-            make_sample(0, hr=bad)
+            make_record([make_sample(0, hr=bad)])
 
 
 class TestStageInterval:
@@ -81,25 +85,65 @@ class TestNightRecord:
     def test_monotonic_timestamps_enforced(self):
         samples = [make_sample(0), make_sample(2), make_sample(2)]
         with pytest.raises(ValueError):
-            NightRecord("n", "s", EPOCH_ZERO, samples)
+            make_record(samples)
 
     def test_span_and_bounds(self):
-        rec = NightRecord("n", "s", EPOCH_ZERO, [make_sample(3), make_sample(9)])
+        rec = make_record([make_sample(3), make_sample(9)])
         assert rec.first_t == 3
         assert rec.last_t == 9
         assert rec.span_seconds == 7
 
     def test_empty_record(self):
-        rec = NightRecord("n", "s", EPOCH_ZERO, [])
+        rec = make_record([])
         assert rec.span_seconds == 0
         assert rec.last_t == -1
 
     def test_gap_total(self):
-        rec = NightRecord(
-            "n", "s", EPOCH_ZERO, [make_sample(0), make_sample(10)],
-            gaps=((1, 9),),
-        )
+        rec = make_record([make_sample(0), make_sample(10)], gaps=((1, 9),))
         assert rec.total_gap_seconds() == 9
+
+    def test_bounds_and_gaps_are_python_ints(self):
+        rec = make_record([make_sample(3), make_sample(9)])
+        assert type(rec.first_t) is int and type(rec.last_t) is int
+        assert all(type(v) is int for gap in rec.gaps for v in gap)
+        assert rec.gaps == ((4, 5),)
+
+    def test_columns_are_read_only(self):
+        rec = make_record([make_sample(0), make_sample(1)])
+        with pytest.raises(ValueError):
+            rec.vitals[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rec.t[0] = 5
+
+    def test_mismatched_column_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            NightRecord("n", "s", EPOCH_ZERO, np.arange(3), np.ones((2, 5)))
+
+    @given(
+        n=st.integers(1, 30),
+        bad=st.sampled_from([-0.5, -1e300, math.nan, math.inf, -math.inf]),
+        cells=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 4)),
+                       min_size=1, max_size=4),
+    )
+    def test_first_bad_vital_rejected_row_major(self, n, bad, cells):
+        rows = [list(make_sample(2 * t)) for t in range(n)]
+        cells = sorted({(r % n, c) for r, c in cells})
+        for r, c in cells:
+            rows[r][1 + c] = bad
+        with pytest.raises(NegativeVital) as exc:
+            make_record(rows)
+        row, col = cells[0]
+        assert exc.value.field == VITAL_FIELDS[col]
+        assert exc.value.t == 2 * row
+
+    @given(ts=st.lists(st.integers(0, 500), min_size=1, max_size=40, unique=True),
+           data=st.data())
+    def test_repeated_t_rejected(self, ts, data):
+        ts = sorted(ts)
+        at = data.draw(st.integers(0, len(ts) - 1))
+        ts.insert(at + 1, ts[at])
+        with pytest.raises(ValueError, match=f"at t={ts[at]}$"):
+            make_record([make_sample(t) for t in ts])
 
 
 def _gaps_oracle(ts):

@@ -10,11 +10,12 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from bcgsleep.core import EPOCH_ZERO, NightRecord, compute_gaps
+from bcgsleep.core import compute_gaps
 from bcgsleep.devicesim import (
     DropoutWindow,
     RetryPolicy,
@@ -23,16 +24,15 @@ from bcgsleep.devicesim import (
     serve_stream,
 )
 from bcgsleep.errors import InitialConnectFailure
-from bcgsleep.ingest import load_night
+from bcgsleep.ingest import load_night, sample_line
 
-from conftest import make_sample
+from conftest import make_record, make_sample
 
 FAST = RetryPolicy(retry_interval=0.02, deadline=0.7)
 
 
 def script_of(n, windows=(), tick=0.0):
-    samples = tuple(make_sample(t) for t in range(n))
-    rec = NightRecord("n", "s", EPOCH_ZERO, samples)
+    rec = make_record(make_sample(t) for t in range(n))
     return StreamScript(rec, dropout_windows=windows, tick_interval=tick)
 
 
@@ -172,6 +172,65 @@ class TestSingleClientRule:
             first.close()
         finally:
             srv.stop()
+
+
+def record_lines(lines, out):
+    """Serve the lines once from a loopback listener, record them to out."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def send():
+        conn, _ = listener.accept()
+        listener.close()  # reconnects are refused, so the recording ends
+        with conn:
+            conn.sendall("".join(line + "\n" for line in lines).encode())
+
+    sender = threading.Thread(target=send, daemon=True)
+    sender.start()
+    try:
+        return record_stream(listener.getsockname()[:2], out,
+                             RetryPolicy(retry_interval=0.02, deadline=0.3))
+    finally:
+        sender.join(timeout=5)
+
+
+class TestLineValidation:
+    def test_garbage_and_duplicate_lines_dropped(self, tmp_path):
+        good = [sample_line(make_sample(t)) for t in (0, 1)]
+        res = record_lines([good[0], "not a sample", good[0], good[1]],
+                           tmp_path / "out.ndjson")
+        assert res.timestamps == (0, 1)
+        assert res.dropped_lines == 2
+        assert [s.t for s in load_night(res.path).samples] == [0, 1]
+        side = json.loads(open(res.sidecar_path).read())
+        assert side["dropped_lines"] == 2
+        assert side["n_samples"] == 2
+
+    def test_invalid_vitals_and_backwards_t_dropped(self, tmp_path):
+        lines = [
+            sample_line(make_sample(5)),
+            sample_line(make_sample(6, hr=-1.0)),
+            sample_line(make_sample(7)).replace('"rr":14.0', '"rr":NaN'),
+            sample_line(make_sample(3)),
+            '{"t":8,"hr":1.0}',
+            sample_line(make_sample(9)),
+        ]
+        res = record_lines(lines, tmp_path / "out.ndjson")
+        assert res.timestamps == (5, 9)
+        assert res.dropped_lines == 4
+        rec = load_night(res.path)
+        assert rec.gaps == res.gaps == ((6, 3),)
+
+    def test_sidecar_written_when_nothing_connects(self, tmp_path):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        out = tmp_path / "never.ndjson"
+        with pytest.raises(InitialConnectFailure):
+            record_stream(("127.0.0.1", port), out,
+                          RetryPolicy(retry_interval=0.03, deadline=0.2))
+        side = json.loads((tmp_path / "never.ndjson.gaps.json").read_text())
+        assert side["n_samples"] == 0 and side["dropped_lines"] == 0
 
 
 class TestFailureModes:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcgsleep.core import EPOCH_ZERO, NightRecord, Stage, StageInterval
+from bcgsleep.core import Stage, StageInterval
 from bcgsleep.errors import DegenerateMatrix, EmptyMatrix
 from bcgsleep.ingest import align_labels
 from bcgsleep.features import (
@@ -30,7 +30,7 @@ from bcgsleep.features import (
     windows_to_matrix,
 )
 
-from conftest import flat_record, make_sample
+from conftest import flat_record, make_record, make_sample
 
 
 def _stats_oracle(values):
@@ -148,7 +148,7 @@ class TestWindowing:
             )
             for t in range(40)
         ]
-        rec = NightRecord("n", "s", EPOCH_ZERO, samples)
+        rec = make_record(samples)
         windows = window_night(rec, [Stage.DEEP] * 40)
         assert len(windows) == 31
         row = windows.x[17]

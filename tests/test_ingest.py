@@ -2,13 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcgsleep.core import EPOCH_ZERO, NightRecord, Stage, StageInterval, VitalsSample
+from bcgsleep.core import Stage, StageInterval, VitalsSample
 from bcgsleep.errors import (
     MalformedRow,
+    NegativeVital,
     NonMonotonicTimestamp,
     OverlappingIntervals,
     UnknownLevel,
@@ -26,28 +28,22 @@ from bcgsleep.ingest import (
     write_night,
 )
 
-from conftest import flat_record, make_sample
+from conftest import flat_record, make_record, make_sample
 
 finite_vital = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
 @st.composite
-def records(draw):
+def records(draw, vital=finite_vital):
     ts = sorted(draw(st.sets(st.integers(0, 200), min_size=1, max_size=40)))
-    samples = tuple(
-        VitalsSample(
-            t=t,
-            hr=draw(finite_vital),
-            rr=draw(finite_vital),
-            sv=draw(finite_vital),
-            hrv=draw(finite_vital),
-            b2b=draw(finite_vital),
-        )
+    return make_record(
+        (t, draw(vital), draw(vital), draw(vital), draw(vital), draw(vital))
         for t in ts
     )
-    from bcgsleep.core import compute_gaps
 
-    return NightRecord("n", "s", EPOCH_ZERO, samples, gaps=compute_gaps(list(ts)))
+
+# every finite non-negative double, signed zero and subnormals included
+any_vital = st.one_of(st.just(-0.0), st.floats(min_value=0.0, allow_infinity=False))
 
 
 class TestSampleLine:
@@ -71,6 +67,13 @@ class TestRoundTrip:
         back = parse_night(lines, fmt, night_id="n", subject_id="s")
         assert back.samples == rec.samples
         assert back.gaps == rec.gaps
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    @given(rec=records(vital=any_vital))
+    def test_write_then_parse_is_bit_exact(self, fmt, rec):
+        back = parse_night(write_night(rec, fmt), fmt)
+        assert back.t.dtype == np.int64 and np.array_equal(back.t, rec.t)
+        assert np.array_equal(back.vitals.view(np.uint64), rec.vitals.view(np.uint64))
 
     @pytest.mark.parametrize("ext,fmt", [(".ndjson", "ndjson"), (".csv", "csv")])
     def test_file_round_trip_infers_format(self, tmp_path, ext, fmt):
@@ -125,6 +128,34 @@ class TestMalformedInput:
         lines = [sample_line(make_sample(5)), sample_line(make_sample(5))]
         with pytest.raises(NonMonotonicTimestamp):
             parse_night(lines, "ndjson")
+
+    def test_errors_by_kind_then_line(self):
+        good = [sample_line(make_sample(t)) for t in (0, 1)]
+        dup = sample_line(make_sample(1))
+        negative = sample_line(make_sample(2, rr=-1.0))
+        with pytest.raises(MalformedRow) as exc:
+            parse_night(good + [dup, negative, "{not json"], "ndjson")
+        assert exc.value.line_no == 5
+        with pytest.raises(NegativeVital, match="rr at t=2"):
+            parse_night(good + [dup, negative], "ndjson")
+        with pytest.raises(NonMonotonicTimestamp, match="t=1$"):
+            parse_night(good + [dup], "ndjson")
+
+    def test_t_beyond_int64_rejected(self):
+        line = sample_line(make_sample(1 << 63))
+        with pytest.raises(MalformedRow, match="64-bit"):
+            parse_night([line], "ndjson")
+        with pytest.raises(MalformedRow, match="64-bit"):
+            parse_night([CSV_HEADER, f"{1 << 63},1.0,1.0,1.0,1.0,1.0"], "csv")
+
+    def test_numbers_beyond_float_or_digit_limits_rejected(self):
+        huge = "1" + "0" * 400
+        line = sample_line(make_sample(0)).replace('"hr":60.0', f'"hr":{huge}')
+        with pytest.raises(MalformedRow, match="hr is out of float range"):
+            parse_night([line], "ndjson")
+        line = sample_line(make_sample(0)).replace('"t":0', '"t":1' + "0" * 5000)
+        with pytest.raises(MalformedRow):
+            parse_night([line], "ndjson")
 
     def test_blank_lines_skipped(self):
         lines = [sample_line(make_sample(0)), "", sample_line(make_sample(1)), "  "]

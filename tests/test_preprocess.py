@@ -1,14 +1,14 @@
 """Imputation and series extraction against brute-force expectations."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcgsleep.core import EPOCH_ZERO, NightRecord
 from bcgsleep.errors import AllMissing
-from bcgsleep.preprocess import clean_for_features, impute_missing, raw_hr_series
+from bcgsleep.preprocess import clean_for_features, raw_hr_series
 
-from conftest import flat_record, make_sample
+from conftest import flat_record, make_record, make_sample
 
 
 def _impute_oracle(series):
@@ -32,36 +32,56 @@ def _impute_oracle(series):
     return out
 
 
-holey_series = st.lists(
-    st.one_of(st.none(), st.floats(0.0, 100.0, allow_nan=False)),
+vital = st.floats(0.0, 2000.0, allow_nan=False)
+# one entry per second: None is a hole, a zero hr a motion-flagged second
+night_seconds = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(st.one_of(st.just(0.0), vital), vital, vital, vital, vital),
+    ),
     min_size=1,
-    max_size=50,
-).filter(lambda s: any(v is not None for v in s))
+    max_size=60,
+).filter(lambda secs: any(v is not None and v[0] != 0.0 for v in secs))
 
 
 class TestImputeMissing:
-    @given(series=holey_series)
-    def test_matches_nearest_scan(self, series):
-        assert impute_missing(series) == _impute_oracle(series)
+    """The fill inside clean_for_features, signal by signal."""
+
+    @given(seconds=night_seconds)
+    def test_matches_nearest_scan(self, seconds):
+        rows = [(t, *v) for t, v in enumerate(seconds) if v is not None]
+        rec = make_record(rows)
+        clean = clean_for_features(rec)
+        n = rec.last_t + 1
+        assert clean.t.tolist() == list(range(n))
+        for col in range(5):
+            series = [None] * n
+            for row in rows:
+                if row[1] != 0.0:
+                    series[row[0]] = row[1 + col]
+            assert clean.vitals[:, col].tolist() == _impute_oracle(series)
 
     def test_previous_preferred(self):
-        assert impute_missing([1.0, None, 9.0]) == [1.0, 1.0, 9.0]
+        rec = make_record([make_sample(0, hr=1.0), make_sample(2, hr=9.0)])
+        assert clean_for_features(rec).vitals[:, 0].tolist() == [1.0, 1.0, 9.0]
 
     def test_leading_holes_take_next(self):
-        assert impute_missing([None, None, 4.0, None]) == [4.0, 4.0, 4.0, 4.0]
+        rec = make_record([make_sample(2, hr=4.0), make_sample(3, hr=0.0)])
+        assert clean_for_features(rec).vitals[:, 0].tolist() == [4.0, 4.0, 4.0, 4.0]
 
     def test_present_values_untouched(self):
-        series = [3.0, 1.0, 2.0]
-        assert impute_missing(series) == series
+        rec = make_record([make_sample(t, hr=v) for t, v in enumerate([3.0, 1.0, 2.0])])
+        assert clean_for_features(rec).vitals[:, 0].tolist() == [3.0, 1.0, 2.0]
 
     def test_all_missing_raises(self):
         with pytest.raises(AllMissing):
-            impute_missing([None, None])
+            clean_for_features(make_record([]))
 
     def test_input_not_mutated(self):
-        series = [None, 5.0]
-        impute_missing(series)
-        assert series == [None, 5.0]
+        rec = make_record([make_sample(1, hr=0.0), make_sample(3, hr=5.0)])
+        t, vitals = rec.t.copy(), rec.vitals.copy()
+        clean_for_features(rec)
+        assert np.array_equal(rec.t, t) and np.array_equal(rec.vitals, vitals)
 
 
 class TestRawHrSeries:
@@ -72,7 +92,7 @@ class TestRawHrSeries:
 
     def test_zero_hr_preserved(self):
         samples = [make_sample(0, hr=60.0), make_sample(1, hr=0.0)]
-        rec = NightRecord("n", "s", EPOCH_ZERO, samples)
+        rec = make_record(samples)
         assert raw_hr_series(rec) == [60.0, 0.0]
 
 
@@ -85,7 +105,7 @@ class TestCleanForFeatures:
 
     def test_gap_seconds_copy_previous_sample(self):
         samples = [make_sample(0, hr=55.0, rr=10.0), make_sample(3, hr=66.0)]
-        rec = NightRecord("n", "s", EPOCH_ZERO, samples)
+        rec = make_record(samples)
         clean = clean_for_features(rec)
         assert clean.samples[1].hr == 55.0
         assert clean.samples[1].rr == 10.0
@@ -98,10 +118,10 @@ class TestCleanForFeatures:
             make_sample(1, hr=0.0, rr=99.0, sv=99.0, hrv=99.0, b2b=99.0),
             make_sample(2, hr=70.0),
         ]
-        rec = NightRecord("n", "s", EPOCH_ZERO, samples)
+        rec = make_record(samples)
         clean = clean_for_features(rec)
         # the whole second is suspect: every signal comes from t=0, not t=1
-        assert clean.samples[1].vitals() == samples[0].vitals()
+        assert clean.samples[1][1:] == samples[0][1:]
 
     def test_valid_samples_pass_through(self):
         rec = flat_record(5)
@@ -112,8 +132,8 @@ class TestCleanForFeatures:
         rec = flat_record(5)
         from bcgsleep.core import Stage, StageInterval
 
-        rec = NightRecord(
-            rec.night_id, rec.subject_id, rec.start_epoch, rec.samples,
+        rec = make_record(
+            rec.samples, night_id=rec.night_id, subject_id=rec.subject_id,
             labels=(StageInterval(Stage.WAKE, 0, 5),),
         )
         clean = clean_for_features(rec)
@@ -122,6 +142,6 @@ class TestCleanForFeatures:
 
     def test_all_zero_hr_raises(self):
         samples = [make_sample(0, hr=0.0), make_sample(1, hr=0.0)]
-        rec = NightRecord("n", "s", EPOCH_ZERO, samples)
+        rec = make_record(samples)
         with pytest.raises(AllMissing):
             clean_for_features(rec)

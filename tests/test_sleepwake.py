@@ -11,7 +11,6 @@ import statistics
 
 import pytest
 
-from bcgsleep.core import EPOCH_ZERO, NightRecord
 from bcgsleep.errors import NoEpochs, RecordTooShort
 from bcgsleep.preprocess import raw_hr_series
 from bcgsleep.sleepwake import (
@@ -29,7 +28,7 @@ from bcgsleep.sleepwake import (
 )
 from bcgsleep.synth import default_profile, generate_night
 
-from conftest import flat_record, make_sample
+from conftest import flat_record, make_record, make_sample
 
 
 def _oracle_night(series, config=ThresholdConfig()):
@@ -168,7 +167,7 @@ class TestRunNight:
         # 0..179 at 60, then a drop to 50: epoch 6 sees threshold 60.
         samples = [make_sample(t, hr=60.0) for t in range(180)]
         samples += [make_sample(t, hr=50.0) for t in range(180, 210)]
-        rec = NightRecord("n", "s", EPOCH_ZERO, samples)
+        rec = make_record(samples)
         epochs = run_night(rec)
         e = epochs[6]
         assert e.threshold == pytest.approx(60.0)
@@ -195,7 +194,7 @@ class TestRunNight:
         # lookback [0, 180) has only 90 valid seconds; threshold still defined
         samples = [make_sample(t, hr=60.0) for t in range(0, 180, 2)]
         samples += [make_sample(t, hr=44.0) for t in range(180, 210)]
-        rec = NightRecord("n", "s", EPOCH_ZERO, samples)
+        rec = make_record(samples)
         e = run_night(rec)[6]
         assert e.threshold == pytest.approx(60.0)
         assert e.state is WakeState.ASLEEP
