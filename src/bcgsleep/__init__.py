@@ -73,7 +73,6 @@ from .models import (
 from .preprocess import clean_for_features, raw_hr_series
 from .sleepwake import (
     SleepWakeEpoch,
-    ThresholdConfig,
     WakeState,
     moving_threshold,
     run_night,

@@ -227,19 +227,14 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _fill_codes(aligned) -> list[int]:
-    """Forward-fill unlabeled seconds for rendering; leading holes copy the
-    first labeled second."""
-    first = next((s for s in aligned if s is not None), None)
-    if first is None:
+def _fill_codes(aligned: np.ndarray) -> np.ndarray:
+    """Forward-fill unlabeled (-1) seconds for rendering; leading holes copy
+    the first labeled second."""
+    labeled = aligned >= 0
+    if not labeled.any():
         raise AllMissing("stage labels")
-    out = []
-    prev = int(first)
-    for s in aligned:
-        if s is not None:
-            prev = int(s)
-        out.append(prev)
-    return out
+    source = np.where(labeled, np.arange(aligned.size), np.argmax(labeled))
+    return aligned[np.maximum.accumulate(source)]
 
 
 def _scripted_efficiency(intervals) -> float:
@@ -325,139 +320,157 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and for each subcommand its flags by name (without the
+    dashes) as (action, takes a list) pairs."""
     parser = argparse.ArgumentParser(
         prog="bcgsleep",
         description="Sleep analysis pipeline for 1 Hz bed-sensor vitals",
     )
     parser.add_argument("--config", help="JSON file of flag defaults", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
+    flags: dict[str, dict[str, tuple[argparse.Action, bool]]] = {}
 
-    p = subparsers["synth"] = sub.add_parser(
-        "synth", help="generate a synthetic cohort with scripted labels")
-    p.add_argument("--nights", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--duration", type=int, default=28800)
-    p.add_argument("--efficiency-lo", type=float, default=0.70)
-    p.add_argument("--efficiency-hi", type=float, default=0.95)
-    p.set_defaults(func=_cmd_synth)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        actions = flags[name] = {}
 
-    p = subparsers["serve"] = sub.add_parser(
-        "serve", help="stream a night file over TCP like the bed sensor")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--endpoint", default="127.0.0.1:0")
-    p.add_argument("--tick", type=float, default=1.0)
-    p.add_argument("--dropout", action="append",
-                   help="start:length[:mode], mode silence|disconnect")
-    p.set_defaults(func=_cmd_serve)
+        def add(flag, **kwargs):
+            many = kwargs.get("nargs") == "+" or kwargs.get("action") == "append"
+            actions[flag[2:]] = (p.add_argument(flag, **kwargs), many)
+        return add
 
-    p = subparsers["record"] = sub.add_parser(
-        "record", help="record a device stream to NDJSON with a gap log")
-    p.add_argument("--endpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--retry-interval", type=float, default=1.0)
-    p.add_argument("--deadline", type=float, default=30.0)
-    p.set_defaults(func=_cmd_record)
+    add = command("synth", _cmd_synth, "generate a synthetic cohort with scripted labels")
+    add("--nights", type=int, default=8)
+    add("--seed", type=int, default=0)
+    add("--out", required=True)
+    add("--duration", type=int, default=28800)
+    add("--efficiency-lo", type=float, default=0.70)
+    add("--efficiency-hi", type=float, default=0.95)
 
-    p = subparsers["sleepwake"] = sub.add_parser(
-        "sleepwake", help="segment a night into awake/asleep epochs")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sleepwake)
+    add = command("serve", _cmd_serve, "stream a night file over TCP like the bed sensor")
+    add("--in", dest="infile", required=True)
+    add("--endpoint", default="127.0.0.1:0")
+    add("--tick", type=float, default=1.0)
+    add("--dropout", action="append",
+        help="start:length[:mode], mode silence|disconnect")
 
-    p = subparsers["featurize"] = sub.add_parser(
-        "featurize", help="extract labeled window statistics to CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_featurize)
+    add = command("record", _cmd_record, "record a device stream to NDJSON with a gap log")
+    add("--endpoint", required=True)
+    add("--out", required=True)
+    add("--retry-interval", type=float, default=1.0)
+    add("--deadline", type=float, default=30.0)
 
-    def add_split_flags(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--train-fraction", type=float, default=0.8)
-        p.add_argument("--grouping", default=models.WINDOW_GROUPING,
-                       choices=(models.WINDOW_GROUPING, models.NIGHT_GROUPING))
+    add = command("sleepwake", _cmd_sleepwake, "segment a night into awake/asleep epochs")
+    add("--in", dest="infile", required=True)
+    add("--out", required=True)
 
-    def add_model_flags(p):
-        p.add_argument("--n-trees", type=int, default=100)
-        p.add_argument("--max-depth", type=int, default=20)
-        p.add_argument("--k", type=int, default=5)
+    add = command("featurize", _cmd_featurize, "extract labeled window statistics to CSV")
+    add("--in", dest="infile", required=True)
+    add("--labels", required=True)
+    add("--out", required=True)
 
-    p = subparsers["train"] = sub.add_parser(
-        "train", help="fit a stage classifier on feature CSVs")
-    p.add_argument("--features", nargs="+", required=True)
-    p.add_argument("--model", required=True, choices=MODEL_KINDS)
-    p.add_argument("--out", required=True)
-    add_split_flags(p)
-    add_model_flags(p)
-    p.set_defaults(func=_cmd_train)
+    def add_split_flags(add):
+        add("--seed", type=int, default=0)
+        add("--train-fraction", type=float, default=0.8)
+        add("--grouping", default=models.WINDOW_GROUPING,
+            choices=(models.WINDOW_GROUPING, models.NIGHT_GROUPING))
 
-    p = subparsers["evaluate"] = sub.add_parser(
-        "evaluate", help="score a model on the held-out split or by k-fold")
-    p.add_argument("--features", nargs="+", required=True)
-    p.add_argument("--model", help="model JSON (single-split mode)")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--kfold", type=int, default=0)
-    p.add_argument("--model-kind", choices=MODEL_KINDS)
-    add_split_flags(p)
-    add_model_flags(p)
-    p.set_defaults(func=_cmd_evaluate)
+    def add_model_flags(add):
+        add("--n-trees", type=int, default=100)
+        add("--max-depth", type=int, default=20)
+        add("--k", type=int, default=5)
 
-    p = subparsers["report"] = sub.add_parser(
-        "report", help="render figures and metrics from pipeline outputs")
-    p.add_argument("--night")
-    p.add_argument("--labels")
-    p.add_argument("--model")
-    p.add_argument("--cohort-dir")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_report)
+    add = command("train", _cmd_train, "fit a stage classifier on feature CSVs")
+    add("--features", nargs="+", required=True)
+    add("--model", required=True, choices=MODEL_KINDS)
+    add("--out", required=True)
+    add_split_flags(add)
+    add_model_flags(add)
 
-    return parser, subparsers
+    add = command("evaluate", _cmd_evaluate,
+                  "score a model on the held-out split or by k-fold")
+    add("--features", nargs="+", required=True)
+    add("--model", help="model JSON (single-split mode)")
+    add("--out-dir", required=True)
+    add("--kfold", type=int, default=0)
+    add("--model-kind", choices=MODEL_KINDS)
+    add_split_flags(add)
+    add_model_flags(add)
+
+    add = command("report", _cmd_report, "render figures and metrics from pipeline outputs")
+    add("--night")
+    add("--labels")
+    add("--model")
+    add("--cohort-dir")
+    add("--out-dir", required=True)
+
+    return parser, flags
 
 
 def _extract_config(argv: list[str]) -> tuple[list[str], dict]:
     """Pull --config out of argv and load it, wherever it appears."""
     out = []
     config = {}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--config":
-            if i + 1 >= len(argv):
+    args = iter(argv)
+    for arg in args:
+        if arg == "--config" or arg.startswith("--config="):
+            path = arg[len("--config="):] if "=" in arg else next(args, None)
+            if path is None:
                 raise SystemExit(2)
-            with open(argv[i + 1], "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-            i += 2
-        elif arg.startswith("--config="):
-            with open(arg.split("=", 1)[1], "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-            i += 1
         else:
             out.append(arg)
-            i += 1
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     return out, config
+
+
+# JSON value types a config file may give for each flag type
+_CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
+def _config_args(config: dict, command: str, flags: dict) -> list[str]:
+    """Config entries as command-line tokens for one subcommand.
+
+    Each key must name one of the subcommand's flags (dashes or underscores),
+    and each value must have the flag's type and be one of its choices; a
+    list-valued flag takes a non-empty JSON list. Raises ValueError.
+    """
+    tokens = []
+    for key, value in config.items():
+        name = key.replace("_", "-")
+        if name not in flags:
+            raise ValueError(f"config key {key!r} is not a flag of {command}")
+        action, many = flags[name]
+        if many and not (isinstance(value, list) and value):
+            raise ValueError(f"config key {key!r} must be a non-empty list")
+        for item in value if many else [value]:
+            types = _CONFIG_TYPES[action.type]
+            if not isinstance(item, types) or isinstance(item, bool):
+                raise ValueError(
+                    f"config key {key!r} must be {types[-1].__name__}, got {item!r}")
+            if action.choices is not None and item not in action.choices:
+                raise ValueError(f"config key {key!r} must be one of "
+                                 f"{', '.join(action.choices)}, got {item!r}")
+        if action.nargs == "+":
+            tokens += [f"--{name}", *map(str, value)]
+        else:
+            tokens += [f"--{name}={item}" for item in (value if many else [value])]
+    return tokens
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv, config = _extract_config(argv)
-        parser, subparsers = build_parser()
-        if config:
-            # --in parses into "infile" (args.in would not be legal python)
-            defaults = {
-                ("infile" if k == "in" else k).replace("-", "_"): v
-                for k, v in config.items()
-            }
-            for sp in subparsers.values():
-                sp.set_defaults(**defaults)
-                for action in sp._actions:
-                    # a flag satisfied by the config is no longer mandatory
-                    if action.dest in defaults:
-                        action.required = False
+        parser, flags = build_parser()
+        command = next((a for a in argv if not a.startswith("-")), None)
+        if config and command in flags:
+            # config values go first, so explicit flags after them win
+            at = argv.index(command) + 1
+            argv[at:at] = _config_args(config, command, flags[command])
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit:

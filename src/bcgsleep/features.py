@@ -13,7 +13,7 @@ Percentiles are linear interpolation at rank p*(n-1) over the sorted values
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,26 +108,21 @@ def candidate_starts(record: NightRecord) -> range:
     return range(0, record.last_t - WINDOW_LEN + 2)
 
 
-def window_night(
-    record: NightRecord,
-    labels: Sequence[Optional[Stage]],
-    window_len: int = WINDOW_LEN,
-) -> FeatureTable:
+def window_night(record: NightRecord, labels) -> FeatureTable:
     """Extract labeled feature windows from a cleaned record.
 
-    labels is the per-second alignment over [0, last_t]. A candidate is kept
-    iff all window_len of its seconds carry one identical stage label.
+    labels holds one stage code per second over [0, last_t], -1 where
+    unlabeled (as align_labels returns). A candidate is kept iff all
+    WINDOW_LEN of its seconds carry one identical stage code.
     """
-    if window_len != WINDOW_LEN:
-        raise ValueError("window length is fixed at 10 seconds")
     n = record.last_t + 1
-    if len(labels) != n:
-        raise ValueError(f"need one label per second: {len(labels)} != {n}")
+    codes = np.asarray(labels, dtype=np.int64)
+    if len(codes) != n:
+        raise ValueError(f"need one label per second: {len(codes)} != {n}")
 
-    codes = np.array([-1 if s is None else int(s) for s in labels], dtype=np.int64)
     starts = np.empty(0, dtype=np.int64)
-    if n >= window_len:
-        label_windows = np.lib.stride_tricks.sliding_window_view(codes, window_len)
+    if n >= WINDOW_LEN:
+        label_windows = np.lib.stride_tricks.sliding_window_view(codes, WINDOW_LEN)
         lo = label_windows.min(axis=1)
         hi = label_windows.max(axis=1)
         starts = np.nonzero((lo == hi) & (lo >= 0))[0]

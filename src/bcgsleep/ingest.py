@@ -50,12 +50,13 @@ def _check_format(fmt: str) -> str:
     return fmt
 
 
-_INT64_RANGE = range(-(1 << 63), 1 << 63)
+# t indexes the seconds of the night, so it must be a non-negative int64
+_T_RANGE = range(0, 1 << 63)
 
 
 def _check_t(t, line_no: int) -> int:
-    if not isinstance(t, int) or isinstance(t, bool) or t not in _INT64_RANGE:
-        raise MalformedRow(line_no, f"t must be a 64-bit integer, got {t!r}")
+    if not isinstance(t, int) or isinstance(t, bool) or t not in _T_RANGE:
+        raise MalformedRow(line_no, f"t must be a non-negative 64-bit integer, got {t!r}")
     return t
 
 
@@ -256,17 +257,15 @@ def load_labels(path) -> list[StageInterval]:
 
 def align_labels(
     record: NightRecord, intervals: Iterable[StageInterval]
-) -> list[Optional[Stage]]:
-    """Expand intervals to one label per second over [0, last_t].
+) -> np.ndarray:
+    """Expand intervals to one int64 stage code per second over [0, last_t].
 
-    Seconds covered by no interval are None (unlabeled): the reference
+    Seconds covered by no interval are -1 (unlabeled): the reference
     tracker's log does not necessarily span the whole recording.
     """
-    n = record.last_t + 1
-    labels: list[Optional[Stage]] = [None] * max(n, 0)
+    n = max(record.last_t + 1, 0)
+    codes = np.full(n, -1, dtype=np.int64)
     for iv in intervals:
         lo = max(iv.start_t, 0)
-        hi = min(iv.end_t, n)
-        for s in range(lo, hi):
-            labels[s] = iv.stage
-    return labels
+        codes[lo : max(iv.end_t, lo)] = int(iv.stage)
+    return codes

@@ -36,15 +36,12 @@ class SplitSpec:
     """How to carve feature windows into train and test material."""
 
     train_fraction: float = 0.8
-    n_folds: int = 5
     seed: int = 0
     grouping: str = WINDOW_GROUPING
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction out of (0, 1): {self.train_fraction}")
-        if self.n_folds < 2:
-            raise ValueError(f"n_folds must be at least 2, got {self.n_folds}")
         if self.grouping not in (WINDOW_GROUPING, NIGHT_GROUPING):
             raise ValueError(f"unknown grouping {self.grouping!r}")
 
@@ -435,16 +432,13 @@ class Knn:
         return out
 
     def predict_codes(self, x: np.ndarray) -> np.ndarray:
-        nbrs = self.neighbors(x)
-        out = np.empty(nbrs.shape[0], dtype=np.int64)
-        for i, row in enumerate(nbrs):
-            votes = np.bincount(self.y[row], minlength=4)
-            winners = votes == votes.max()
-            for j in row:
-                if winners[self.y[j]]:
-                    out[i] = self.y[j]
-                    break
-        return out
+        """Majority vote of the k neighbors; a tied vote goes to the nearest
+        neighbor whose class is among the winners."""
+        labels = self.y[self.neighbors(x)]
+        votes = (labels[:, :, None] == np.arange(4)).sum(axis=1)
+        winners = votes == votes.max(axis=1, keepdims=True)
+        first = np.argmax(np.take_along_axis(winners, labels, axis=1), axis=1)
+        return labels[np.arange(labels.shape[0]), first]
 
     def params_dict(self) -> dict:
         return {"k": self.k}
@@ -606,12 +600,23 @@ def model_from_json(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
+    if not isinstance(doc, dict):
+        raise SchemaMismatch(f"model document must be a JSON object, not {type(doc).__name__}")
+    if doc.get("schema") != MODEL_SCHEMA:
         raise SchemaMismatch(f"unsupported model schema {doc.get('schema')!r}")
-    cls = _KINDS.get(doc.get("kind"))
+    kind = doc.get("kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise SchemaMismatch(f"unknown model kind {doc.get('kind')!r}")
-    return cls.from_document(doc)
+        raise SchemaMismatch(f"unknown model kind {kind!r}")
+    for key in ("params", "state"):
+        if not isinstance(doc.get(key), dict):
+            raise SchemaMismatch(f"{kind} model document needs a {key!r} object")
+    try:
+        return cls.from_document(doc)
+    except KeyError as exc:
+        raise SchemaMismatch(f"{kind} model document lacks {exc.args[0]!r}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise SchemaMismatch(f"{kind} model document is ill-typed: {exc}") from None
 
 
 def save_model(model, path):

@@ -9,23 +9,22 @@ seconds are treated as missing and filled from the nearest neighbor in time
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .core import NightRecord
 from .errors import AllMissing
 
 
-def raw_hr_series(record: NightRecord) -> list[Optional[float]]:
-    """Per-second HR over [0, last_t]: zeros preserved, gap seconds None.
+def raw_hr_series(record: NightRecord) -> np.ndarray:
+    """Per-second HR over [0, last_t] as float64: zeros preserved, gap
+    seconds NaN.
 
-    A zero means the sensor saw motion; a None means the second was never
+    A zero means the sensor saw motion; a NaN means the second was never
     received. The two are deliberately never conflated.
     """
-    series = np.full(max(record.last_t + 1, 0), None, dtype=object)
-    series[record.t] = record.vitals[:, 0].astype(object)
-    return series.tolist()
+    series = np.full(max(record.last_t + 1, 0), np.nan)
+    series[record.t] = record.vitals[:, 0]
+    return series
 
 
 def clean_for_features(record: NightRecord) -> NightRecord:

@@ -8,10 +8,12 @@ formatting ambiguity or environment state leaks into the output.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .core import Stage
-from .sleepwake import SleepWakeEpoch, WakeState
+from .sleepwake import EPOCH_LEN, SleepWakeEpoch, WakeState
 
 _FONT = "font-family='Helvetica,Arial,sans-serif'"
 
@@ -57,18 +59,26 @@ def _hline_labels(body, x0, x1, y0, y1, lo, hi, unit, n=5):
         body.append(_text(x0 - 6, y + 4, f"{val:.0f}{unit}", size=10, anchor="end"))
 
 
+def _polyline(points: Sequence[str], stroke: str, width: str) -> str:
+    return (f"<polyline points='{' '.join(points)}' fill='none' "
+            f"stroke='{stroke}' stroke-width='{width}'/>")
+
+
 def threshold_trace_svg(
-    hr_series: Sequence[Optional[float]],
+    hr_series: np.ndarray,
     epochs: Sequence[SleepWakeEpoch],
     title: str = "Heart rate and moving wake threshold",
 ) -> str:
-    """Per-second HR with the per-epoch threshold and asleep shading."""
+    """Per-second HR (NaN for holes, as raw_hr_series returns) with the
+    per-epoch threshold and asleep shading."""
     width, height = 960, 320
     x0, x1, y0, y1 = 60, width - 20, 40, height - 30
-    n = max(len(hr_series), 1)
-    present = [v for v in hr_series if v is not None and v > 0]
-    thr_vals = [e.threshold for e in epochs if e.threshold is not None]
-    hi = max(present + thr_vals, default=1.0) * 1.05
+    hr = np.asarray(hr_series, dtype=float)
+    n = max(hr.size, 1)
+    peaks = [e.threshold for e in epochs if e.threshold is not None]
+    if (hr > 0).any():
+        peaks.append(float(hr[hr > 0].max()))
+    hi = max(peaks, default=1.0) * 1.05
     lo = 0.0
 
     def sx(t):
@@ -84,45 +94,30 @@ def threshold_trace_svg(
         if e.state is WakeState.ASLEEP:
             body.append(
                 f"<rect x='{_f(sx(e.start_t))}' y='{_f(y0)}' "
-                f"width='{_f(sx(e.start_t + 30) - sx(e.start_t))}' "
+                f"width='{_f(sx(e.start_t + EPOCH_LEN) - sx(e.start_t))}' "
                 f"height='{_f(y1 - y0)}' fill='#eaf3fb'/>"
             )
 
-    run: list[str] = []
-    for t, v in enumerate(hr_series):
-        if v is None:
-            if len(run) > 1:
-                body.append(
-                    f"<polyline points='{' '.join(run)}' fill='none' "
-                    f"stroke='#c0392b' stroke-width='0.8'/>"
-                )
-            run = []
-        else:
-            run.append(f"{_f(sx(t))},{_f(sy(v))}")
-    if len(run) > 1:
-        body.append(
-            f"<polyline points='{' '.join(run)}' fill='none' "
-            f"stroke='#c0392b' stroke-width='0.8'/>"
-        )
+    # one polyline per run of received seconds; holes break the line
+    t = np.flatnonzero(~np.isnan(hr))
+    pts = [f"{_f(x)},{_f(y)}" for x, y in zip(sx(t).tolist(), sy(hr[t]).tolist())]
+    breaks = (np.flatnonzero(np.diff(t) > 1) + 1).tolist()
+    for a, b in zip([0, *breaks], [*breaks, len(pts)]):
+        if b - a > 1:
+            body.append(_polyline(pts[a:b], "#c0392b", "0.8"))
 
-    pts: list[str] = []
+    pts = []
     for e in epochs:
         if e.threshold is None:
             if len(pts) > 1:
-                body.append(
-                    f"<polyline points='{' '.join(pts)}' fill='none' "
-                    f"stroke='#2c3e50' stroke-width='1.5'/>"
-                )
+                body.append(_polyline(pts, "#2c3e50", "1.5"))
             pts = []
             continue
         y = _f(sy(e.threshold))
         pts.append(f"{_f(sx(e.start_t))},{y}")
-        pts.append(f"{_f(sx(e.start_t + 30))},{y}")
+        pts.append(f"{_f(sx(e.start_t + EPOCH_LEN))},{y}")
     if len(pts) > 1:
-        body.append(
-            f"<polyline points='{' '.join(pts)}' fill='none' "
-            f"stroke='#2c3e50' stroke-width='1.5'/>"
-        )
+        body.append(_polyline(pts, "#2c3e50", "1.5"))
 
     body.append(_text(x1, 22, "hr", size=11, anchor="end", color="#c0392b"))
     body.append(_text(x1 - 30, 22, "threshold", size=11, anchor="end", color="#2c3e50"))
@@ -133,7 +128,8 @@ def threshold_trace_svg(
 def _hypnogram_panel(body, codes, x0, x1, y0, panel_h, label):
     rows = {int(s): i for i, s in enumerate(_STAGE_ROWS)}
     row_h = panel_h / len(_STAGE_ROWS)
-    n = max(len(codes), 1)
+    codes = np.asarray(codes, dtype=np.int64)
+    n = max(codes.size, 1)
 
     def sx(t):
         return x0 + (x1 - x0) * t / n
@@ -151,13 +147,9 @@ def _hypnogram_panel(body, codes, x0, x1, y0, panel_h, label):
         body.append(_text(x0 - 6, y + 4, s.level_name, size=10, anchor="end"))
 
     # run-length compression keeps the path small and the bytes stable
-    runs: list[tuple[int, int, int]] = []
-    for t, c in enumerate(codes):
-        c = int(c)
-        if runs and runs[-1][2] == c:
-            runs[-1] = (runs[-1][0], t + 1, c)
-        else:
-            runs.append((t, t + 1, c))
+    starts = np.flatnonzero(np.diff(codes, prepend=codes[:1] - 1))
+    runs = list(zip(starts.tolist(), [*starts[1:].tolist(), codes.size],
+                    codes[starts].tolist()))
     for start, end, code in runs:
         y = _f(sy(code))
         body.append(
@@ -180,8 +172,8 @@ def hypnogram_pair_svg(
     width, height = 960, 380
     x0, x1 = 70, width - 20
     body: list[str] = []
-    _hypnogram_panel(body, [int(c) for c in reference], x0, x1, 30, 140, labels[0])
-    _hypnogram_panel(body, [int(c) for c in predicted], x0, x1, 210, 140, labels[1])
+    _hypnogram_panel(body, reference, x0, x1, 30, 140, labels[0])
+    _hypnogram_panel(body, predicted, x0, x1, 210, 140, labels[1])
     body.append(_text((x0 + x1) / 2, height - 8, "seconds", size=10, anchor="middle"))
     return _svg(width, height, body)
 

@@ -20,48 +20,26 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .core import NightRecord
 from .errors import NoEpochs, RecordTooShort
 from .preprocess import raw_hr_series
+
+# The paper's constants. BELOW_MAJORITY and ZERO_LIMIT are counts that must
+# be EXCEEDED: asleep needs at least 16 of 30 below, and 11 zeros force awake.
+EPOCH_LEN = 30
+LOOKBACK = 180
+FORCED_AWAKE_PREFIX = 180
+SCALAR_EARLY = -1.0
+SCALAR_LATE = 2.0
+BELOW_MAJORITY = 15
+ZERO_LIMIT = 10
 
 
 class WakeState(Enum):
     AWAKE = "awake"
     ASLEEP = "asleep"
-
-
-@dataclass(frozen=True)
-class ThresholdConfig:
-    """Tunable constants of the segmentation algorithm.
-
-    below_majority and zero_limit are counts that must be EXCEEDED, so the
-    defaults read: asleep needs at least 16 of 30 below, and 11 zeros force
-    awake.
-    """
-
-    epoch_len: int = 30
-    lookback: int = 180
-    scalar_early: float = -1.0
-    scalar_late: float = 2.0
-    forced_awake_prefix: int = 180
-    below_majority: int = 15
-    zero_limit: int = 10
-
-    def __post_init__(self):
-        if self.epoch_len <= 0 or self.lookback <= 0:
-            raise ValueError("epoch_len and lookback must be positive")
-        if self.forced_awake_prefix < 0 or self.forced_awake_prefix % self.epoch_len:
-            raise ValueError("forced_awake_prefix must be a multiple of epoch_len")
-
-    def scalar_for(self, start_t: int) -> float:
-        """Scalar for the epoch starting at start_t (not in the forced prefix).
-
-        Early scalar applies exactly while the lookback window still overlaps
-        the forced-awake prefix, i.e. start_t < prefix + lookback.
-        """
-        if start_t < self.forced_awake_prefix + self.lookback:
-            return self.scalar_early
-        return self.scalar_late
 
 
 @dataclass(frozen=True)
@@ -81,6 +59,46 @@ class SleepWakeEpoch:
         return self.state is WakeState.ASLEEP
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as Python's sum adds (np.sum pairs)."""
+    return np.cumsum(a, axis=1)[:, -1] if a.shape[1] else np.zeros(len(a))
+
+
+def _thresholds(lookbacks: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+    """mean + scalar * population std over the valid samples of each row.
+
+    Valid means present (not NaN) and nonzero; a row with none gives NaN.
+    Invalid slots add 0.0 and deviations are squared with pow, so each value
+    equals the plain-Python loop over the row's valid samples bit for bit.
+    """
+    valid = lookbacks > 0.0
+    n = valid.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = _sum_rows(np.where(valid, lookbacks, 0.0)) / n
+        dev = np.where(valid, lookbacks - mean[:, None], 0.0)
+        var = _sum_rows(np.float_power(dev, 2.0)) / n
+    return mean + scalars * np.sqrt(var)
+
+
+def _classify(epochs: np.ndarray, thresholds: np.ndarray):
+    """(asleep, n_below, n_zero, n_present) of each row of per-second HR.
+
+    Holes (NaN) count toward no tally; zeros are motion, never below. A NaN
+    threshold leaves nothing below, so the epoch is awake.
+    """
+    zero = epochs == 0.0
+    n_below = ((epochs < thresholds[:, None]) & ~zero).sum(axis=1)
+    n_zero = zero.sum(axis=1)
+    n_present = (~np.isnan(epochs)).sum(axis=1)
+    asleep = (n_below > BELOW_MAJORITY) & (n_zero <= ZERO_LIMIT)
+    return asleep, n_below, n_zero, n_present
+
+
+def _row(values: Sequence[Optional[float]]) -> np.ndarray:
+    """One sequence of HR values (None or NaN for holes) as a (1, n) row."""
+    return np.asarray(values, dtype=float).reshape(1, -1)
+
+
 def moving_threshold(
     lookback_hr: Sequence[Optional[float]], scalar: float
 ) -> Optional[float]:
@@ -89,78 +107,54 @@ def moving_threshold(
     Valid means present (not a hole) and nonzero. Returns None when the
     lookback holds no valid sample.
     """
-    valid = [v for v in lookback_hr if v is not None and v > 0.0]
-    if not valid:
-        return None
-    n = len(valid)
-    mean = sum(valid) / n
-    var = sum((v - mean) ** 2 for v in valid) / n
-    return mean + scalar * math.sqrt(var)
+    thr = float(_thresholds(_row(lookback_hr), np.array([scalar]))[0])
+    return None if math.isnan(thr) else thr
 
 
 def classify_epoch(
-    epoch_hr: Sequence[Optional[float]],
-    threshold: Optional[float],
-    config: ThresholdConfig = ThresholdConfig(),
+    epoch_hr: Sequence[Optional[float]], threshold: Optional[float]
 ) -> tuple[WakeState, int, int, int]:
     """Score one epoch; returns (state, n_below, n_zero, n_present).
 
     Holes count toward neither tally. With an undefined threshold there is
     no evidence of sleep, so the epoch is awake (zeros still counted).
     """
-    n_present = 0
-    n_zero = 0
-    n_below = 0
-    for v in epoch_hr:
-        if v is None:
-            continue
-        n_present += 1
-        if v == 0.0:
-            n_zero += 1
-        elif threshold is not None and v < threshold:
-            n_below += 1
-    asleep = (
-        threshold is not None
-        and n_below > config.below_majority
-        and n_zero <= config.zero_limit
-    )
-    return (WakeState.ASLEEP if asleep else WakeState.AWAKE, n_below, n_zero, n_present)
+    thr = np.array([np.nan if threshold is None else threshold])
+    asleep, n_below, n_zero, n_present = _classify(_row(epoch_hr), thr)
+    state = WakeState.ASLEEP if asleep[0] else WakeState.AWAKE
+    return state, int(n_below[0]), int(n_zero[0]), int(n_present[0])
 
 
-def run_night(
-    record: NightRecord, config: ThresholdConfig = ThresholdConfig()
-) -> list[SleepWakeEpoch]:
+def run_night(record: NightRecord) -> list[SleepWakeEpoch]:
     """Segment a whole night into scored epochs.
 
     The record must span at least the forced-awake prefix. A trailing
     partial epoch is dropped, not padded.
     """
     series = raw_hr_series(record)
-    span = len(series)
-    if span < config.forced_awake_prefix:
-        raise RecordTooShort(span, config.forced_awake_prefix)
-
-    epochs = []
-    n_epochs = span // config.epoch_len
-    forced = config.forced_awake_prefix // config.epoch_len
-    for index in range(n_epochs):
-        start_t = index * config.epoch_len
-        window = series[start_t : start_t + config.epoch_len]
-        if index < forced:
-            _, n_below, n_zero, n_present = classify_epoch(window, None, config)
-            epochs.append(
-                SleepWakeEpoch(index, start_t, WakeState.AWAKE, None,
-                               n_below, n_zero, n_present)
-            )
-            continue
-        lookback = series[start_t - config.lookback : start_t]
-        threshold = moving_threshold(lookback, config.scalar_for(start_t))
-        state, n_below, n_zero, n_present = classify_epoch(window, threshold, config)
-        epochs.append(
-            SleepWakeEpoch(index, start_t, state, threshold,
-                           n_below, n_zero, n_present)
+    if series.size < FORCED_AWAKE_PREFIX:
+        raise RecordTooShort(series.size, FORCED_AWAKE_PREFIX)
+    n_epochs = series.size // EPOCH_LEN
+    epochs = series[: n_epochs * EPOCH_LEN].reshape(n_epochs, EPOCH_LEN)
+    starts = np.arange(n_epochs) * EPOCH_LEN
+    forced = FORCED_AWAKE_PREFIX // EPOCH_LEN
+    scored = starts[forced:]
+    # the early scalar applies while the lookback still overlaps the prefix
+    scalars = np.where(scored < FORCED_AWAKE_PREFIX + LOOKBACK, SCALAR_EARLY, SCALAR_LATE)
+    lookbacks = np.lib.stride_tricks.sliding_window_view(series, LOOKBACK)[scored - LOOKBACK]
+    thresholds = np.full(n_epochs, np.nan)
+    thresholds[forced:] = _thresholds(lookbacks, scalars)
+    asleep, n_below, n_zero, n_present = _classify(epochs, thresholds)
+    return [
+        SleepWakeEpoch(
+            i, start, WakeState.ASLEEP if a else WakeState.AWAKE,
+            None if math.isnan(thr) else thr, below, zero, present,
         )
-    return epochs
+        for i, (start, a, thr, below, zero, present) in enumerate(zip(
+            starts.tolist(), asleep.tolist(), thresholds.tolist(),
+            n_below.tolist(), n_zero.tolist(), n_present.tolist(),
+        ))
+    ]
 
 
 def sleep_efficiency(epochs: Sequence[SleepWakeEpoch]) -> float:
@@ -178,7 +172,7 @@ def sleep_onset_latency(epochs: Sequence[SleepWakeEpoch]) -> Optional[int]:
     return None
 
 
-def waso(epochs: Sequence[SleepWakeEpoch], epoch_len: int = 30) -> int:
+def waso(epochs: Sequence[SleepWakeEpoch]) -> int:
     """Wake-after-sleep-onset: awake seconds strictly after the first asleep
     epoch; 0 when sleep never began."""
     onset_seen = False
@@ -188,7 +182,7 @@ def waso(epochs: Sequence[SleepWakeEpoch], epoch_len: int = 30) -> int:
             onset_seen = True
         elif onset_seen:
             awake_epochs += 1
-    return awake_epochs * epoch_len
+    return awake_epochs * EPOCH_LEN
 
 
 EPOCH_CSV_HEADER = "index,start_t,state,threshold,n_below,n_zero"

@@ -255,7 +255,8 @@ def test_07_windowing_identity(capsys):
             labels.extend([fill] * dur)
         labels = labels[:n]
         record = flat_record(n)
-        got = set(window_night(record, labels).start_t.tolist())
+        codes = [-1 if l is None else int(l) for l in labels]
+        got = set(window_night(record, codes).start_t.tolist())
         want = {
             s for s in range(n - 9)
             if labels[s] is not None and all(l == labels[s] for l in labels[s:s + 10])

@@ -75,6 +75,26 @@ class TestDataErrors:
         assert code == 1
         assert "MalformedRow" in capsys.readouterr().err
 
+    def test_negative_timestamp_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("".join(
+            f'{{"t":{t},"hr":60.0,"rr":14.0,"sv":70.0,"hrv":40.0,"b2b":1000.0}}\n'
+            for t in (-5, 0, 1)))
+        code = main(["sleepwake", "--in", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("MalformedRow") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["[1]", '{"schema":1,"kind":"Knn"}'])
+    def test_bad_model_document_exits_1(self, workdir, tmp_path, capsys, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        code = main(["evaluate", "--features", *feature_args(workdir),
+                     "--model", str(model), "--out-dir", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("SchemaMismatch") and len(err.splitlines()) == 1
+
     def test_evaluate_without_model_exits_1(self, workdir, tmp_path, capsys):
         code = main(["evaluate", "--features", *feature_args(workdir),
                      "--out-dir", str(tmp_path)])
@@ -164,6 +184,41 @@ class TestTrainCommand:
         assert code == 1
         assert "ValueError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, words", [
+        ({"seed": 1.5}, "'seed' must be int"),
+        ({"seed": True}, "'seed' must be int"),
+        ({"sed": 1}, "'sed' is not a flag of train"),
+        ({"labels": "x.json"}, "'labels' is not a flag of train"),
+        ({"model": "svm"}, "'model' must be one of"),
+        ({"train-fraction": "0.5"}, "'train-fraction' must be float"),
+        ({"features": "one.csv"}, "'features' must be a non-empty list"),
+        ({"features": [1]}, "'features' must be str"),
+    ])
+    def test_config_entries_checked(self, workdir, tmp_path, capsys, entry, words):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "m.json"
+        cfg.write_text(json.dumps({
+            "features": feature_args(workdir), "model": "nb", "out": str(out), **entry,
+        }))
+        code = main(["train", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: config key") and words in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_config_values_reach_flags(self, workdir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "m.json"
+        cfg.write_text(json.dumps({
+            "features": feature_args(workdir)[:1], "model": "forest", "out": str(out),
+            "n_trees": 2, "max-depth": 3, "train-fraction": 1, "seed": -4,
+        }))
+        assert main(["train", "--config", str(cfg), "--train-fraction", "0.5"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["params"]["n_trees"] == 2 and doc["params"]["max_depth"] == 3
+        assert doc["seed"] == -4
+
 
 class TestEvaluateCommand:
     def test_single_split_metrics(self, workdir, tmp_path):
@@ -217,8 +272,8 @@ def _sha256(path) -> str:
 
 
 # Artifacts of the workdir cohort (synth seed 11) as produced before feature
-# windows and night records became columnar; a refactor must reproduce them
-# byte for byte.
+# windows, night records and per-second series became columnar; a refactor
+# must reproduce them byte for byte.
 GOLDEN_SHA256 = {
     "nights/night00.ndjson": "c9a52144c1926b0a58614f21c52e1d59f22ca83b386d32356a603a66245a1abb",
     "nights/night00.labels.json": "c1d697ab0330ecae9b2e4cdc12df1d9ed7c90d8ee8c13d35036c16eb2820aa22",
@@ -250,6 +305,8 @@ GOLDEN_SHA256 = {
     "report-cohort/metrics.json": "be20dfd5983595fb2d797450dc2ea2d8921ea169c518acb369195145e3fd66ac",
     "report-cohort/efficiency_box.svg": "0aa0dbe46c0bdc1d94e7c4198cbe1d7999f584dc93f265b7ac54196995370cc0",
     "sleepwake-night00.csv": "f12b7f2c892ee643c724eb2151ba67b448ff5f0ea0099ce8680033f782dff9ba",
+    "sleepwake-night01.csv": "7f488b79fb37a00253eed50f98e0afb6f93658a33f9cf328b08c0e8a29553c8d",
+    "sleepwake-night02.csv": "4ccc91e2fad379751e7fdbb123c824109a5938c30aca2c84c979b6b69f767a91",
     "night01.csv": "4f591bbfab66704653c534c6d769a2975de10d74292ff845b625ccb938cfe01b",
 }
 
@@ -273,8 +330,9 @@ class TestGoldenArtifacts:
                      "--out-dir", str(tmp_path / "report-tree")]) == 0
         assert main(["report", "--cohort-dir", str(nights),
                      "--out-dir", str(tmp_path / "report-cohort")]) == 0
-        assert main(["sleepwake", "--in", str(nights / "night00.ndjson"),
-                     "--out", str(tmp_path / "sleepwake-night00.csv")]) == 0
+        for stem in ("night00", "night01", "night02"):
+            assert main(["sleepwake", "--in", str(nights / f"{stem}.ndjson"),
+                         "--out", str(tmp_path / f"sleepwake-{stem}.csv")]) == 0
         save_night(load_night(nights / "night01.ndjson"), tmp_path / "night01.csv")
         from_workdir = ("features/", "nights/")
         got = {

@@ -220,6 +220,13 @@ class TestLineValidation:
         rec = load_night(res.path)
         assert rec.gaps == res.gaps == ((6, 3),)
 
+    def test_negative_t_dropped(self, tmp_path):
+        lines = [sample_line(make_sample(t)) for t in (-5, 0, 1)]
+        res = record_lines(lines, tmp_path / "out.ndjson")
+        assert res.timestamps == (0, 1)
+        assert res.dropped_lines == 1
+        assert load_night(res.path).t.tolist() == [0, 1]
+
     def test_sidecar_written_when_nothing_connects(self, tmp_path):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))

@@ -126,7 +126,7 @@ class TestWindowing:
             per_second.extend([None] * (WINDOW_LEN - n))
             n = len(per_second)
         rec = flat_record(n)
-        windows = window_night(rec, per_second)
+        windows = window_night(rec, [-1 if s is None else int(s) for s in per_second])
         kept = set(windows.start_t.tolist())
         expected = set()
         for s in range(0, n - WINDOW_LEN + 1):

@@ -142,11 +142,12 @@ class TestMalformedInput:
             parse_night(good + [dup], "ndjson")
 
     def test_t_beyond_int64_rejected(self):
-        line = sample_line(make_sample(1 << 63))
-        with pytest.raises(MalformedRow, match="64-bit"):
-            parse_night([line], "ndjson")
-        with pytest.raises(MalformedRow, match="64-bit"):
-            parse_night([CSV_HEADER, f"{1 << 63},1.0,1.0,1.0,1.0,1.0"], "csv")
+        for t in (1 << 63, -1, -5):
+            line = sample_line(make_sample(t))
+            with pytest.raises(MalformedRow, match="64-bit"):
+                parse_night([line], "ndjson")
+            with pytest.raises(MalformedRow, match="64-bit"):
+                parse_night([CSV_HEADER, f"{t},1.0,1.0,1.0,1.0,1.0"], "csv")
 
     def test_numbers_beyond_float_or_digit_limits_rejected(self):
         huge = "1" + "0" * 400
@@ -250,21 +251,30 @@ class TestAlignLabels:
         n, intervals = layout
         rec = flat_record(n)
         got = align_labels(rec, intervals)
-        expected = [None] * n
+        expected = [-1] * n
         for iv in intervals:
             for t in range(iv.start_t, min(iv.end_t, n)):
-                expected[t] = iv.stage
-        assert got == expected
+                expected[t] = int(iv.stage)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
 
     def test_interval_past_record_end_clipped(self):
         rec = flat_record(10)
         got = align_labels(rec, [StageInterval(Stage.DEEP, 8, 50)])
-        assert got[8] is Stage.DEEP and got[9] is Stage.DEEP
+        assert got[8] == Stage.DEEP and got[9] == Stage.DEEP
         assert len(got) == 10
 
+    def test_interval_before_zero_clipped(self):
+        rec = flat_record(10)
+        got = align_labels(rec, [StageInterval(Stage.WAKE, -20, 5),
+                                 StageInterval(Stage.DEEP, -3, 5),
+                                 StageInterval(Stage.REM, 30, 5)])
+        assert got.tolist() == [3, 3] + [-1] * 8
+
     def test_uncovered_seconds_are_none(self):
+        # unlabeled seconds are -1
         rec = flat_record(10)
         got = align_labels(rec, [StageInterval(Stage.REM, 2, 3)])
-        assert got[:2] == [None, None]
-        assert got[2:5] == [Stage.REM] * 3
-        assert got[5:] == [None] * 5
+        assert got[:2].tolist() == [-1, -1]
+        assert got[2:5].tolist() == [Stage.REM] * 3
+        assert got[5:].tolist() == [-1] * 5

@@ -115,8 +115,6 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitSpec(train_fraction=1.0)
         with pytest.raises(ValueError):
-            SplitSpec(n_folds=1)
-        with pytest.raises(ValueError):
             SplitSpec(grouping="row-level")
 
 
@@ -280,6 +278,16 @@ class TestKnn:
         got_nbrs = model.neighbors(queries)
         assert got_nbrs.tolist() == want_nbrs.tolist()
         assert [int(s) for s in predict(model, queries)] == want_preds.tolist()
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_tied_votes_match_loop_oracle(self, k):
+        # k even and four classes on 60 rows: many queries split their vote
+        rng = np.random.default_rng(k)
+        x = rng.normal(size=(60, 3))
+        y = rng.integers(0, 4, size=60)
+        queries = rng.normal(size=(200, 3))
+        _, want = _knn_oracle(x, y, queries, k)
+        assert predict(train_knn(x, y, k=k), queries).tolist() == want.tolist()
 
     def test_duplicate_training_rows_tie_by_index(self):
         x = np.array([[1.0, 0.0]] * 4 + [[5.0, 5.0]] * 3)
@@ -453,3 +461,28 @@ class TestSerialization:
             model_from_json('{"schema":2,"kind":"DecisionTree"}')
         with pytest.raises(SchemaMismatch):
             model_from_json('{"schema":1,"kind":"Perceptron"}')
+
+    @pytest.mark.parametrize("text", [
+        "[1]", "3", '"model"', "null",
+        '{"schema":1,"kind":["Knn"]}',
+    ])
+    def test_non_object_documents_rejected(self, text):
+        with pytest.raises(SchemaMismatch):
+            model_from_json(text)
+
+    def test_missing_and_ill_typed_keys_rejected(self):
+        import json
+
+        for model in self.all_models():
+            good = json.loads(model_to_json(model))
+            for key in ("params", "state"):
+                for bad in (None, [], "x", 7):
+                    doc = dict(good, **{key: bad})
+                    with pytest.raises(SchemaMismatch):
+                        model_from_json(json.dumps(doc))
+                doc = {k: v for k, v in good.items() if k != key}
+                with pytest.raises(SchemaMismatch, match=key):
+                    model_from_json(json.dumps(doc))
+            doc = dict(good, state=dict(good["state"], n_features="thirty"))
+            with pytest.raises(SchemaMismatch):
+                model_from_json(json.dumps(doc))

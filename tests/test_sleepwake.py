@@ -9,14 +9,13 @@ constants shows up as a direct disagreement.
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from bcgsleep.errors import NoEpochs, RecordTooShort
-from bcgsleep.preprocess import raw_hr_series
 from bcgsleep.sleepwake import (
     EPOCH_CSV_HEADER,
     SleepWakeEpoch,
-    ThresholdConfig,
     WakeState,
     classify_epoch,
     epochs_to_csv,
@@ -31,25 +30,29 @@ from bcgsleep.synth import default_profile, generate_night
 from conftest import flat_record, make_record, make_sample
 
 
-def _oracle_night(series, config=ThresholdConfig()):
+def _series_with_holes(record):
+    """Per-second HR as a list, None for seconds the record does not hold."""
+    series = [None] * (record.last_t + 1)
+    for t, hr in zip(record.t.tolist(), record.vitals[:, 0].tolist()):
+        series[t] = hr
+    return series
+
+
+def _oracle_night(series):
     """Naive re-simulation of the whole segmentation, loops and all."""
     out = []
-    n_epochs = len(series) // config.epoch_len
+    n_epochs = len(series) // 30
     for index in range(n_epochs):
-        start = index * config.epoch_len
-        window = series[start : start + config.epoch_len]
+        start = index * 30
+        window = series[start : start + 30]
         n_zero = sum(1 for v in window if v is not None and v == 0.0)
-        if start < config.forced_awake_prefix:
+        if start < 180:
             out.append((index, WakeState.AWAKE, None))
             continue
-        look = series[start - config.lookback : start]
+        look = series[start - 180 : start]
         valid = [v for v in look if v is not None and v > 0.0]
         if valid:
-            scalar = (
-                config.scalar_early
-                if start < config.forced_awake_prefix + config.lookback
-                else config.scalar_late
-            )
+            scalar = -1.0 if start < 360 else 2.0
             thr = statistics.fmean(valid) + scalar * statistics.pstdev(valid)
         else:
             thr = None
@@ -58,6 +61,28 @@ def _oracle_night(series, config=ThresholdConfig()):
         )
         asleep = thr is not None and n_below > 15 and n_zero <= 10
         out.append((index, WakeState.ASLEEP if asleep else WakeState.AWAKE, thr))
+    return out
+
+
+def _loop_night(series):
+    """(state, threshold, n_below, n_zero, n_present) per epoch by a plain
+    Python loop with the reference formula: sum(), (v - mean) ** 2 and
+    math.sqrt over the valid (present, nonzero) lookback samples."""
+    out = []
+    for start in range(0, len(series) // 30 * 30, 30):
+        thr = None
+        if start >= 180:
+            valid = [v for v in series[start - 180 : start] if v is not None and v > 0.0]
+            if valid:
+                mean = sum(valid) / len(valid)
+                var = sum((v - mean) ** 2 for v in valid) / len(valid)
+                thr = mean + (-1.0 if start < 360 else 2.0) * math.sqrt(var)
+        present = [v for v in series[start : start + 30] if v is not None]
+        n_zero = sum(1 for v in present if v == 0.0)
+        n_below = sum(1 for v in present if v != 0.0 and thr is not None and v < thr)
+        asleep = n_below > 15 and n_zero <= 10
+        state = WakeState.ASLEEP if asleep else WakeState.AWAKE
+        out.append((state, thr, n_below, n_zero, len(present)))
     return out
 
 
@@ -79,19 +104,26 @@ class TestMovingThreshold:
 
 
 class TestScalarSchedule:
+    """Lookback HR alternates 50/70 (mean 60, std 10), so an epoch's
+    threshold reads 50 under scalar -1 and 80 under scalar +2."""
+
+    def thresholds(self):
+        rec = flat_record(3630)
+        vitals = rec.vitals.copy()
+        vitals[1::2, 0] = 70.0
+        vitals[::2, 0] = 50.0
+        rec = make_record(np.column_stack([rec.t, vitals]).tolist())
+        return {e.start_t: e.threshold for e in run_night(rec)}
+
     def test_early_window_uses_minus_one(self):
-        cfg = ThresholdConfig()
-        assert cfg.scalar_for(180) == -1.0
-        assert cfg.scalar_for(330) == -1.0
+        thr = self.thresholds()
+        assert thr[180] == 50.0
+        assert thr[330] == 50.0
 
     def test_late_window_uses_plus_two(self):
-        cfg = ThresholdConfig()
-        assert cfg.scalar_for(360) == 2.0
-        assert cfg.scalar_for(3600) == 2.0
-
-    def test_prefix_must_align_to_epochs(self):
-        with pytest.raises(ValueError):
-            ThresholdConfig(forced_awake_prefix=100)
+        thr = self.thresholds()
+        assert thr[360] == 80.0
+        assert thr[3600] == 80.0
 
 
 class TestBoundaryExactness:
@@ -180,7 +212,7 @@ class TestRunNight:
             default_profile(), duration_s=7200, seed=seed, night_id="o", subject_id="o"
         )
         epochs = run_night(record)
-        oracle = _oracle_night(raw_hr_series(record))
+        oracle = _oracle_night(_series_with_holes(record))
         assert len(epochs) == len(oracle)
         for got, (index, state, thr) in zip(epochs, oracle):
             assert got.index == index
@@ -189,6 +221,28 @@ class TestRunNight:
                 assert got.threshold is None
             else:
                 assert got.threshold == pytest.approx(thr, abs=1e-9)
+
+    def test_matches_python_loop_bit_for_bit(self):
+        """Twenty 2 h nights; every other one loses a 400 s block, so some
+        lookbacks hold no valid sample at all."""
+        holes = zeros = undefined = 0
+        for seed in range(20):
+            record, _, _ = generate_night(
+                default_profile(), duration_s=7200, seed=seed, night_id="o", subject_id="o"
+            )
+            if seed % 2:
+                keep = (record.t < 3000) | (record.t >= 3400)
+                record = make_record(np.column_stack([record.t, record.vitals])[keep].tolist())
+            series = _series_with_holes(record)
+            want = _loop_night(series)
+            got = [(e.state, e.threshold, e.n_below, e.n_zero, e.n_present)
+                   for e in run_night(record)]
+            assert got == want, f"seed {seed}"
+            assert all(type(e[1]) is float for e in got if e[1] is not None)
+            holes += series.count(None)
+            zeros += series.count(0.0)
+            undefined += sum(1 for e in want[6:] if e[1] is None)
+        assert holes and zeros and undefined
 
     def test_holes_shrink_the_lookback(self):
         # lookback [0, 180) has only 90 valid seconds; threshold still defined
