@@ -408,8 +408,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, flags
 
 
-def _extract_config(argv: list[str]) -> tuple[list[str], dict]:
-    """Pull --config out of argv and load it, wherever it appears."""
+def _extract_config(argv: list[str], parser) -> tuple[list[str], dict]:
+    """Pull --config out of argv and load it, wherever it appears; a
+    --config with no path is the parser's usage error."""
     out = []
     config = {}
     args = iter(argv)
@@ -417,7 +418,7 @@ def _extract_config(argv: list[str]) -> tuple[list[str], dict]:
         if arg == "--config" or arg.startswith("--config="):
             path = arg[len("--config="):] if "=" in arg else next(args, None)
             if path is None:
-                raise SystemExit(2)
+                parser.error("argument --config: expected one argument")
             with open(path, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
         else:
@@ -464,8 +465,8 @@ def _config_args(config: dict, command: str, flags: dict) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, config = _extract_config(argv)
         parser, flags = build_parser()
+        argv, config = _extract_config(argv, parser)
         command = next((a for a in argv if not a.startswith("-")), None)
         if config and command in flags:
             # config values go first, so explicit flags after them win

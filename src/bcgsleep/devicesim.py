@@ -8,10 +8,10 @@ server's clock keeps running through a dropout, and outside dropouts it
 advances only on a successful send, so whatever the script says is lost is
 exactly what the recorder's gap log ends up showing.
 
-The recorder checks every received line before it is queued, splits network
-and disk work across two threads joined by a bounded queue, and appends each
-line with a single unbuffered write, so a kill at any moment leaves only
-complete, loadable lines behind.
+The server runs one thread, which owns both the listener and the client it
+is streaming to. The recorder runs in the caller's thread: it checks every
+received line and appends it to the output with a single unbuffered write,
+so a kill at any moment leaves only complete, loadable lines behind.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
+import select
 import socket
 import threading
 import time
@@ -30,7 +30,6 @@ from .core import NightRecord, compute_gaps
 from .errors import InitialConnectFailure, MalformedRow
 from .ingest import parse_sample_line, write_night
 
-QUEUE_CAPACITY = 1024
 SILENCE = "silence"
 DISCONNECT = "disconnect"
 
@@ -116,23 +115,21 @@ def _split_endpoint(endpoint: Endpoint) -> tuple[str, int]:
 class DeviceServer:
     """Streams a script to one client at a time; extra connects are closed.
 
-    The serving loop owns the script cursor. It blocks while no client is
-    attached (except inside dropout windows, where time passes regardless),
-    resends nothing, skips nothing it was not told to skip, and closes the
-    listener when the script is exhausted.
+    One thread owns the listener, the client and the script cursor. It blocks
+    while no client is attached (except inside dropout windows, where time
+    passes regardless), resends nothing, skips nothing it was not told to
+    skip, and closes the listener when the script is exhausted.
     """
 
     def __init__(self, script: StreamScript, host: str = "127.0.0.1", port: int = 0):
         self.script = script
         self._listener = socket.create_server((host, port))
-        # polling accept: a plain close() does not wake a blocked accept()
+        # accept() polls so that the serving thread notices stop()
         self._listener.settimeout(0.1)
         self.address = self._listener.getsockname()[:2]
-        self._pending: queue.Queue = queue.Queue()
         self._stop = threading.Event()
         self.finished = threading.Event()
         self._sent: list[int] = []
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._serve_thread = threading.Thread(target=self._serve_loop, daemon=True)
 
     @property
@@ -144,14 +141,15 @@ class DeviceServer:
         return list(self._sent)
 
     def start(self) -> "DeviceServer":
-        self._accept_thread.start()
         self._serve_thread.start()
         return self
 
     def stop(self):
         self._stop.set()
-        self._close_listener()
-        self._serve_thread.join(timeout=10)
+        if self._serve_thread.ident is None:
+            self._listener.close()  # never started: nothing else will close it
+        else:
+            self._serve_thread.join(timeout=10)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self.finished.wait(timeout)
@@ -162,44 +160,24 @@ class DeviceServer:
     def __exit__(self, *exc):
         self.stop()
 
-    def _close_listener(self):
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def _accept_loop(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            self._pending.put(conn)
-
     def _tick(self):
         if self.script.tick_interval > 0:
             time.sleep(self.script.tick_interval)
 
-    def _close_extras(self, active):
-        # one client at a time: whoever queued behind the active one is cut
-        while True:
+    def _close_extras(self):
+        # one client at a time: whoever connects while one is attached is cut
+        while select.select([self._listener], [], [], 0)[0]:
             try:
-                extra = self._pending.get_nowait()
-            except queue.Empty:
+                extra, _ = self._listener.accept()
+            except TimeoutError:
                 return
-            if extra is not active:
-                try:
-                    extra.close()
-                except OSError:
-                    pass
+            extra.close()
 
     def _next_client(self) -> Optional[socket.socket]:
         while not self._stop.is_set():
             try:
-                return self._pending.get(timeout=0.05)
-            except queue.Empty:
+                return self._listener.accept()[0]
+            except TimeoutError:
                 continue
         return None
 
@@ -223,31 +201,22 @@ class DeviceServer:
                         conn = self._next_client()
                         if conn is None:
                             return
-                    self._close_extras(conn)
+                    self._close_extras()
                     try:
                         conn.sendall(payload)
                         self._sent.append(t)
                         break
                     except OSError:
-                        try:
-                            conn.close()
-                        except OSError:
-                            pass
+                        conn.close()
                         conn = None
                 self._tick()
         finally:
             if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            # Shut the acceptor down first, then close whatever it queued:
-            # a reconnect that raced the end of the script would otherwise
-            # stay established and leave the client blocked on read forever.
-            self._stop.set()
-            self._close_listener()
-            self._accept_thread.join(timeout=5)
-            self._close_extras(None)
+                conn.close()
+            # Closing the listener resets any connection still in its
+            # backlog, so a reconnect that raced the end of the script sees
+            # the stream end instead of blocking on read forever.
+            self._listener.close()
             self.finished.set()
 
 
@@ -277,29 +246,6 @@ class RecordingResult:
     gaps: tuple[tuple[int, int], ...]
     timestamps: tuple[int, ...] = field(repr=False)
     dropped_lines: int = 0
-
-
-class _DiskWriter(threading.Thread):
-    """Pops line bytes off the queue; one unbuffered write per line."""
-
-    def __init__(self, path: str, lines: queue.Queue):
-        super().__init__(daemon=True)
-        self._path = path
-        self._lines = lines
-        self.error: Optional[BaseException] = None
-
-    def run(self):
-        try:
-            with open(self._path, "wb", buffering=0) as fh:
-                while True:
-                    item = self._lines.get()
-                    if item is None:
-                        fh.flush()
-                        os.fsync(fh.fileno())
-                        return
-                    fh.write(item)
-        except BaseException as exc:
-            self.error = exc
 
 
 def _try_connect(host: str, port: int, timeout: float) -> Optional[socket.socket]:
@@ -344,22 +290,23 @@ def record_stream(
 ) -> RecordingResult:
     """Record a device stream to an NDJSON file plus a gap-log sidecar.
 
-    Lines are durable before this returns. Each line is checked before it
-    is written: malformed lines, lines with a negative or non-finite vital
-    and lines whose t is not above the last kept t are dropped and counted
+    The output is opened before the first connect attempt, so an output that
+    cannot be opened raises OSError at once and leaves no sidecar. Lines are
+    durable before this returns. Each line is checked before it is written:
+    malformed lines, lines with a negative or non-finite vital and lines
+    whose t is not above the last kept t are dropped and counted
     (dropped_lines), so the file always loads. A drop triggers reconnects
     every policy.retry_interval seconds; when an outage outlasts
     policy.deadline the recording ends (normally if anything was ever
     received, with InitialConnectFailure if the first connection never
     happened). The end of the script looks like a final outage, so every
-    run ends that way. The sidecar is written however the run ends.
+    run ends that way. Once the output is open, the sidecar is written
+    however the run ends.
     """
     host, port = _split_endpoint(endpoint)
     path = str(output_path)
     sidecar = path + ".gaps.json"
-    lines: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
-    writer = _DiskWriter(path, lines)
-    writer.start()
+    out = open(path, "wb", buffering=0)
     timestamps: list[int] = []
     dropped = 0
     connected_once = False
@@ -380,27 +327,26 @@ def record_stream(
                 break
             connected_once = True
             sock.settimeout(None)
-            try:
-                with sock, sock.makefile("rb") as stream:
-                    for raw in stream:
-                        if not raw.endswith(b"\n"):
-                            break  # partial tail of a mid-line drop: not received
-                        t = _kept_t(raw, timestamps[-1] if timestamps else None)
-                        if t is None:
-                            dropped += 1
-                            continue
-                        lines.put(raw)
-                        timestamps.append(t)
-            except OSError:
-                pass  # a reset is just a less polite disconnect
+            with sock, sock.makefile("rb") as stream:
+                while True:
+                    try:
+                        raw = stream.readline()
+                    except OSError:
+                        break  # a reset is just a less polite disconnect
+                    if not raw.endswith(b"\n"):
+                        break  # closed, or the partial tail of a mid-line drop
+                    t = _kept_t(raw, timestamps[-1] if timestamps else None)
+                    if t is None:
+                        dropped += 1
+                        continue
+                    out.write(raw)
+                    timestamps.append(t)
             # server closed or died; loop back into connect-retry
     finally:
-        lines.put(None)
-        writer.join()
+        with out:
+            os.fsync(out.fileno())
         gaps = compute_gaps(timestamps)
         _write_sidecar(sidecar, timestamps, gaps, dropped)
-    if writer.error is not None:
-        raise writer.error
 
     return RecordingResult(
         path=path,

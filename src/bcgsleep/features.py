@@ -198,13 +198,14 @@ def windows_to_csv(windows: FeatureTable):
 def parse_feature_csv(lines, night_id: str = "") -> FeatureTable:
     """Read windows back from the 31-column CSV; every row gets night_id.
 
-    start_t is not persisted, so rows are numbered 0..n-1.
+    start_t is not persisted, so rows are numbered 0..n-1. A cell that is
+    not a finite number is MalformedRow at its line.
     """
     it = iter(lines)
     header = next(it, None)
     if header is None or header.strip() != FEATURE_CSV_HEADER:
         raise MalformedRow(1, "bad feature csv header")
-    rows, codes = [], []
+    rows, codes, line_nos = [], [], []
     for i, line in enumerate(it):
         line = line.strip()
         if not line:
@@ -217,6 +218,10 @@ def parse_feature_csv(lines, night_id: str = "") -> FeatureTable:
         except ValueError as exc:
             raise MalformedRow(i + 2, str(exc)) from exc
         codes.append(int(Stage.from_name(parts[-1])))
+        line_nos.append(i + 2)
     x = np.array(rows, dtype=float).reshape(len(rows), N_FEATURES)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise MalformedRow(line_nos[bad[0]], "feature values must be finite")
     y = np.array(codes, dtype=np.int64)
     return _table(x, y, np.arange(len(y), dtype=np.int64), night_id)

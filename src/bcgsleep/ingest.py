@@ -52,11 +52,17 @@ def _check_format(fmt: str) -> str:
 
 # t indexes the seconds of the night, so it must be a non-negative int64
 _T_RANGE = range(0, 1 << 63)
+# Per-second series span 0..last_t, so t is capped at one week of seconds.
+MAX_NIGHT_SECONDS = 7 * 24 * 3600
 
 
 def _check_t(t, line_no: int) -> int:
     if not isinstance(t, int) or isinstance(t, bool) or t not in _T_RANGE:
         raise MalformedRow(line_no, f"t must be a non-negative 64-bit integer, got {t!r}")
+    if t >= MAX_NIGHT_SECONDS:
+        raise MalformedRow(
+            line_no, f"t must be below the maximum night length of {MAX_NIGHT_SECONDS} s, got {t}"
+        )
     return t
 
 

@@ -106,6 +106,20 @@ def _check_xy(x: np.ndarray, y: np.ndarray):
         raise ValueError(f"{x.shape[0]} rows vs {y.shape[0]} labels")
 
 
+def _require(ok, detail: str):
+    """A model document check: SchemaMismatch(detail) unless ok."""
+    if not ok:
+        raise SchemaMismatch(detail)
+
+
+def _check_shape(a: np.ndarray, shape: tuple, what: str):
+    _require(a.shape == shape, f"{what} has shape {a.shape}, expected {shape}")
+
+
+def _check_codes(codes: np.ndarray, what: str):
+    _require(((codes >= 0) & (codes <= 3)).all(), f"{what} holds a stage code outside 0..3")
+
+
 # ---------------------------------------------------------------------------
 # CART
 
@@ -159,11 +173,28 @@ class _FlatTree:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "_FlatTree":
-        return cls(
+    def from_state(cls, state: dict, n_features: int) -> "_FlatTree":
+        """A tree from its document state, checked so that every lookup
+        ends at a leaf within len(feature) steps: each split's feature is
+        below n_features and its children come after it; leaves (feature
+        -1) carry a stage code."""
+        tree = cls(
             state["feature"], state["threshold"], state["left"],
             state["right"], state["label"],
         )
+        n = tree.feature.size
+        _require(n > 0, "tree has no nodes")
+        for name in cls.__slots__:
+            _check_shape(getattr(tree, name), (n,), f"tree {name}")
+        split = tree.feature >= 0
+        node = np.arange(n)
+        _require(((tree.feature >= -1) & (tree.feature < n_features)).all(),
+                 f"tree feature outside -1..{n_features - 1}")
+        for child in (tree.left, tree.right):
+            _require(((child > node) & (child < n))[split].all(),
+                     "tree child index not after its parent or past the last node")
+        _check_codes(tree.label[~split], "tree leaf label")
+        return tree
 
 
 def _gini(counts: np.ndarray, total: int) -> float:
@@ -287,7 +318,8 @@ class DecisionTree:
         p = doc["params"]
         params = TreeParams(p["max_depth"], p["min_samples_split"], p["criterion"])
         state = doc["state"]
-        return cls(params, int(state["n_features"]), _FlatTree.from_state(state["tree"]))
+        n_features = int(state["n_features"])
+        return cls(params, n_features, _FlatTree.from_state(state["tree"], n_features))
 
 
 def train_decision_tree(rows, labels, params: TreeParams = TreeParams()) -> DecisionTree:
@@ -363,8 +395,9 @@ class RandomForest:
             p["max_depth"], p["min_samples_split"],
         )
         state = doc["state"]
-        trees = [_FlatTree.from_state(s) for s in state["trees"]]
-        return cls(params, int(state["n_features"]), int(doc["seed"]), trees)
+        n_features = int(state["n_features"])
+        trees = [_FlatTree.from_state(s, n_features) for s in state["trees"]]
+        return cls(params, n_features, int(doc["seed"]), trees)
 
 
 def train_random_forest(
@@ -455,10 +488,18 @@ class Knn:
     @classmethod
     def from_document(cls, doc: dict) -> "Knn":
         state = doc["state"]
-        return cls(
+        model = cls(
             int(doc["params"]["k"]), int(state["n_features"]),
             state["mean"], state["std"], state["x"], state["y"],
         )
+        _require(model.y.ndim == 1, "knn y must be a flat list")
+        n, d = model.y.size, model.n_features
+        _check_shape(model.x_std, (n, d), "knn x")
+        _check_shape(model.mean, (d,), "knn mean")
+        _check_shape(model.std, (d,), "knn std")
+        _check_codes(model.y, "knn y")
+        _require(1 <= model.k <= n, f"knn k={model.k} needs 1..{n} stored rows")
+        return model
 
 
 def train_knn(rows, labels, k: int = 5) -> Knn:
@@ -515,10 +556,19 @@ class GaussianNB:
     @classmethod
     def from_document(cls, doc: dict) -> "GaussianNB":
         state = doc["state"]
-        return cls(
+        model = cls(
             int(state["n_features"]), state["classes"], state["prior"],
             state["mean"], state["var"],
         )
+        _require(model.classes.ndim == 1, "naive Bayes classes must be a flat list")
+        c, d = model.classes.size, model.n_features
+        _check_shape(model.prior, (c,), "naive Bayes prior")
+        _check_shape(model.mean, (c, d), "naive Bayes mean")
+        _check_shape(model.var, (c, d), "naive Bayes var")
+        _check_codes(model.classes, "naive Bayes classes")
+        _require(c > 0 and (model.prior > 0).all() and (model.var > 0).all(),
+                 "naive Bayes needs a class, and positive priors and variances")
+        return model
 
 
 def train_gaussian_nb(rows, labels) -> GaussianNB:

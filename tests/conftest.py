@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 
@@ -7,6 +10,14 @@ hypothesis.settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=60
 )
 hypothesis.settings.load_profile("ci")
+
+
+def checkout_env():
+    """The environment for a child Python that must import this checkout's
+    bcgsleep, whatever PYTHONPATH the test run itself was given."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def make_sample(t, hr=60.0, rr=14.0, sv=70.0, hrv=40.0, b2b=1000.0):

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import flat_record
+from conftest import checkout_env, flat_record
 from bcgsleep.cli import main
 from bcgsleep.core import Stage, compute_gaps
 from bcgsleep.devicesim import RetryPolicy, StreamScript, record_stream, serve_stream
@@ -301,7 +301,7 @@ def test_08_stream_integrity(capsys, tmp_path):
         f"record_stream({srv2.endpoint!r}, {str(part)!r}, "
         "RetryPolicy(retry_interval=0.05, deadline=5.0))"
     )
-    child = subprocess.Popen([sys.executable, "-c", code])
+    child = subprocess.Popen([sys.executable, "-c", code], env=checkout_env())
     try:
         time.sleep(1.0)
         child.send_signal(signal.SIGKILL)

@@ -12,6 +12,8 @@ from bcgsleep.cli import main
 from bcgsleep.ingest import load_night, save_night
 from bcgsleep.models import load_model
 
+from conftest import checkout_env
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -84,6 +86,17 @@ class TestDataErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("MalformedRow") and len(err.splitlines()) == 1
+
+    def test_timestamp_past_a_week_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("".join(
+            f'{{"t":{t},"hr":60.0,"rr":14.0,"sv":70.0,"hrv":40.0,"b2b":1000.0}}\n'
+            for t in (0, 1, 10**12)))
+        code = main(["sleepwake", "--in", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("MalformedRow") and len(err.splitlines()) == 1
+        assert "maximum night length" in err
 
     @pytest.mark.parametrize("text", ["[1]", '{"schema":1,"kind":"Knn"}'])
     def test_bad_model_document_exits_1(self, workdir, tmp_path, capsys, text):
@@ -176,6 +189,14 @@ class TestTrainCommand:
         }))
         assert main(["train", "--config", str(cfg), "--model", "nb"]) == 0
         assert load_model(out).kind == "GaussianNB"
+
+    def test_config_without_path_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bcgsleep")
+        assert "argument --config: expected one argument" in err
 
     def test_config_must_be_object(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -397,7 +418,7 @@ class TestServeRecordCommands:
             [sys.executable, "-m", "bcgsleep", "serve", "--in", str(night),
              "--endpoint", "127.0.0.1:0", "--tick", "0",
              "--dropout", "100:30:disconnect"],
-            stdout=subprocess.PIPE, text=True,
+            stdout=subprocess.PIPE, text=True, env=checkout_env(),
         )
         try:
             banner = server.stdout.readline()

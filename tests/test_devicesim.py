@@ -5,6 +5,8 @@ milliseconds; the scheduling logic is identical to paced operation because
 the server's cursor only ever advances on a successful send.
 """
 
+import errno
+import io
 import json
 import signal
 import socket
@@ -15,6 +17,7 @@ import time
 
 import pytest
 
+from bcgsleep import devicesim
 from bcgsleep.core import compute_gaps
 from bcgsleep.devicesim import (
     DropoutWindow,
@@ -26,7 +29,7 @@ from bcgsleep.devicesim import (
 from bcgsleep.errors import InitialConnectFailure
 from bcgsleep.ingest import load_night, sample_line
 
-from conftest import make_record, make_sample
+from conftest import checkout_env, make_record, make_sample
 
 FAST = RetryPolicy(retry_interval=0.02, deadline=0.7)
 
@@ -227,6 +230,12 @@ class TestLineValidation:
         assert res.dropped_lines == 1
         assert load_night(res.path).t.tolist() == [0, 1]
 
+    def test_t_past_a_week_dropped(self, tmp_path):
+        lines = [sample_line(make_sample(t)) for t in (0, 10**12, 1)]
+        res = record_lines(lines, tmp_path / "out.ndjson")
+        assert res.timestamps == (0, 1)
+        assert res.dropped_lines == 1
+
     def test_sidecar_written_when_nothing_connects(self, tmp_path):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -251,6 +260,43 @@ class TestFailureModes:
             record_stream(("127.0.0.1", port), tmp_path / "never.ndjson", policy)
         assert exc.value.deadline == 0.2
 
+    def test_unopenable_output_fails_before_connecting(self, tmp_path):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        policy = RetryPolicy(retry_interval=1.0, deadline=3.0)
+        out = tmp_path / "missing-dir" / "out.ndjson"
+        t0 = time.monotonic()
+        with pytest.raises(OSError):
+            record_stream(("127.0.0.1", port), out, policy)
+        assert time.monotonic() - t0 < policy.retry_interval
+        assert not (tmp_path / "missing-dir").exists()
+
+    def test_disk_error_raised_not_taken_for_a_disconnect(self, tmp_path, monkeypatch):
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                if self.tell() >= 200:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        def open_full(path, mode="r", *args, **kwargs):
+            if mode == "wb":
+                return FullDisk(path, mode)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(devicesim, "open", open_full, raising=False)
+        srv = serve_stream(script_of(40), ("127.0.0.1", 0))
+        out = tmp_path / "out.ndjson"
+        try:
+            with pytest.raises(OSError, match="No space"):
+                record_stream(srv.endpoint, out, FAST)
+        finally:
+            srv.stop()
+        side = json.loads((tmp_path / "out.ndjson.gaps.json").read_text())
+        assert side["n_samples"] == 4  # the lines that reached the file
+        assert load_night(out).t.tolist() == [0, 1, 2, 3]
+
     def test_reconnect_deadline_ends_run_after_server_stops(self, tmp_path):
         srv = serve_stream(script_of(10), ("127.0.0.1", 0))
         policy = RetryPolicy(retry_interval=0.02, deadline=0.3)
@@ -269,7 +315,7 @@ class TestFailureModes:
             f"record_stream(('127.0.0.1', {srv.address[1]}), {str(out)!r}, "
             "RetryPolicy(retry_interval=0.05, deadline=5.0))"
         )
-        child = subprocess.Popen([sys.executable, "-c", code])
+        child = subprocess.Popen([sys.executable, "-c", code], env=checkout_env())
         try:
             time.sleep(1.0)
             child.send_signal(signal.SIGKILL)

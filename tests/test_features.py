@@ -275,6 +275,16 @@ class TestCsvRoundTrip:
             parse_feature_csv([FEATURE_CSV_HEADER, good, bad])
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_rejected_at_its_line(self, cell):
+        from bcgsleep.errors import MalformedRow
+
+        good = ",".join(["1.0"] * N_FEATURES) + ",wake"
+        bad = ",".join(["1.0"] * 4 + [cell] + ["1.0"] * (N_FEATURES - 5)) + ",wake"
+        with pytest.raises(MalformedRow) as exc:
+            parse_feature_csv([FEATURE_CSV_HEADER, good, "", good, bad, good])
+        assert exc.value.line_no == 5
+
     def test_unknown_stage_rejected(self):
         from bcgsleep.errors import InvalidStageCode
 

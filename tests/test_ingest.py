@@ -17,6 +17,7 @@ from bcgsleep.errors import (
 )
 from bcgsleep.ingest import (
     CSV_HEADER,
+    MAX_NIGHT_SECONDS,
     align_labels,
     load_labels,
     load_night,
@@ -147,6 +148,16 @@ class TestMalformedInput:
             with pytest.raises(MalformedRow, match="64-bit"):
                 parse_night([line], "ndjson")
             with pytest.raises(MalformedRow, match="64-bit"):
+                parse_night([CSV_HEADER, f"{t},1.0,1.0,1.0,1.0,1.0"], "csv")
+
+    def test_t_past_a_week_rejected(self):
+        last = MAX_NIGHT_SECONDS - 1
+        assert parse_night([sample_line(make_sample(last))], "ndjson").last_t == last
+        for t in (MAX_NIGHT_SECONDS, 10**12, (1 << 63) - 1):
+            line = sample_line(make_sample(t))
+            with pytest.raises(MalformedRow, match="maximum night length"):
+                parse_night([line], "ndjson")
+            with pytest.raises(MalformedRow, match="maximum night length"):
                 parse_night([CSV_HEADER, f"{t},1.0,1.0,1.0,1.0,1.0"], "csv")
 
     def test_numbers_beyond_float_or_digit_limits_rejected(self):

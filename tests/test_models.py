@@ -470,6 +470,53 @@ class TestSerialization:
         with pytest.raises(SchemaMismatch):
             model_from_json(text)
 
+    @pytest.mark.parametrize("kind, edit", [
+        ("Knn", lambda st, p: st.update(mean=[0.0])),
+        ("Knn", lambda st, p: st.update(std=st["std"] + [1.0])),
+        ("Knn", lambda st, p: st.update(x=[row[:-1] for row in st["x"]])),
+        ("Knn", lambda st, p: st.update(y=st["y"][:-1])),
+        ("Knn", lambda st, p: st["y"].__setitem__(3, 7)),
+        ("Knn", lambda st, p: p.update(k=50)),
+        ("Knn", lambda st, p: p.update(k=0)),
+        ("DecisionTree", lambda st, p: st["tree"]["left"].__setitem__(0, 999)),
+        ("DecisionTree", lambda st, p: st["tree"]["right"].__setitem__(0, 0)),
+        ("DecisionTree", lambda st, p: st["tree"]["feature"].__setitem__(0, 5)),
+        ("DecisionTree", lambda st, p: st["tree"]["feature"].__setitem__(0, -2)),
+        ("DecisionTree", lambda st, p: st["tree"]["label"].__setitem__(-1, 7)),
+        ("DecisionTree", lambda st, p: st["tree"]["threshold"].pop()),
+        ("DecisionTree", lambda st, p: st["tree"].update(feature=[], threshold=[],
+                                                       left=[], right=[], label=[])),
+        ("RandomForest", lambda st, p: st["trees"][1]["right"].__setitem__(0, -1)),
+        ("GaussianNB", lambda st, p: st.update(mean=[row[:-1] for row in st["mean"]])),
+        ("GaussianNB", lambda st, p: st.update(prior=st["prior"][:-1])),
+        ("GaussianNB", lambda st, p: st["classes"].__setitem__(0, 9)),
+        ("GaussianNB", lambda st, p: st["var"][0].__setitem__(0, 0.0)),
+        ("GaussianNB", lambda st, p: st.update(classes=[], prior=[], mean=[], var=[])),
+    ], ids=[
+        "knn-mean", "knn-std", "knn-x", "knn-y", "knn-code", "knn-k-above-rows",
+        "knn-k-zero", "tree-child-past-end", "tree-child-loops-back",
+        "tree-feature-too-large", "tree-feature-below-leaf", "tree-leaf-code",
+        "tree-ragged", "tree-no-nodes", "forest-child-negative", "nb-mean",
+        "nb-prior", "nb-code", "nb-zero-var", "nb-no-classes",
+    ])
+    def test_inconsistent_state_rejected(self, kind, edit):
+        """Shapes against n_features, k against the stored rows, stage codes
+        in 0..3 and tree links are checked at load, not met at predict."""
+        import json
+
+        rng = np.random.default_rng(32)
+        x, y = random_dataset(rng, n=20, d=5)
+        model = {
+            "Knn": lambda: train_knn(x, y),
+            "DecisionTree": lambda: train_decision_tree(x, y),
+            "RandomForest": lambda: train_random_forest(x, y, ForestParams(n_trees=2)),
+            "GaussianNB": lambda: train_gaussian_nb(x, y),
+        }[kind]()
+        doc = json.loads(model_to_json(model))
+        edit(doc["state"], doc["params"])
+        with pytest.raises(SchemaMismatch):
+            model_from_json(json.dumps(doc))
+
     def test_missing_and_ill_typed_keys_rejected(self):
         import json
 
