@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -400,26 +402,61 @@ class RandomForest:
         return cls(params, n_features, int(doc["seed"]), trees)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _forest_tree(job: tuple, i: int) -> _FlatTree:
+    """Tree i of the forest job (x, y, params, mtry, seed), from its own generator."""
+    x, y, params, mtry, seed = job
+    n = x.shape[0]
+    rng = _tree_rng(seed, i)
+    idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+    return _grow_tree(x[idx], y[idx], params.max_depth, params.min_samples_split, mtry, rng)
+
+
+# The job of a forked forest worker; only the pool's initializer sets it, in the worker.
+_worker_job: tuple = ()
+
+
+def _init_forest_worker(*job):
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_tree(i: int) -> _FlatTree:
+    return _forest_tree(_worker_job, i)
+
+
 def train_random_forest(
     rows, labels, params: ForestParams = ForestParams(), seed: int = 0
 ) -> RandomForest:
-    """Bagged CART ensemble; tree i's RNG comes from (seed, i) so a parallel
-    build would produce the identical forest."""
+    """Bagged CART ensemble, grown in one forked worker per usable CPU.
+
+    Tree i draws its bootstrap and its split features from _tree_rng(seed, i)
+    alone, so the trees are independent: min(n_trees, usable CPUs) workers
+    each inherit x and y once through fork, grow one tree per task, and the
+    trees come back in index order. With one worker, or where the platform
+    cannot fork, the same trees are grown in a plain loop. Either way the
+    forest is byte-identical for a given seed.
+    """
     x = _as_matrix(rows)
     y = _as_codes(labels)
     if x.shape[0] == 0:
         raise EmptyTrainingSet("random forest")
     _check_xy(x, y)
-    n = x.shape[0]
-    mtry = min(params.features_per_split, x.shape[1])
-    trees = []
-    for i in range(params.n_trees):
-        rng = _tree_rng(seed, i)
-        idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        tree = _grow_tree(
-            x[idx], y[idx], params.max_depth, params.min_samples_split, mtry, rng
-        )
-        trees.append(tree)
+    job = (x, y, params, min(params.features_per_split, x.shape[1]), seed)
+    workers = min(params.n_trees, _usable_cpus())
+    tree_ids = range(params.n_trees)
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        trees = [_forest_tree(job, i) for i in tree_ids]
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, initializer=_init_forest_worker, initargs=job) as pool:
+            trees = pool.map(_worker_tree, tree_ids, chunksize=1)
     return RandomForest(params, x.shape[1], int(seed), trees)
 
 

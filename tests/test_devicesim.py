@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -137,7 +138,7 @@ class TestRecorderAgainstServer:
     def test_sidecar_contents(self, tmp_path):
         windows = (DropoutWindow(6, 2, "disconnect"),)
         srv, res = self.run(script_of(15, windows=windows), tmp_path)
-        side = json.loads(open(res.sidecar_path).read())
+        side = json.loads(Path(res.sidecar_path).read_text())
         assert side["n_samples"] == res.n_samples
         assert side["first_t"] == 0
         assert side["last_t"] == 14
@@ -204,7 +205,7 @@ class TestLineValidation:
         assert res.timestamps == (0, 1)
         assert res.dropped_lines == 2
         assert [s.t for s in load_night(res.path).samples] == [0, 1]
-        side = json.loads(open(res.sidecar_path).read())
+        side = json.loads(Path(res.sidecar_path).read_text())
         assert side["dropped_lines"] == 2
         assert side["n_samples"] == 2
 

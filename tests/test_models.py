@@ -7,10 +7,13 @@ against the memorization property of unlimited-depth CART.
 """
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from bcgsleep import models
 from bcgsleep.core import Stage
 from bcgsleep.errors import (
     EmptyTrainingSet,
@@ -244,6 +247,71 @@ class TestRandomForest:
         merged._trees = fa._trees + fb._trees
         got = predict(merged, x)
         assert got.tolist() == [Stage.REM, Stage.REM]  # code 1 beats code 3 on a 1-1 tie
+
+
+def _plain_loop_forest_json(x, y, params, seed):
+    """The forest as one loop over the per-tree generators grows it."""
+    n = x.shape[0]
+    mtry = min(params.features_per_split, x.shape[1])
+    trees = []
+    for i in range(params.n_trees):
+        rng = models._tree_rng(seed, i)
+        idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        trees.append(models._grow_tree(
+            x[idx], y[idx], params.max_depth, params.min_samples_split, mtry, rng))
+    return model_to_json(models.RandomForest(params, x.shape[1], seed, trees))
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TreeFailure(Exception):
+    pass
+
+
+class TestParallelForest:
+    """The forked build against a plain loop; four CPUs are claimed so that
+    up to four workers run whatever the host has."""
+
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 7])
+    def test_bytes_equal_plain_loop(self, monkeypatch, n_trees, bootstrap, seed):
+        _cpus(monkeypatch, 4)
+        x, y = random_dataset(np.random.default_rng(seed), n=120, d=8, spread=1.5)
+        params = ForestParams(n_trees=n_trees, features_per_split=3, bootstrap=bootstrap)
+        got = model_to_json(train_random_forest(x, y, params, seed=seed))
+        assert got == _plain_loop_forest_json(x, y, params, seed)
+
+    def test_one_cpu_builds_serially(self, monkeypatch):
+        x, y = random_dataset(np.random.default_rng(8), n=120, d=8, spread=1.5)
+        params = ForestParams(n_trees=5, features_per_split=3)
+        want = _plain_loop_forest_json(x, y, params, 8)
+        _cpus(monkeypatch, 1)
+
+        def no_fork():
+            raise AssertionError("a child process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert model_to_json(train_random_forest(x, y, params, seed=8)) == want
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        parent = os.getpid()
+        grow = models._grow_tree
+
+        def fail_tree_three(x, y, max_depth, min_samples_split, mtry, rng):
+            if rng.bit_generator.seed_seq.entropy[1] == 3:
+                raise TreeFailure(os.getpid())
+            return grow(x, y, max_depth, min_samples_split, mtry, rng)
+
+        monkeypatch.setattr(models, "_grow_tree", fail_tree_three)
+        x, y = random_dataset(np.random.default_rng(9), n=60)
+        with pytest.raises(TreeFailure) as err:
+            train_random_forest(x, y, ForestParams(n_trees=6), seed=1)
+        assert err.value.args[0] != parent
+        assert multiprocessing.active_children() == []
 
 
 def _knn_oracle(x_train, y_train, queries, k):
