@@ -9,7 +9,6 @@ render figures.
 """
 
 from .core import (
-    EPOCH_ZERO,
     NightRecord,
     Stage,
     StageInterval,

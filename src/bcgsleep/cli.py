@@ -18,16 +18,15 @@ import numpy as np
 
 from . import devicesim, evaluation, features, ingest, models, preprocess, report
 from . import sleepwake, synth
-from .core import Stage
+from .core import STAGE_NAMES, Stage
 from .errors import AllMissing, BcgSleepError
 
 MODEL_KINDS = ("tree", "forest", "knn", "nb")
-STAGE_NAMES = tuple(s.level_name for s in Stage)
 
 
 def _night_stem(path) -> str:
     name = Path(path).name
-    for suffix in (".ndjson", ".csv", ".features.csv"):
+    for suffix in (".features.csv", ".ndjson", ".csv"):
         if name.endswith(suffix):
             return name[: -len(suffix)]
     return Path(path).stem
@@ -40,6 +39,10 @@ def _write_text(path, text: str):
 
 def _write_json(path, doc):
     _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _write_confusion_csv(path, confusion):
+    _write_text(path, "\n".join(evaluation.confusion_to_csv(confusion, STAGE_NAMES)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +218,7 @@ def _cmd_evaluate(args) -> int:
         doc["kind"] = model.kind
         doc["n_train"] = len(train)
         doc["n_test"] = len(test)
-        _write_text(
-            out_dir / "confusion.csv",
-            "\n".join(evaluation.confusion_to_csv(block["confusion"], STAGE_NAMES)) + "\n",
-        )
+        _write_confusion_csv(out_dir / "confusion.csv", block["confusion"])
         summary = block
 
     _write_json(out_dir / "metrics.json", doc)
@@ -282,12 +282,7 @@ def _cmd_report(args) -> int:
                 out_dir / "confusion_heatmap.svg",
                 report.confusion_heatmap_svg(block["confusion"], STAGE_NAMES),
             )
-            _write_text(
-                out_dir / "confusion.csv",
-                "\n".join(
-                    evaluation.confusion_to_csv(block["confusion"], STAGE_NAMES)
-                ) + "\n",
-            )
+            _write_confusion_csv(out_dir / "confusion.csv", block["confusion"])
             wrote.extend(["confusion_heatmap.svg", "confusion.csv"])
 
     if args.cohort_dir:

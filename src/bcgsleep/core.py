@@ -8,15 +8,12 @@ threads. Timestamps are integer seconds from night start (the sensor runs at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import IntEnum
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidStageCode, NegativeVital
-
-EPOCH_ZERO = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class Stage(IntEnum):
@@ -41,7 +38,9 @@ class Stage(IntEnum):
         return self.name.lower()
 
 
-_NAME_TO_STAGE = {s.name.lower(): s for s in Stage}
+# level names in stage-code order: STAGE_NAMES[code] names Stage(code)
+STAGE_NAMES = tuple(s.level_name for s in Stage)
+_NAME_TO_STAGE = dict(zip(STAGE_NAMES, Stage))
 
 
 VITAL_FIELDS = ("hr", "rr", "sv", "hrv", "b2b")
@@ -79,26 +78,18 @@ class StageInterval:
 
 @dataclass(frozen=True, eq=False)
 class NightRecord:
-    """A time-ordered night of 1 Hz vitals as columns, plus provenance.
+    """A time-ordered night of 1 Hz vitals as columns, under a night id.
 
     t is int64[n], strictly increasing; vitals is float64[n, 5], row i the
     second t[i], columns in file order VITAL_FIELDS. Every vital is finite
     and non-negative; hr == 0 is the sensor's motion-artifact marker
     (waveform defective), not a physiological reading. Both arrays are
     read-only views.
-
-    gaps enumerate every missing second strictly between the first and last
-    sample, as (start_t, length) runs; for a recording that starts cleanly at
-    t=0 that is every uncovered second of [0, last_t].
     """
 
     night_id: str
-    subject_id: str
-    start_epoch: datetime
     t: np.ndarray
     vitals: np.ndarray
-    gaps: tuple[tuple[int, int], ...] = ()
-    labels: Optional[tuple[StageInterval, ...]] = None
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.int64).view()
@@ -114,9 +105,6 @@ class NightRecord:
         vitals.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "vitals", vitals)
-        object.__setattr__(self, "gaps", tuple(tuple(g) for g in self.gaps))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
         check_vitals(t, vitals)
         bad_t = first_non_increasing(t)
         if bad_t is not None:
@@ -126,6 +114,13 @@ class NightRecord:
     def samples(self) -> tuple[VitalsSample, ...]:
         """The rows as VitalsSample tuples, built from the columns on each call."""
         return tuple(map(VitalsSample._make, zip(self.t.tolist(), *self.vitals.T.tolist())))
+
+    @property
+    def gaps(self) -> tuple[tuple[int, int], ...]:
+        """Every missing second strictly between the first and last sample,
+        as (start_t, length) runs; for a recording that starts cleanly at t=0
+        that is every uncovered second of [0, last_t]."""
+        return compute_gaps(self.t)
 
     @property
     def first_t(self) -> int:

@@ -12,9 +12,9 @@ class BcgSleepError(Exception):
 # --- core ---------------------------------------------------------------
 
 class InvalidStageCode(BcgSleepError):
-    def __init__(self, code):
-        super().__init__(f"stage code out of range 0..3: {code!r}")
-        self.code = code
+    def __init__(self, name):
+        super().__init__(f"unknown stage name: {name!r}")
+        self.name = name
 
 
 # --- ingest -------------------------------------------------------------

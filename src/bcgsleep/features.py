@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import VITAL_FIELDS, NightRecord, Stage
+from .core import STAGE_NAMES, VITAL_FIELDS, NightRecord, Stage
 from .errors import DegenerateMatrix, EmptyMatrix, MalformedRow
 
 SIGNAL_ORDER = ("hr", "rr", "sv", "b2b", "hrv")
@@ -193,14 +193,11 @@ def pca_explained_variance(matrix: np.ndarray) -> list[float]:
     return [float(r) for r in sorted(ratios, reverse=True)]
 
 
-_LEVEL_NAMES = tuple(s.level_name for s in Stage)
-
-
 def windows_to_csv(windows: FeatureTable):
     """Feature windows as CSV lines: 30 statistics then the stage name."""
     yield FEATURE_CSV_HEADER
     for stats, code in zip(windows.x.tolist(), windows.y.tolist()):
-        yield ",".join(map(repr, stats)) + "," + _LEVEL_NAMES[code]
+        yield ",".join(map(repr, stats)) + "," + STAGE_NAMES[code]
 
 
 def parse_feature_csv(lines, night_id: str = "") -> FeatureTable:

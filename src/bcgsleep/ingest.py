@@ -15,19 +15,17 @@ from __future__ import annotations
 
 import csv
 import json
-from datetime import datetime
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .core import (
-    EPOCH_ZERO,
+    STAGE_NAMES,
     VITAL_FIELDS,
     NightRecord,
     Stage,
     StageInterval,
     check_vitals,
-    compute_gaps,
     first_non_increasing,
 )
 from .errors import (
@@ -39,7 +37,6 @@ from .errors import (
 
 SAMPLE_FIELDS = ("t",) + VITAL_FIELDS
 CSV_HEADER = ",".join(SAMPLE_FIELDS)
-LEVEL_NAMES = frozenset(s.level_name for s in Stage)
 
 FORMATS = ("ndjson", "csv")
 
@@ -115,18 +112,12 @@ def _parse_csv_row(row: list[str], line_no: int) -> tuple:
     return tuple(out)
 
 
-def parse_night(
-    lines: Iterable[str],
-    fmt: str,
-    night_id: str = "",
-    subject_id: str = "",
-    start_epoch: Optional[datetime] = None,
-) -> NightRecord:
+def parse_night(lines: Iterable[str], fmt: str, night_id: str = "") -> NightRecord:
     """Parse a stream of sample lines into a NightRecord.
 
-    Timestamps must be strictly increasing; every missing second between
-    consecutive samples is recorded as a gap. Metadata (ids, start time) is
-    not carried by the sample formats and is supplied by the caller.
+    Timestamps must be strictly increasing; missing seconds between
+    consecutive samples are the record's gaps. The night id is not carried
+    by the sample formats and is supplied by the caller.
     Errors come in this order: MalformedRow for the first bad line, then
     NegativeVital for the first bad value, then NonMonotonicTimestamp.
     """
@@ -154,14 +145,7 @@ def parse_night(
     bad_t = first_non_increasing(t)
     if bad_t is not None:
         raise NonMonotonicTimestamp(bad_t)
-    return NightRecord(
-        night_id=night_id,
-        subject_id=subject_id,
-        start_epoch=start_epoch if start_epoch is not None else EPOCH_ZERO,
-        t=t,
-        vitals=vitals,
-        gaps=compute_gaps(t),
-    )
+    return NightRecord(night_id, t, vitals)
 
 
 def sample_line(row) -> str:
@@ -186,13 +170,13 @@ def write_night(record: NightRecord, fmt: str) -> Iterator[str]:
         yield from map(sample_line, rows)
 
 
-def load_night(path, fmt: Optional[str] = None, **meta) -> NightRecord:
+def load_night(path, fmt: Optional[str] = None, night_id: str = "") -> NightRecord:
     """Read a night file; format inferred from the extension unless given."""
     path = str(path)
     if fmt is None:
         fmt = "csv" if path.endswith(".csv") else "ndjson"
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_night(fh, fmt, **meta)
+        return parse_night(fh, fmt, night_id)
 
 
 def save_night(record: NightRecord, path, fmt: Optional[str] = None) -> None:
@@ -232,7 +216,7 @@ def parse_labels(document) -> list[StageInterval]:
             seconds = level["seconds"]
         except KeyError as exc:
             raise MalformedRow(i, f"level entry missing {exc.args[0]!r}") from exc
-        if not isinstance(name, str) or name.lower() not in LEVEL_NAMES:
+        if not isinstance(name, str) or name.lower() not in STAGE_NAMES:
             raise UnknownLevel(name)
         if not isinstance(start_t, int) or isinstance(start_t, bool):
             raise MalformedRow(i, f"start_t must be an integer, got {start_t!r}")

@@ -2,9 +2,12 @@
 
 Four classifier families over 30-column feature windows: a CART decision
 tree (Gini), a bagged random forest, k-nearest-neighbors on standardized
-features, and Gaussian naive Bayes. Every tie anywhere resolves to the
-lowest stage code (wake first), never to the iteration order of a set or
-dict, so training and prediction are bit-reproducible for a given seed.
+features, and Gaussian naive Bayes. Every tie has a fixed rule, never the
+iteration order of a set or dict, so training and prediction are
+bit-reproducible for a given seed: a split tie goes to the earlier feature
+and the lower threshold; a tied leaf majority, forest vote or naive Bayes
+posterior goes to the lowest stage code (wake first); a tied kNN vote goes
+to the nearest neighbor whose class is among the winners.
 
 Models serialize to a versioned JSON document and round-trip exactly.
 """
@@ -20,8 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, SchemaMismatch, TooFewItems
-from .features import FeatureTable, standardize_apply, standardize_fit
+from .errors import EmptyTrainingSet, RecordTooShort, SchemaMismatch, TooFewItems
+from .features import (
+    SIGNAL_COLUMNS,
+    WINDOW_LEN,
+    FeatureTable,
+    feature_matrix_for_starts,
+    standardize_apply,
+    standardize_fit,
+)
 
 MODEL_SCHEMA = 1
 WINDOW_GROUPING = "window-level"
@@ -541,6 +551,8 @@ class Knn:
 
 def train_knn(rows, labels, k: int = 5) -> Knn:
     """Store the standardized training set; all work happens at query time."""
+    if k < 1:
+        raise ValueError(f"knn k must be at least 1, got {k}")
     x = _as_matrix(rows)
     y = _as_codes(labels)
     if x.shape[0] < k:
@@ -658,9 +670,6 @@ def predict_hypnogram(model, record) -> np.ndarray:
     """Per-second int64 stage codes: second s takes the window starting at s;
     the last nine seconds, which start no complete window, inherit the final
     one. The record must be cleaned (one sample per second)."""
-    from .errors import RecordTooShort
-    from .features import SIGNAL_COLUMNS, WINDOW_LEN, feature_matrix_for_starts
-
     n = record.last_t + 1
     if n < WINDOW_LEN:
         raise RecordTooShort(max(n, 0), WINDOW_LEN)

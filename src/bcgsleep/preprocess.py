@@ -42,11 +42,4 @@ def clean_for_features(record: NightRecord) -> NightRecord:
     valid_t = record.t[valid]
     source = np.searchsorted(valid_t, np.arange(n), side="right") - 1
     np.maximum(source, 0, out=source)
-    return NightRecord(
-        night_id=record.night_id,
-        subject_id=record.subject_id,
-        start_epoch=record.start_epoch,
-        t=np.arange(n, dtype=np.int64),
-        vitals=record.vitals[valid][source],
-        labels=record.labels,
-    )
+    return NightRecord(record.night_id, np.arange(n), record.vitals[valid][source])

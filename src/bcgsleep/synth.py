@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EPOCH_ZERO, VITAL_FIELDS, NightRecord, Stage, StageInterval
+from .core import VITAL_FIELDS, NightRecord, Stage, StageInterval
 from .errors import DurationTooShort
 from .features import SIGNAL_COLUMNS, SIGNAL_ORDER
 
@@ -245,23 +245,13 @@ def _draw_dropouts(rng, profile, duration: int) -> list[tuple[int, int]]:
     return merged
 
 
-def _build_record(
-    night_id: str, subject_id: str, signals: np.ndarray, gaps, intervals
-) -> NightRecord:
+def _build_record(night_id: str, signals: np.ndarray, gaps) -> NightRecord:
     kept = np.ones(signals.shape[0], dtype=bool)
     for start, length in gaps:
         kept[start : start + length] = False
     vitals = np.empty((int(kept.sum()), len(VITAL_FIELDS)))
     vitals[:, SIGNAL_COLUMNS] = signals[kept]
-    return NightRecord(
-        night_id=night_id,
-        subject_id=subject_id,
-        start_epoch=EPOCH_ZERO,
-        t=np.flatnonzero(kept),
-        vitals=vitals,
-        gaps=tuple(gaps),
-        labels=tuple(intervals),
-    )
+    return NightRecord(night_id, np.flatnonzero(kept), vitals)
 
 
 def generate_night(
@@ -270,7 +260,6 @@ def generate_night(
     seed: int,
     target_efficiency: Optional[float] = None,
     night_id: str = "synth",
-    subject_id: str = "synthetic",
 ) -> tuple[NightRecord, list[StageInterval], float]:
     """One scripted night: the record, its true intervals, and the scripted
     efficiency (non-wake seconds over duration).
@@ -294,7 +283,7 @@ def generate_night(
     signals = _draw_signals(rng, profile, stage_codes)
     _apply_motion_bursts(rng, profile, stage_codes, signals)
     gaps = _draw_dropouts(rng, profile, duration_s)
-    record = _build_record(night_id, subject_id, signals, gaps, intervals)
+    record = _build_record(night_id, signals, gaps)
     efficiency = 1.0 - wake_budget / duration_s
     return record, intervals, efficiency
 
@@ -328,7 +317,6 @@ def generate_cohort(
             night_seed,
             target_efficiency=target,
             night_id=f"night{i:02d}",
-            subject_id="synthetic",
         )
         out.append(SynthNight(record, tuple(intervals), eff))
     return out
@@ -374,5 +362,5 @@ def generate_step_night(
         signals[t:end, 0] = 0.0
         t = end
 
-    record = _build_record(f"step-{seed:04d}", "synthetic", signals, [], intervals)
+    record = _build_record(f"step-{seed:04d}", signals, [])
     return record, intervals, onset

@@ -4,7 +4,7 @@ from pathlib import Path
 import hypothesis
 import numpy as np
 
-from bcgsleep.core import EPOCH_ZERO, NightRecord, VitalsSample, compute_gaps
+from bcgsleep.core import NightRecord, VitalsSample
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=60
@@ -24,29 +24,19 @@ def make_sample(t, hr=60.0, rr=14.0, sv=70.0, hrv=40.0, b2b=1000.0):
     return VitalsSample(t=t, hr=hr, rr=rr, sv=sv, hrv=hrv, b2b=b2b)
 
 
-def make_record(rows, night_id="n", subject_id="s", gaps=None, labels=None):
+def make_record(rows, night_id="n"):
     """A NightRecord from (t, hr, rr, sv, hrv, b2b) rows, such as make_sample
-    results; the record converts and checks the values. gaps default to the
-    runs the timestamps leave out."""
+    results; the record converts and checks the values."""
     rows = [tuple(r) for r in rows]
     t = np.array([r[0] for r in rows], dtype=np.int64)
     vitals = np.array([r[1:] for r in rows]).reshape(len(rows), 5)
-    return NightRecord(
-        night_id=night_id,
-        subject_id=subject_id,
-        start_epoch=EPOCH_ZERO,
-        t=t,
-        vitals=vitals,
-        gaps=compute_gaps(t) if gaps is None else gaps,
-        labels=labels,
-    )
+    return NightRecord(night_id=night_id, t=t, vitals=vitals)
 
 
-def flat_record(n, hr=60.0, night_id="test", subject_id="subj", missing=()):
+def flat_record(n, hr=60.0, night_id="test", missing=()):
     """A constant-vitals record over [0, n) with selected seconds dropped."""
     missing = set(missing)
     return make_record(
         (make_sample(t, hr=hr) for t in range(n) if t not in missing),
         night_id=night_id,
-        subject_id=subject_id,
     )

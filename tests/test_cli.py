@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from bcgsleep.cli import main
+from bcgsleep.cli import _load_feature_files, main
 from bcgsleep.ingest import load_night, save_night
 from bcgsleep.models import load_model
 
@@ -154,6 +154,10 @@ class TestFeaturizeCommand:
         assert len(lines[1].split(",")) == 31
         assert len(lines) > 1000  # stride-1 windows over a labeled hour
 
+    def test_feature_file_night_id_is_its_stem(self, workdir):
+        windows = _load_feature_files(feature_args(workdir, ("night00",)))
+        assert set(windows.night_id.tolist()) == {"night00"}
+
 
 class TestTrainCommand:
     def test_train_tree_and_reload(self, workdir, tmp_path, capsys):
@@ -163,6 +167,14 @@ class TestTrainCommand:
         assert code == 0
         assert load_model(out).kind == "DecisionTree"
         assert "trained DecisionTree" in capsys.readouterr().out
+
+    def test_knn_k_zero_exits_1_without_output(self, workdir, tmp_path, capsys):
+        out = tmp_path / "knn.json"
+        code = main(["train", "--features", *feature_args(workdir),
+                     "--model", "knn", "--k", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ValueError")
+        assert not out.exists()
 
     def test_config_file_can_supply_all_flags(self, workdir, tmp_path):
         explicit = tmp_path / "explicit.json"

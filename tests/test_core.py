@@ -1,5 +1,6 @@
 """Domain types: stage codes, vital validation, record invariants, gap runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcgsleep.core import (
-    EPOCH_ZERO,
     VITAL_FIELDS,
     NightRecord,
     Stage,
@@ -99,7 +99,7 @@ class TestNightRecord:
         assert rec.last_t == -1
 
     def test_gap_total(self):
-        rec = make_record([make_sample(0), make_sample(10)], gaps=((1, 9),))
+        rec = make_record([make_sample(0), make_sample(10)])
         assert rec.total_gap_seconds() == 9
 
     def test_bounds_and_gaps_are_python_ints(self):
@@ -115,9 +115,14 @@ class TestNightRecord:
         with pytest.raises(ValueError):
             rec.t[0] = 5
 
+    def test_record_is_id_and_columns(self):
+        assert [f.name for f in dataclasses.fields(NightRecord)] == ["night_id", "t", "vitals"]
+        rec = NightRecord("n", [0, 1, 5], np.ones((3, 5)))
+        assert rec.gaps == ((2, 3),)
+
     def test_mismatched_column_shapes_rejected(self):
         with pytest.raises(ValueError):
-            NightRecord("n", "s", EPOCH_ZERO, np.arange(3), np.ones((2, 5)))
+            NightRecord("n", np.arange(3), np.ones((2, 5)))
 
     @given(
         n=st.integers(1, 30),

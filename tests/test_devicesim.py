@@ -131,7 +131,7 @@ class TestRecorderAgainstServer:
     def test_recorded_file_parses_and_matches(self, tmp_path):
         windows = (DropoutWindow(9, 3, "disconnect"),)
         srv, res = self.run(script_of(25, windows=windows), tmp_path)
-        rec = load_night(res.path, night_id="n", subject_id="s")
+        rec = load_night(res.path, night_id="n")
         assert tuple(s.t for s in rec.samples) == res.timestamps
         assert rec.gaps == res.gaps
 

@@ -288,7 +288,7 @@ class TestCsvRoundTrip:
     def test_unknown_stage_rejected(self):
         from bcgsleep.errors import InvalidStageCode
 
-        with pytest.raises(InvalidStageCode):
+        with pytest.raises(InvalidStageCode, match="unknown stage name: 'n3'"):
             parse_feature_csv([FEATURE_CSV_HEADER, ",".join(["1.0"] * N_FEATURES) + ",n3"])
 
     def test_windows_to_matrix_shapes(self):

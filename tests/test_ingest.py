@@ -65,7 +65,7 @@ class TestRoundTrip:
     @given(rec=records())
     def test_write_then_parse_is_identity(self, fmt, rec):
         lines = list(write_night(rec, fmt))
-        back = parse_night(lines, fmt, night_id="n", subject_id="s")
+        back = parse_night(lines, fmt, night_id="n")
         assert back.samples == rec.samples
         assert back.gaps == rec.gaps
 
@@ -81,7 +81,7 @@ class TestRoundTrip:
         rec = flat_record(20, missing={5, 6})
         path = tmp_path / f"night{ext}"
         save_night(rec, path)
-        back = load_night(path, night_id="test", subject_id="subj")
+        back = load_night(path, night_id="test")
         assert back.samples == rec.samples
         assert back.gaps == ((5, 2),)
 

@@ -376,6 +376,11 @@ class TestKnn:
         with pytest.raises(TooFewItems):
             train_knn(np.ones((3, 2)), [Stage.WAKE] * 3, k=5)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            train_knn(np.ones((3, 2)), [Stage.WAKE] * 3, k=k)
+
     def test_exact_training_point_is_own_neighbor(self):
         rng = np.random.default_rng(6)
         x, y = random_dataset(rng, n=40)

@@ -209,7 +209,7 @@ class TestRunNight:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_matches_naive_resimulation(self, seed):
         record, _, _ = generate_night(
-            default_profile(), duration_s=7200, seed=seed, night_id="o", subject_id="o"
+            default_profile(), duration_s=7200, seed=seed, night_id="o"
         )
         epochs = run_night(record)
         oracle = _oracle_night(_series_with_holes(record))
@@ -228,7 +228,7 @@ class TestRunNight:
         holes = zeros = undefined = 0
         for seed in range(20):
             record, _, _ = generate_night(
-                default_profile(), duration_s=7200, seed=seed, night_id="o", subject_id="o"
+                default_profile(), duration_s=7200, seed=seed, night_id="o"
             )
             if seed % 2:
                 keep = (record.t < 3000) | (record.t >= 3400)

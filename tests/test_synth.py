@@ -125,10 +125,6 @@ class TestGenerateNight:
         assert len(rem) >= 3
         assert max(rem[1:]) > rem[0]
 
-    def test_labels_attached_to_record(self):
-        record, intervals, _ = generate_night(default_profile(), 3600, seed=8)
-        assert record.labels == tuple(intervals)
-
 
 class TestGenerateCohort:
     def test_efficiencies_step_across_range(self):
