@@ -37,12 +37,22 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
-def _write_json(path, doc):
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _json_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _write_confusion_csv(path, confusion):
-    _write_text(path, "\n".join(evaluation.confusion_to_csv(confusion, STAGE_NAMES)) + "\n")
+def _confusion_csv(confusion) -> str:
+    return "\n".join(evaluation.confusion_to_csv(confusion, STAGE_NAMES)) + "\n"
+
+
+def _write_outputs(out_dir, outputs: dict[str, str]):
+    """Create out_dir and write each named text into it. Commands call this
+    only once every output is computed, so a run that fails its checks
+    leaves no directory and no partial set of files behind."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        _write_text(out_dir / name, text)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +195,8 @@ def _metric_block(true_stages, predicted) -> dict:
 
 def _cmd_evaluate(args) -> int:
     windows = _load_feature_files(args.features)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc: dict = {}
+    outputs = {}
 
     if args.kfold:
         if not args.model_kind:
@@ -218,10 +227,11 @@ def _cmd_evaluate(args) -> int:
         doc["kind"] = model.kind
         doc["n_train"] = len(train)
         doc["n_test"] = len(test)
-        _write_confusion_csv(out_dir / "confusion.csv", block["confusion"])
+        outputs["confusion.csv"] = _confusion_csv(block["confusion"])
         summary = block
 
-    _write_json(out_dir / "metrics.json", doc)
+    outputs["metrics.json"] = _json_text(doc)
+    _write_outputs(args.out_dir, outputs)
     print(f"accuracy={summary['accuracy']:.4f} macro_f1={summary['macro_f1']:.4f} "
           f"rmse={summary['rmse']:.4f}")
     return 0
@@ -244,18 +254,14 @@ def _scripted_efficiency(intervals) -> float:
 
 
 def _cmd_report(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc: dict = {}
-    wrote = []
+    outputs = {}
 
     if args.night:
         record = ingest.load_night(args.night, night_id=_night_stem(args.night))
         epochs = sleepwake.run_night(record)
         hr = preprocess.raw_hr_series(record)
-        _write_text(out_dir / "threshold_trace.svg",
-                    report.threshold_trace_svg(hr, epochs))
-        wrote.append("threshold_trace.svg")
+        outputs["threshold_trace.svg"] = report.threshold_trace_svg(hr, epochs)
         doc["sleepwake"] = {
             "efficiency": sleepwake.sleep_efficiency(epochs),
             "onset_s": sleepwake.sleep_onset_latency(epochs),
@@ -269,21 +275,15 @@ def _cmd_report(args) -> int:
             cleaned = preprocess.clean_for_features(record)
             aligned = ingest.align_labels(cleaned, intervals)
             predicted = models.predict_hypnogram(model, cleaned)
-            _write_text(
-                out_dir / "hypnogram_pair.svg",
-                report.hypnogram_pair_svg(_fill_codes(aligned), predicted),
-            )
-            wrote.append("hypnogram_pair.svg")
+            outputs["hypnogram_pair.svg"] = report.hypnogram_pair_svg(
+                _fill_codes(aligned), predicted)
             windows = features.window_night(cleaned, aligned)
             block = _metric_block(windows.y, models.predict(model, windows.x))
             doc["windows"] = block
             doc["windows"]["kind"] = model.kind
-            _write_text(
-                out_dir / "confusion_heatmap.svg",
-                report.confusion_heatmap_svg(block["confusion"], STAGE_NAMES),
-            )
-            _write_confusion_csv(out_dir / "confusion.csv", block["confusion"])
-            wrote.extend(["confusion_heatmap.svg", "confusion.csv"])
+            outputs["confusion_heatmap.svg"] = report.confusion_heatmap_svg(
+                block["confusion"], STAGE_NAMES)
+            outputs["confusion.csv"] = _confusion_csv(block["confusion"])
 
     if args.cohort_dir:
         cohort = sorted(Path(args.cohort_dir).glob("*.ndjson"))
@@ -299,14 +299,13 @@ def _cmd_report(args) -> int:
             ref.append(_scripted_efficiency(intervals))
         summary = evaluation.efficiency_comparison(algo, ref, ids)
         doc["efficiency"] = summary
-        _write_text(out_dir / "efficiency_box.svg", report.efficiency_box_svg(summary))
-        wrote.append("efficiency_box.svg")
+        outputs["efficiency_box.svg"] = report.efficiency_box_svg(summary)
 
     if not doc:
         raise ValueError("nothing to report: pass --night and/or --cohort-dir")
-    _write_json(out_dir / "metrics.json", doc)
-    wrote.append("metrics.json")
-    print(f"wrote {', '.join(wrote)} in {out_dir}")
+    outputs["metrics.json"] = _json_text(doc)
+    _write_outputs(args.out_dir, outputs)
+    print(f"wrote {', '.join(outputs)} in {Path(args.out_dir)}")
     return 0
 
 

@@ -9,6 +9,10 @@ and the lower threshold; a tied leaf majority, forest vote or naive Bayes
 posterior goes to the lowest stage code (wake first); a tied kNN vote goes
 to the nearest neighbor whose class is among the winners.
 
+Both costly loops use every usable CPU, with no setting: the forest grows
+its trees in forked worker processes, and kNN answers its queries in chunks
+on one thread per CPU. Neither changes a result.
+
 Models serialize to a versioned JSON document and round-trip exactly.
 """
 
@@ -18,6 +22,7 @@ import json
 import math
 import multiprocessing
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -220,30 +225,37 @@ def _best_split(x, y, idx, feats):
     float rounding pulls a midpoint up onto the right value it falls back to
     the left value so the cut still separates. Ties go to the earlier feature
     and the lower threshold (strict improvement required to displace).
+
+    Class counts and their sums of squares are exact int64; as doubles they
+    are the same integers (below 2**53 up to about 9e7 rows), so each Gini is
+    the same float a float count would give.
     """
     ysub = y[idx]
     m = idx.size
     counts = np.bincount(ysub, minlength=4)
     parent = _gini(counts, m)
     best = (-1, 0.0, 0.0)
-    for f in feats:
-        col = x[idx, f]
+    # a class absent from the node adds nothing to any sum of squares
+    present = np.flatnonzero(counts)
+    have = counts[present]
+    # one cumsum runs over the (class, row) indicators flattened class by
+    # class, so each class's running count starts at the totals before it
+    before = (np.cumsum(have) - have)[:, None]
+    for f, col in zip(feats, x[idx[:, None], feats].T):
         # tie order within equal values never matters: cut points sit only at
         # transitions between distinct values, so plain sort is safe
         order = np.argsort(col)
         sx = col[order]
         if sx[0] == sx[-1]:
             continue
-        onehot = np.zeros((m, 4))
-        onehot[np.arange(m), ysub[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
         pos = np.nonzero(sx[:-1] != sx[1:])[0]
+        running = np.cumsum(ysub[order] == present[:, None]).reshape(present.size, m)
+        left = np.take(running, pos, axis=1) - before
+        right = have[:, None] - left
         nl = (pos + 1).astype(float)
         nr = m - nl
-        left_counts = cum[pos]
-        right_counts = counts - left_counts
-        gini_l = 1.0 - (left_counts * left_counts).sum(axis=1) / (nl * nl)
-        gini_r = 1.0 - (right_counts * right_counts).sum(axis=1) / (nr * nr)
+        gini_l = 1.0 - (left * left).sum(axis=0).astype(float) / (nl * nl)
+        gini_r = 1.0 - (right * right).sum(axis=0).astype(float) / (nr * nr)
         weighted = (nl * gini_l + nr * gini_r) / m
         k = int(np.argmin(weighted))
         gain = parent - float(weighted[k])
@@ -486,29 +498,41 @@ class Knn:
         self.x_std = np.asarray(x_std, dtype=float)
         self.y = np.asarray(y, dtype=np.int64)
 
-    def _sq_distances(self, q: np.ndarray) -> np.ndarray:
-        # |q - t|^2 expanded so one matmul does the heavy lifting.
-        qq = (q * q).sum(axis=1)[:, None]
-        tt = (self.x_std * self.x_std).sum(axis=1)[None, :]
-        return qq + tt - 2.0 * (q @ self.x_std.T)
-
     def neighbors(self, rows) -> np.ndarray:
-        """(n, k) training-row indices by increasing distance, ties by index."""
+        """(n, k) training-row indices by increasing distance, ties by index.
+
+        Queries go in chunks of 256 rows, one thread per usable CPU: numpy
+        releases the interpreter lock in the matmul, the ufuncs and the
+        partition, and each chunk fills its own rows of the result.
+        """
         q = standardize_apply(_as_matrix(rows), (self.mean, self.std))
-        n_train = self.x_std.shape[0]
-        out = np.empty((q.shape[0], self.k), dtype=np.int64)
+        k = self.k
+        x_std = self.x_std
+        tt = (x_std * x_std).sum(axis=1)
+        out = np.empty((q.shape[0], k), dtype=np.int64)
         chunk = 256
-        for lo in range(0, q.shape[0], chunk):
-            d2 = self._sq_distances(q[lo : lo + chunk])
+
+        def fill(lo: int):
+            qc = q[lo : lo + chunk]
+            # |q - t|^2 expanded so one matmul does the heavy lifting; the
+            # in-place steps give the bits of (qq + tt) - 2.0 * (q @ x.T)
+            d2 = (qc * qc).sum(axis=1)[:, None] + tt
+            qt = qc @ x_std.T
+            qt *= 2.0
+            d2 -= qt
+            del qt
             # partition pulls the k nearest in O(n); the tiny candidate set
             # (k plus any exact distance ties) is then ordered exactly
-            part = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-            for i in range(d2.shape[0]):
-                row = d2[i]
+            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            for i, row in enumerate(d2):
                 kth = row[part[i]].max()
                 cand = np.nonzero(row <= kth)[0]
                 order = np.lexsort((cand, row[cand]))
-                out[lo + i] = cand[order[: self.k]]
+                out[lo + i] = cand[order[:k]]
+
+        # leaving the block joins every thread, so a later fork copies none
+        with ThreadPoolExecutor(_usable_cpus()) as pool:
+            list(pool.map(fill, range(0, q.shape[0], chunk)))
         return out
 
     def predict_codes(self, x: np.ndarray) -> np.ndarray:

@@ -114,6 +114,15 @@ class TestDataErrors:
         assert code == 1
         assert "ValueError" in capsys.readouterr().err
 
+    def test_failed_evaluate_leaves_no_directory(self, workdir, tmp_path, capsys):
+        out_dir = tmp_path / "ek"
+        code = main(["evaluate", "--features", *feature_args(workdir, ("night00",)),
+                     "--kfold", "3", "--model-kind", "knn", "--k", "0",
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ValueError")
+        assert not out_dir.exists()
+
 
 class TestSynth:
     def test_files_written(self, workdir):
@@ -413,6 +422,17 @@ class TestReportCommand:
         code = main(["report", "--out-dir", str(tmp_path / "r")])
         assert code == 1
         assert "ValueError" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_failed_cohort_leaves_no_night_figure(self, workdir, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out_dir = tmp_path / "rp2"
+        code = main(["report", "--night", str(workdir / "nights" / "night00.ndjson"),
+                     "--cohort-dir", str(empty), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("AllMissing")
+        assert not out_dir.exists()
 
     def test_report_reruns_byte_identical(self, workdir, tmp_path):
         a, b = tmp_path / "ra", tmp_path / "rb"

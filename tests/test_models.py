@@ -9,6 +9,7 @@ against the memorization property of unlimited-depth CART.
 import math
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -191,6 +192,104 @@ class TestDecisionTree:
         text = model_to_json(tree)
         again = model_to_json(model_from_json(text))
         assert text == again
+
+
+def _float_best_split(x, y, idx, feats):
+    """The split search on float one-hot class counts, as it stood before the
+    counts became exact integers; the integer search must match it bit for bit."""
+    ysub = y[idx]
+    m = idx.size
+    counts = np.bincount(ysub, minlength=4)
+    parent = models._gini(counts, m)
+    best = (-1, 0.0, 0.0)
+    for f in feats:
+        col = x[idx, f]
+        order = np.argsort(col)
+        sx = col[order]
+        if sx[0] == sx[-1]:
+            continue
+        onehot = np.zeros((m, 4))
+        onehot[np.arange(m), ysub[order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        pos = np.nonzero(sx[:-1] != sx[1:])[0]
+        nl = (pos + 1).astype(float)
+        nr = m - nl
+        left_counts = cum[pos]
+        right_counts = counts - left_counts
+        gini_l = 1.0 - (left_counts * left_counts).sum(axis=1) / (nl * nl)
+        gini_r = 1.0 - (right_counts * right_counts).sum(axis=1) / (nr * nr)
+        weighted = (nl * gini_l + nr * gini_r) / m
+        k = int(np.argmin(weighted))
+        gain = parent - float(weighted[k])
+        if gain > best[2]:
+            cut = pos[k]
+            thr = (sx[cut] + sx[cut + 1]) / 2.0
+            if thr >= sx[cut + 1]:
+                thr = float(sx[cut])
+            best = (int(f), float(thr), gain)
+    return best
+
+
+def _split_case(kind, seed, m):
+    """Rows, labels, node rows and candidate features for one split search."""
+    rng = np.random.default_rng(seed)
+    n, d = m + 50, 10
+    x = rng.normal(size=(n, d))
+    y = rng.integers(0, 4, size=n)
+    if kind == "repeated":
+        x = rng.integers(0, 4, size=(n, d)).astype(float)
+        y = np.where(x[:, 2] + rng.integers(0, 2, size=n) > 2, 3, y % 2)
+    elif kind == "constant":
+        x[:, ::2] = 7.25
+    elif kind == "single-class":
+        y = np.full(n, 2)
+    elif kind == "adjacent":
+        # neighbouring doubles: some midpoints round up onto the right value
+        base = np.array([1.0 + 2.0**-52, 3.0, 0.1, 1e300, 5e-324])
+        lo = base[rng.integers(0, base.size, size=d)]
+        x = np.where(rng.random((n, d)) < 0.5, lo, np.nextafter(lo, np.inf))
+        y = np.where(x[:, 0] == lo[0], 1, 2) ^ (rng.random(n) < 0.1)
+    elif kind == "imbalanced":
+        # class counts above 4096 whose squares no float32 holds exactly
+        y = np.where(rng.random(n) < 0.9, 0, y)
+        y = np.where(x[:, 3] > 1.5, 3, y)
+    elif kind == "rounded":
+        x = np.round(x * 3.0) / 3.0
+        y = (x[:, 1] > 0.3).astype(np.int64) + 2 * (x[:, 4] < -0.2)
+    idx = np.sort(rng.choice(n, size=m, replace=False))
+    feats = np.sort(rng.choice(d, size=6, replace=False))
+    return x, y.astype(np.int64), idx, feats
+
+
+class TestIntegerSplitScoring:
+    """models._best_split against the float one-hot search, compared with ==."""
+
+    @pytest.mark.parametrize("kind", [
+        "repeated", "constant", "single-class", "adjacent", "imbalanced", "rounded",
+        "normal",
+    ])
+    @pytest.mark.parametrize("m", [2, 3, 17, 240, 1999, 6001])
+    def test_equals_float_counts(self, kind, m):
+        for seed in range(3):
+            case = _split_case(kind, seed + 1000 * m, m)
+            assert models._best_split(*case) == _float_best_split(*case)
+
+    def test_midpoint_fallback_takes_left_value(self):
+        lo = 1.0 + 2.0**-52
+        hi = np.nextafter(lo, np.inf)
+        assert (lo + hi) / 2.0 == hi  # the midpoint rounds up onto the right value
+        x = np.array([[lo], [lo], [hi], [hi]])
+        y = np.array([0, 0, 1, 1])
+        idx = np.arange(4)
+        got = models._best_split(x, y, idx, np.array([0]))
+        assert got == _float_best_split(x, y, idx, np.array([0])) == (0, lo, 0.5)
+
+    def test_grown_tree_equals_float_split_tree(self, monkeypatch):
+        x, y = random_dataset(np.random.default_rng(40), n=600, d=6, spread=1.0)
+        x = np.round(x, 1)
+        want = model_to_json(train_decision_tree(x, y))
+        monkeypatch.setattr(models, "_best_split", _float_best_split)
+        assert model_to_json(train_decision_tree(x, y)) == want
 
 
 class TestRandomForest:
@@ -396,6 +495,57 @@ class TestKnn:
         back = model_from_json(model_to_json(model))
         assert np.array_equal(predict(back, q), predict(model, q))
         assert model_to_json(back) == model_to_json(model)
+
+
+def _tied_knn_case(seed):
+    """Training rows drawn with replacement from 150 distinct points, so most
+    queries meet exact distance ties at the k-th neighbor, and 600 queries:
+    two full 256-row chunks and a partial third."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(150, 4))
+    x = base[rng.integers(0, 150, size=400)]
+    y = rng.integers(0, 4, size=400)
+    queries = np.concatenate([base[rng.integers(0, 150, size=300)],
+                              rng.normal(size=(300, 4))])
+    return x, y, queries
+
+
+class TestThreadedKnn:
+    """Query chunks run on one thread per usable CPU; the CPUs are claimed so
+    that the pool size does not depend on the host."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 5, 6])
+    def test_chunks_match_quadratic_scan(self, monkeypatch, cpus, k):
+        _cpus(monkeypatch, cpus)
+        x, y, queries = _tied_knn_case(k)
+        model = train_knn(x, y, k=k)
+        want_nbrs, want_preds = _knn_oracle(x, y, queries, k)
+        got = model.neighbors(queries)
+        assert got.dtype == np.int64 and got.shape == (600, k)
+        assert got.tolist() == want_nbrs.tolist()
+        assert predict(model, queries).tolist() == want_preds.tolist()
+
+    def test_zero_rows(self):
+        model = train_knn(*random_dataset(np.random.default_rng(3), n=30), k=4)
+        got = model.neighbors(np.empty((0, 6)))
+        assert got.dtype == np.int64 and got.shape == (0, 4)
+
+    def test_no_thread_outlives_the_query(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        x, y, queries = _tied_knn_case(9)
+        model = train_knn(x, y)
+        before = threading.active_count()
+        predict(model, queries)
+        assert threading.active_count() == before
+
+    def test_forest_after_query_equals_plain_loop(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        x, y, queries = _tied_knn_case(10)
+        train_knn(x, y).neighbors(queries)
+        params = ForestParams(n_trees=3, features_per_split=2)
+        got = model_to_json(train_random_forest(x, y, params, seed=4))
+        assert got == _plain_loop_forest_json(x, y, params, 4)
 
 
 def _nb_oracle_scores(model, x):
