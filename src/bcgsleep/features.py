@@ -79,14 +79,7 @@ def compute_stats(values: Sequence[float]) -> tuple[float, ...]:
     v = np.asarray(values, dtype=float)
     if v.shape != (WINDOW_LEN,):
         raise ValueError(f"expected exactly {WINDOW_LEN} values, got {v.shape}")
-    return (
-        float(np.mean(v)),
-        float(np.median(v)),
-        float(np.max(v)),
-        float(np.min(v)),
-        float(np.std(v)),
-        float(np.percentile(v, 75)),
-    )
+    return tuple(_window_stats(v[None, :])[0].tolist())
 
 
 def _window_stats(windows: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ from .features import (
     standardize_fit,
 )
 
-MODEL_SCHEMA = 1
+MODEL_SCHEMA = 2
 WINDOW_GROUPING = "window-level"
 NIGHT_GROUPING = "night-level"
 
@@ -118,15 +118,33 @@ def _as_codes(labels) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def _check_xy(x: np.ndarray, y: np.ndarray):
+def _training_set(rows, labels, model: str, min_rows: int = 0):
+    """(x, y) for a fit, checked in this order: fewer than min_rows rows is
+    TooFewItems, no rows EmptyTrainingSet(model), and a row count that is not
+    the label count ValueError."""
+    x = _as_matrix(rows)
+    y = _as_codes(labels)
+    if x.shape[0] < min_rows:
+        raise TooFewItems(x.shape[0], min_rows)
+    if x.shape[0] == 0:
+        raise EmptyTrainingSet(model)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"{x.shape[0]} rows vs {y.shape[0]} labels")
+    return x, y
 
 
 def _require(ok, detail: str):
     """A model document check: SchemaMismatch(detail) unless ok."""
     if not ok:
         raise SchemaMismatch(detail)
+
+
+def _params(doc: dict, names) -> dict:
+    """The document's params, which must hold exactly the given keys."""
+    p = doc["params"]
+    _require(set(p) == set(names),
+             f"{doc['kind']} params have keys {sorted(p)}, expected {sorted(names)}")
+    return p
 
 
 def _check_shape(a: np.ndarray, shape: tuple, what: str):
@@ -144,14 +162,6 @@ def _check_codes(codes: np.ndarray, what: str):
 @dataclass(frozen=True)
 class TreeParams:
     max_depth: Optional[int] = 20
-    min_samples_split: int = 2
-    criterion: str = "gini"
-
-    def __post_init__(self):
-        if self.criterion != "gini":
-            raise ValueError(f"unsupported criterion {self.criterion!r}")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be at least 2")
 
 
 class _FlatTree:
@@ -268,7 +278,7 @@ def _best_split(x, y, idx, feats):
     return best
 
 
-def _grow_tree(x, y, max_depth, min_samples_split, mtry, rng) -> _FlatTree:
+def _grow_tree(x, y, max_depth, mtry, rng) -> _FlatTree:
     n_features = x.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
@@ -287,11 +297,8 @@ def _grow_tree(x, y, max_depth, min_samples_split, mtry, rng) -> _FlatTree:
 
     def build(idx, depth) -> int:
         ysub = y[idx]
-        if (
-            idx.size < min_samples_split
-            or (max_depth is not None and depth >= max_depth)
-            or (ysub == ysub[0]).all()
-        ):
+        # a one-row node is pure, and no split leaves a side empty
+        if (max_depth is not None and depth >= max_depth) or (ysub == ysub[0]).all():
             return leaf(ysub)
         if mtry is None or mtry >= n_features:
             feats = np.arange(n_features)
@@ -321,26 +328,20 @@ class DecisionTree:
     def __init__(self, params: TreeParams, n_features: int, tree: _FlatTree):
         self.params = params
         self.n_features = n_features
-        self.seed = None
         self._tree = tree
 
     def predict_codes(self, x: np.ndarray) -> np.ndarray:
         return self._tree.predict_codes(x)
 
     def params_dict(self) -> dict:
-        return {
-            "criterion": self.params.criterion,
-            "max_depth": self.params.max_depth,
-            "min_samples_split": self.params.min_samples_split,
-        }
+        return asdict(self.params)
 
     def state_dict(self) -> dict:
         return {"n_features": self.n_features, "tree": self._tree.to_state()}
 
     @classmethod
     def from_document(cls, doc: dict) -> "DecisionTree":
-        p = doc["params"]
-        params = TreeParams(p["max_depth"], p["min_samples_split"], p["criterion"])
+        params = TreeParams(**_params(doc, [f.name for f in fields(TreeParams)]))
         state = doc["state"]
         n_features = int(state["n_features"])
         return cls(params, n_features, _FlatTree.from_state(state["tree"], n_features))
@@ -348,12 +349,8 @@ class DecisionTree:
 
 def train_decision_tree(rows, labels, params: TreeParams = TreeParams()) -> DecisionTree:
     """Greedy CART fit; unlimited depth on distinct rows separates perfectly."""
-    x = _as_matrix(rows)
-    y = _as_codes(labels)
-    if x.shape[0] == 0:
-        raise EmptyTrainingSet("decision tree")
-    _check_xy(x, y)
-    tree = _grow_tree(x, y, params.max_depth, params.min_samples_split, None, None)
+    x, y = _training_set(rows, labels, "decision tree")
+    tree = _grow_tree(x, y, params.max_depth, None, None)
     return DecisionTree(params, x.shape[1], tree)
 
 
@@ -367,7 +364,6 @@ class ForestParams:
     features_per_split: int = 6
     bootstrap: bool = True
     max_depth: Optional[int] = 20
-    min_samples_split: int = 2
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -397,13 +393,7 @@ class RandomForest:
         return np.argmax(votes, axis=1)
 
     def params_dict(self) -> dict:
-        return {
-            "bootstrap": self.params.bootstrap,
-            "features_per_split": self.params.features_per_split,
-            "max_depth": self.params.max_depth,
-            "min_samples_split": self.params.min_samples_split,
-            "n_trees": self.params.n_trees,
-        }
+        return {**asdict(self.params), "seed": self.seed}
 
     def state_dict(self) -> dict:
         return {
@@ -413,15 +403,12 @@ class RandomForest:
 
     @classmethod
     def from_document(cls, doc: dict) -> "RandomForest":
-        p = doc["params"]
-        params = ForestParams(
-            p["n_trees"], p["features_per_split"], p["bootstrap"],
-            p["max_depth"], p["min_samples_split"],
-        )
+        p = dict(_params(doc, [f.name for f in fields(ForestParams)] + ["seed"]))
+        seed = int(p.pop("seed"))
         state = doc["state"]
         n_features = int(state["n_features"])
         trees = [_FlatTree.from_state(s, n_features) for s in state["trees"]]
-        return cls(params, n_features, int(doc["seed"]), trees)
+        return cls(ForestParams(**p), n_features, seed, trees)
 
 
 def _usable_cpus() -> int:
@@ -437,7 +424,7 @@ def _forest_tree(job: tuple, i: int) -> _FlatTree:
     n = x.shape[0]
     rng = _tree_rng(seed, i)
     idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-    return _grow_tree(x[idx], y[idx], params.max_depth, params.min_samples_split, mtry, rng)
+    return _grow_tree(x[idx], y[idx], params.max_depth, mtry, rng)
 
 
 # The job of a forked forest worker; only the pool's initializer sets it, in the worker.
@@ -465,11 +452,7 @@ def train_random_forest(
     cannot fork, the same trees are grown in a plain loop. Either way the
     forest is byte-identical for a given seed.
     """
-    x = _as_matrix(rows)
-    y = _as_codes(labels)
-    if x.shape[0] == 0:
-        raise EmptyTrainingSet("random forest")
-    _check_xy(x, y)
+    x, y = _training_set(rows, labels, "random forest")
     job = (x, y, params, min(params.features_per_split, x.shape[1]), seed)
     workers = min(params.n_trees, _usable_cpus())
     tree_ids = range(params.n_trees)
@@ -492,7 +475,6 @@ class Knn:
     def __init__(self, k, n_features, mean, std, x_std, y):
         self.k = k
         self.n_features = n_features
-        self.seed = None
         self.mean = np.asarray(mean, dtype=float)
         self.std = np.asarray(std, dtype=float)
         self.x_std = np.asarray(x_std, dtype=float)
@@ -505,8 +487,11 @@ class Knn:
         releases the interpreter lock in the matmul, the ufuncs and the
         partition, and each chunk fills its own rows of the result.
         """
-        q = standardize_apply(_as_matrix(rows), (self.mean, self.std))
         k = self.k
+        q = _as_matrix(rows)
+        if q.shape[0] == 0:
+            return np.empty((0, k), dtype=np.int64)
+        q = standardize_apply(q, (self.mean, self.std))
         x_std = self.x_std
         tt = (x_std * x_std).sum(axis=1)
         out = np.empty((q.shape[0], k), dtype=np.int64)
@@ -560,7 +545,7 @@ class Knn:
     def from_document(cls, doc: dict) -> "Knn":
         state = doc["state"]
         model = cls(
-            int(doc["params"]["k"]), int(state["n_features"]),
+            int(_params(doc, ["k"])["k"]), int(state["n_features"]),
             state["mean"], state["std"], state["x"], state["y"],
         )
         _require(model.y.ndim == 1, "knn y must be a flat list")
@@ -577,11 +562,7 @@ def train_knn(rows, labels, k: int = 5) -> Knn:
     """Store the standardized training set; all work happens at query time."""
     if k < 1:
         raise ValueError(f"knn k must be at least 1, got {k}")
-    x = _as_matrix(rows)
-    y = _as_codes(labels)
-    if x.shape[0] < k:
-        raise TooFewItems(x.shape[0], k)
-    _check_xy(x, y)
+    x, y = _training_set(rows, labels, "knn", min_rows=k)
     mean, std = standardize_fit(x)
     return Knn(k, x.shape[1], mean, std, standardize_apply(x, (mean, std)), y)
 
@@ -595,7 +576,6 @@ class GaussianNB:
 
     def __init__(self, n_features, classes, prior, mean, var):
         self.n_features = n_features
-        self.seed = None
         self.classes = np.asarray(classes, dtype=np.int64)
         self.prior = np.asarray(prior, dtype=float)
         self.mean = np.asarray(mean, dtype=float)
@@ -615,7 +595,7 @@ class GaussianNB:
         return self.classes[np.argmax(self.log_posterior(x), axis=1)]
 
     def params_dict(self) -> dict:
-        return {"var_smoothing": 1e-9}
+        return {}
 
     def state_dict(self) -> dict:
         return {
@@ -628,6 +608,7 @@ class GaussianNB:
 
     @classmethod
     def from_document(cls, doc: dict) -> "GaussianNB":
+        _params(doc, [])
         state = doc["state"]
         model = cls(
             int(state["n_features"]), state["classes"], state["prior"],
@@ -645,11 +626,7 @@ class GaussianNB:
 
 
 def train_gaussian_nb(rows, labels) -> GaussianNB:
-    x = _as_matrix(rows)
-    y = _as_codes(labels)
-    if x.shape[0] == 0:
-        raise EmptyTrainingSet("naive Bayes")
-    _check_xy(x, y)
+    x, y = _training_set(rows, labels, "naive Bayes")
     classes = np.unique(y)
     # Smoothing keeps zero-variance features finite without dominating real
     # spread; the smoothed variance is what gets stored and serialized.
@@ -674,8 +651,6 @@ _KINDS = {
     "Knn": Knn,
     "GaussianNB": GaussianNB,
 }
-
-StageModel = DecisionTree | RandomForest | Knn | GaussianNB
 
 
 def predict(model, rows) -> np.ndarray:
@@ -709,7 +684,6 @@ def model_to_json(model) -> str:
         "schema": MODEL_SCHEMA,
         "kind": model.kind,
         "params": model.params_dict(),
-        "seed": model.seed,
         "state": model.state_dict(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -723,7 +697,10 @@ def model_from_json(text: str):
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"model document must be a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != MODEL_SCHEMA:
-        raise SchemaMismatch(f"unsupported model schema {doc.get('schema')!r}")
+        raise SchemaMismatch(
+            f"unsupported model schema {doc.get('schema')!r}; this version reads "
+            f"schema {MODEL_SCHEMA}, so retrain the model"
+        )
     kind = doc.get("kind")
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:

@@ -259,7 +259,7 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--train-fraction", "0.5"]) == 0
         doc = json.loads(out.read_text())
         assert doc["params"]["n_trees"] == 2 and doc["params"]["max_depth"] == 3
-        assert doc["seed"] == -4
+        assert doc["params"]["seed"] == -4
 
 
 class TestEvaluateCommand:
@@ -315,7 +315,8 @@ def _sha256(path) -> str:
 
 # Artifacts of the workdir cohort (synth seed 11) as produced before feature
 # windows, night records and per-second series became columnar; a refactor
-# must reproduce them byte for byte.
+# must reproduce them byte for byte. The four model digests are those of
+# model schema 2, whose state objects equal schema 1's.
 GOLDEN_SHA256 = {
     "nights/night00.ndjson": "c9a52144c1926b0a58614f21c52e1d59f22ca83b386d32356a603a66245a1abb",
     "nights/night00.labels.json": "c1d697ab0330ecae9b2e4cdc12df1d9ed7c90d8ee8c13d35036c16eb2820aa22",
@@ -326,10 +327,10 @@ GOLDEN_SHA256 = {
     "features/night00.features.csv": "893a92137de425cc3da786db6fdefe55d8a2ec4ef126d65d1b549b451de463ee",
     "features/night01.features.csv": "d298929664027b6ff77bd7e933ea1130e60e89f9d7812321b5274aec152a341f",
     "features/night02.features.csv": "53e6e6195b7a5625d6ec3fa68d00c00334478c0733e79991d9c2adeec63db2d0",
-    "tree.json": "d9f7bdfb3e17664a539e0991a55d80521b45235368070c5ec13d46fcda78f98a",
-    "forest.json": "2cd9a0c8347e6134f3946ff47b407b119dcfc723cfca7a54ae016b02c14fd0d2",
-    "knn.json": "6f41127d0fd5b1dee8a09de9561a7c53db19f670ce80d7d1342e9e5ab5cb918a",
-    "nb.json": "b409beae8b495814cf6be5a9856de5486b7fb0281fddac9af2356d0b5bf94d59",
+    "tree.json": "7f014044566ef889199d0da48eedc9c11b551bbe5dbab849ce58a211faaca626",
+    "forest.json": "48556323e27e0a91f4e12b0fccbbe8e966728fc1ed13f627692bea8924c99966",
+    "knn.json": "84219420367c018940ed4bb6ffa41653b56635d7f1a05413f7f0df1dac6cb8cf",
+    "nb.json": "467d685f2a362452b7bd54fce5ad6c8774c6f53767726e1abca2fb83da073f95",
     "eval-tree/metrics.json": "149823729821bfea0a378b958af8a0b94e7edbad40036ed336ff7d876bc2cb17",
     "eval-tree/confusion.csv": "25c66261954b51c59085183af3337e3de6e5b6a58b699b6f1124c28d4b4d2076",
     "eval-forest/metrics.json": "1be705670f4d1d412f25de3c8a6f950512f749f5fa01e1e511279a7d62e78c9d",

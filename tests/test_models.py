@@ -356,8 +356,7 @@ def _plain_loop_forest_json(x, y, params, seed):
     for i in range(params.n_trees):
         rng = models._tree_rng(seed, i)
         idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        trees.append(models._grow_tree(
-            x[idx], y[idx], params.max_depth, params.min_samples_split, mtry, rng))
+        trees.append(models._grow_tree(x[idx], y[idx], params.max_depth, mtry, rng))
     return model_to_json(models.RandomForest(params, x.shape[1], seed, trees))
 
 
@@ -400,10 +399,10 @@ class TestParallelForest:
         parent = os.getpid()
         grow = models._grow_tree
 
-        def fail_tree_three(x, y, max_depth, min_samples_split, mtry, rng):
+        def fail_tree_three(x, y, max_depth, mtry, rng):
             if rng.bit_generator.seed_seq.entropy[1] == 3:
                 raise TreeFailure(os.getpid())
-            return grow(x, y, max_depth, min_samples_split, mtry, rng)
+            return grow(x, y, max_depth, mtry, rng)
 
         monkeypatch.setattr(models, "_grow_tree", fail_tree_three)
         x, y = random_dataset(np.random.default_rng(9), n=60)
@@ -529,6 +528,11 @@ class TestThreadedKnn:
     def test_zero_rows(self):
         model = train_knn(*random_dataset(np.random.default_rng(3), n=30), k=4)
         got = model.neighbors(np.empty((0, 6)))
+        assert got.dtype == np.int64 and got.shape == (0, 4)
+
+    def test_empty_list(self):
+        model = train_knn(*random_dataset(np.random.default_rng(3), n=30, d=3), k=4)
+        got = model.neighbors([])
         assert got.dtype == np.int64 and got.shape == (0, 4)
 
     def test_no_thread_outlives_the_query(self, monkeypatch):
@@ -673,21 +677,46 @@ class TestSerialization:
     def test_schema_field_pinned(self):
         import json
 
-        doc = json.loads(model_to_json(self.all_models()[0]))
-        assert doc["schema"] == 1
-        assert set(doc) == {"schema", "kind", "params", "seed", "state"}
+        want = {
+            "DecisionTree": {"max_depth": 20},
+            "RandomForest": {"bootstrap": True, "features_per_split": 6,
+                             "max_depth": 20, "n_trees": 3, "seed": 1},
+            "Knn": {"k": 5},
+            "GaussianNB": {},
+        }
+        for model in self.all_models():
+            doc = json.loads(model_to_json(model))
+            assert doc["schema"] == 2
+            assert set(doc) == {"schema", "kind", "params", "state"}
+            assert doc["params"] == want[doc["kind"]]
 
     def test_bad_documents_rejected(self):
         with pytest.raises(SchemaMismatch):
             model_from_json("not json at all {")
         with pytest.raises(SchemaMismatch):
-            model_from_json('{"schema":2,"kind":"DecisionTree"}')
+            model_from_json('{"schema":3,"kind":"DecisionTree"}')
         with pytest.raises(SchemaMismatch):
-            model_from_json('{"schema":1,"kind":"Perceptron"}')
+            model_from_json('{"schema":2,"kind":"Perceptron"}')
+
+    def test_schema_1_document_rejected(self):
+        """A schema-1 file (top-level seed, criterion and min_samples_split
+        in params) is refused by its schema number, with no second path."""
+        text = (
+            '{"kind":"DecisionTree","params":{"criterion":"gini","max_depth":20,'
+            '"min_samples_split":2},"schema":1,"seed":null,"state":{"n_features":1,'
+            '"tree":{"feature":[-1],"label":[0],"left":[0],"right":[0],"threshold":[0.0]}}}'
+        )
+        with pytest.raises(SchemaMismatch, match="schema 1"):
+            model_from_json(text)
+        for model in self.all_models():
+            current = model_to_json(model).replace('"schema":2', '"schema":1')
+            with pytest.raises(SchemaMismatch, match="schema 1"):
+                model_from_json(current)
 
     @pytest.mark.parametrize("text", [
         "[1]", "3", '"model"', "null",
         '{"schema":1,"kind":["Knn"]}',
+        '{"schema":2,"kind":["Knn"]}',
     ])
     def test_non_object_documents_rejected(self, text):
         with pytest.raises(SchemaMismatch):
@@ -715,16 +744,27 @@ class TestSerialization:
         ("GaussianNB", lambda st, p: st["classes"].__setitem__(0, 9)),
         ("GaussianNB", lambda st, p: st["var"][0].__setitem__(0, 0.0)),
         ("GaussianNB", lambda st, p: st.update(classes=[], prior=[], mean=[], var=[])),
+        ("DecisionTree", lambda st, p: p.pop("max_depth")),
+        ("DecisionTree", lambda st, p: p.update(criterion="gini")),
+        ("DecisionTree", lambda st, p: p.update(min_samples_split=2)),
+        ("RandomForest", lambda st, p: p.pop("seed")),
+        ("RandomForest", lambda st, p: p.update(criterion="gini")),
+        ("Knn", lambda st, p: p.update(seed=None)),
+        ("GaussianNB", lambda st, p: p.update(var_smoothing=1e-9)),
     ], ids=[
         "knn-mean", "knn-std", "knn-x", "knn-y", "knn-code", "knn-k-above-rows",
         "knn-k-zero", "tree-child-past-end", "tree-child-loops-back",
         "tree-feature-too-large", "tree-feature-below-leaf", "tree-leaf-code",
         "tree-ragged", "tree-no-nodes", "forest-child-negative", "nb-mean",
         "nb-prior", "nb-code", "nb-zero-var", "nb-no-classes",
+        "tree-params-no-max-depth", "tree-params-criterion",
+        "tree-params-min-samples-split", "forest-params-no-seed",
+        "forest-params-criterion", "knn-params-seed", "nb-params-var-smoothing",
     ])
     def test_inconsistent_state_rejected(self, kind, edit):
         """Shapes against n_features, k against the stored rows, stage codes
-        in 0..3 and tree links are checked at load, not met at predict."""
+        in 0..3, tree links and the exact params keys are checked at load,
+        not met at predict."""
         import json
 
         rng = np.random.default_rng(32)
