@@ -18,7 +18,7 @@ import numpy as np
 
 from . import devicesim, evaluation, features, ingest, models, preprocess, report
 from . import sleepwake, synth
-from .core import STAGE_NAMES, Stage
+from .core import Stage
 from .errors import AllMissing, BcgSleepError
 
 MODEL_KINDS = ("tree", "forest", "knn", "nb")
@@ -42,7 +42,7 @@ def _json_text(doc) -> str:
 
 
 def _confusion_csv(confusion) -> str:
-    return "\n".join(evaluation.confusion_to_csv(confusion, STAGE_NAMES)) + "\n"
+    return "\n".join(evaluation.confusion_to_csv(confusion)) + "\n"
 
 
 def _write_outputs(out_dir, outputs: dict[str, str]):
@@ -60,14 +60,14 @@ def _write_outputs(out_dir, outputs: dict[str, str]):
 
 
 def _cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     nights = synth.generate_cohort(
         args.nights,
         seed=args.seed,
         duration_s=args.duration,
         efficiency_range=(args.efficiency_lo, args.efficiency_hi),
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for item in nights:
         rec = item.record
         ingest.save_night(rec, out / f"{rec.night_id}.ndjson")
@@ -277,12 +277,12 @@ def _cmd_report(args) -> int:
             predicted = models.predict_hypnogram(model, cleaned)
             outputs["hypnogram_pair.svg"] = report.hypnogram_pair_svg(
                 _fill_codes(aligned), predicted)
+            # window s's prediction is the hypnogram's second s
             windows = features.window_night(cleaned, aligned)
-            block = _metric_block(windows.y, models.predict(model, windows.x))
+            block = _metric_block(windows.y, predicted[windows.start_t])
             doc["windows"] = block
             doc["windows"]["kind"] = model.kind
-            outputs["confusion_heatmap.svg"] = report.confusion_heatmap_svg(
-                block["confusion"], STAGE_NAMES)
+            outputs["confusion_heatmap.svg"] = report.confusion_heatmap_svg(block["confusion"])
             outputs["confusion.csv"] = _confusion_csv(block["confusion"])
 
     if args.cohort_dir:

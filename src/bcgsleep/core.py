@@ -45,6 +45,9 @@ _NAME_TO_STAGE = dict(zip(STAGE_NAMES, Stage))
 
 VITAL_FIELDS = ("hr", "rr", "sv", "hrv", "b2b")
 
+# Per-second series span 0..last_t, so t is capped at one week of seconds.
+MAX_NIGHT_SECONDS = 7 * 24 * 3600
+
 
 class VitalsSample(NamedTuple):
     """One second of the five post-processed BCG signals: a row of a
@@ -80,11 +83,11 @@ class StageInterval:
 class NightRecord:
     """A time-ordered night of 1 Hz vitals as columns, under a night id.
 
-    t is int64[n], strictly increasing; vitals is float64[n, 5], row i the
-    second t[i], columns in file order VITAL_FIELDS. Every vital is finite
-    and non-negative; hr == 0 is the sensor's motion-artifact marker
-    (waveform defective), not a physiological reading. Both arrays are
-    read-only views.
+    t is int64[n], strictly increasing within [0, MAX_NIGHT_SECONDS); vitals
+    is float64[n, 5], row i the second t[i], columns in file order
+    VITAL_FIELDS. Every vital is finite and non-negative; hr == 0 is the
+    sensor's motion-artifact marker (waveform defective), not a physiological
+    reading. Both arrays are read-only views.
     """
 
     night_id: str
@@ -109,6 +112,9 @@ class NightRecord:
         bad_t = first_non_increasing(t)
         if bad_t is not None:
             raise ValueError(f"sample timestamps not strictly increasing at t={bad_t}")
+        if t.size and not (t[0] >= 0 and t[-1] < MAX_NIGHT_SECONDS):
+            raise ValueError(f"sample timestamps {t[0]}..{t[-1]} are not all in "
+                             f"[0, {MAX_NIGHT_SECONDS}), the maximum night length")
 
     @property
     def samples(self) -> tuple[VitalsSample, ...]:
@@ -123,20 +129,8 @@ class NightRecord:
         return compute_gaps(self.t)
 
     @property
-    def first_t(self) -> int:
-        return int(self.t[0]) if self.t.size else 0
-
-    @property
     def last_t(self) -> int:
         return int(self.t[-1]) if self.t.size else -1
-
-    @property
-    def span_seconds(self) -> int:
-        """Seconds covered from first to last sample inclusive (0 if empty)."""
-        return self.last_t - self.first_t + 1 if self.t.size else 0
-
-    def total_gap_seconds(self) -> int:
-        return sum(length for _, length in self.gaps)
 
 
 def check_vitals(t: np.ndarray, vitals: np.ndarray) -> None:

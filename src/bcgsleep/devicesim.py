@@ -24,7 +24,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .core import NightRecord, compute_gaps
 from .errors import InitialConnectFailure, MalformedRow
@@ -101,15 +101,10 @@ class StreamScript:
         return tuple(t for t in self.source.t.tolist() if self.window_at(t) is None)
 
 
-Endpoint = Union[str, tuple]
-
-
-def _split_endpoint(endpoint: Endpoint) -> tuple[str, int]:
-    if isinstance(endpoint, str):
-        host, _, port = endpoint.rpartition(":")
-        return host or "127.0.0.1", int(port)
-    host, port = endpoint
-    return host, int(port)
+def _split_endpoint(endpoint: str) -> tuple[str, int]:
+    """A "host:port" string as (host, port); an empty host is 127.0.0.1."""
+    host, _, port = endpoint.rpartition(":")
+    return host or "127.0.0.1", int(port)
 
 
 class DeviceServer:
@@ -153,12 +148,6 @@ class DeviceServer:
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self.finished.wait(timeout)
-
-    def __enter__(self) -> "DeviceServer":
-        return self.start()
-
-    def __exit__(self, *exc):
-        self.stop()
 
     def _tick(self):
         if self.script.tick_interval > 0:
@@ -220,7 +209,7 @@ class DeviceServer:
             self.finished.set()
 
 
-def serve_stream(script: StreamScript, endpoint: Endpoint = ("127.0.0.1", 0)) -> DeviceServer:
+def serve_stream(script: StreamScript, endpoint: str = "127.0.0.1:0") -> DeviceServer:
     """Bind and start a server; raises OSError if the endpoint is not bindable."""
     host, port = _split_endpoint(endpoint)
     return DeviceServer(script, host, port).start()
@@ -284,7 +273,7 @@ def _write_sidecar(sidecar: str, timestamps: list[int], gaps, dropped: int):
 
 
 def record_stream(
-    endpoint: Endpoint,
+    endpoint: str,
     output_path,
     policy: RetryPolicy = RetryPolicy(),
 ) -> RecordingResult:

@@ -9,13 +9,13 @@ taken on the integer stage codes.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betainc
 
+from .core import STAGE_NAMES
 from .errors import ConstantInput, LengthMismatch, TooFewPoints
-from .features import percentile
 
 N_STAGES = 4
 
@@ -104,25 +104,24 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
 def box_stats(values: Sequence[float]) -> dict[str, float]:
     """Five-number summary plus mean, quartiles by linear interpolation."""
     v = [float(x) for x in values]
+    q1, median, q3 = np.percentile(v, [25, 50, 75]).tolist()
     return {
         "mean": float(np.mean(v)),
         "min": min(v),
-        "q1": percentile(v, 25),
-        "median": percentile(v, 50),
-        "q3": percentile(v, 75),
+        "q1": q1,
+        "median": median,
+        "q3": q3,
         "max": max(v),
     }
 
 
 def efficiency_comparison(
-    algorithm: Sequence[float],
-    reference: Sequence[float],
-    night_ids: Optional[Sequence[str]] = None,
+    algorithm: Sequence[float], reference: Sequence[float], night_ids: Sequence[str]
 ) -> dict:
     """Per-night efficiency table with correlation and box-plot summaries.
 
     algorithm[i] and reference[i] are the two efficiency estimates for night
-    i. The result is plain JSON-serializable data.
+    night_ids[i]. The result is plain JSON-serializable data.
     """
     a = [float(v) for v in algorithm]
     b = [float(v) for v in reference]
@@ -130,8 +129,6 @@ def efficiency_comparison(
         raise LengthMismatch(len(a), len(b))
     if len(a) < 3:
         raise TooFewPoints(len(a), 3)
-    if night_ids is None:
-        night_ids = [f"night{i:02d}" for i in range(len(a))]
     ids = [str(n) for n in night_ids]
     if len(ids) != len(a):
         raise LengthMismatch(len(ids), len(a))
@@ -148,8 +145,8 @@ def efficiency_comparison(
     }
 
 
-def confusion_to_csv(cm: np.ndarray, stage_names: Sequence[str]):
+def confusion_to_csv(cm: np.ndarray):
     """CSV lines: header of true-stage columns, one row per predicted stage."""
-    yield "predicted\\true," + ",".join(stage_names)
-    for i, name in enumerate(stage_names):
+    yield "predicted\\true," + ",".join(STAGE_NAMES)
+    for i, name in enumerate(STAGE_NAMES):
         yield name + "," + ",".join(str(int(v)) for v in cm[i])

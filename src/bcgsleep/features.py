@@ -69,11 +69,6 @@ def _table(x: np.ndarray, y: np.ndarray, start_t: np.ndarray, night_id: str) -> 
     return FeatureTable(x, y, start_t, np.full(len(y), night_id))
 
 
-def percentile(values: Sequence[float], p: float) -> float:
-    """Linear-interpolation percentile at rank p*(n-1), p in [0, 100]."""
-    return float(np.percentile(np.asarray(values, dtype=float), p))
-
-
 def compute_stats(values: Sequence[float]) -> tuple[float, ...]:
     """(mean, median, max, min, population std, 75th percentile) of 10 values."""
     v = np.asarray(values, dtype=float)

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .core import (
+    MAX_NIGHT_SECONDS,
     STAGE_NAMES,
     VITAL_FIELDS,
     NightRecord,
@@ -49,8 +50,6 @@ def _check_format(fmt: str) -> str:
 
 # t indexes the seconds of the night, so it must be a non-negative int64
 _T_RANGE = range(0, 1 << 63)
-# Per-second series span 0..last_t, so t is capped at one week of seconds.
-MAX_NIGHT_SECONDS = 7 * 24 * 3600
 
 
 def _check_t(t, line_no: int) -> int:
@@ -189,20 +188,15 @@ def save_night(record: NightRecord, path, fmt: Optional[str] = None) -> None:
             fh.write("\n")
 
 
-def parse_labels(document) -> list[StageInterval]:
-    """Parse a label file (JSON text, file object, or already-decoded dict).
+def parse_labels(text: str) -> list[StageInterval]:
+    """Parse the text of a label file.
 
     Returns intervals sorted by start time. Unknown level names and
     overlapping intervals are rejected; a structurally bad level entry
     (missing keys, non-positive duration) raises MalformedRow with the
     entry's index.
     """
-    if isinstance(document, (str, bytes)):
-        doc = json.loads(document)
-    elif hasattr(document, "read"):
-        doc = json.load(document)
-    else:
-        doc = document
+    doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("levels"), list):
         raise MalformedRow(0, 'label file must be an object with a "levels" array')
 
@@ -242,7 +236,7 @@ def write_labels(night_id: str, intervals: Iterable[StageInterval]) -> str:
 
 def load_labels(path) -> list[StageInterval]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_labels(fh)
+        return parse_labels(fh.read())
 
 
 def align_labels(

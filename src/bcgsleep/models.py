@@ -23,7 +23,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -139,11 +139,30 @@ def _require(ok, detail: str):
         raise SchemaMismatch(detail)
 
 
-def _params(doc: dict, names) -> dict:
-    """The document's params, which must hold exactly the given keys."""
+def _n_features(state: dict) -> int:
+    _require(type(state["n_features"]) is int, "n_features must be an integer")
+    return state["n_features"]
+
+
+def _numbers(values, dtype, what: str) -> np.ndarray:
+    """A document list, possibly nested, as an int64 array of JSON integers (a
+    bool is not one) or a float array of finite JSON numbers."""
+    a = np.asarray(values, dtype=object)
+    _require(set(map(type, a.flat)) <= ({int, float} if dtype is float else {int}),
+             f"{what} must hold {dtype.__name__} values")
+    a = a.astype(dtype)
+    _require(np.isfinite(a).all(), f"{what} holds a value that is not finite")
+    return a
+
+
+def _params(doc: dict, types: dict) -> dict:
+    """The document's params: exactly the keys of types, each value of one of
+    its key's JSON types."""
     p = doc["params"]
-    _require(set(p) == set(names),
-             f"{doc['kind']} params have keys {sorted(p)}, expected {sorted(names)}")
+    _require(set(p) == set(types),
+             f"{doc['kind']} params have keys {sorted(p)}, expected {sorted(types)}")
+    for name, kinds in types.items():
+        _require(type(p[name]) in kinds, f"{doc['kind']} {name} has the wrong type")
     return p
 
 
@@ -205,10 +224,8 @@ class _FlatTree:
         ends at a leaf within len(feature) steps: each split's feature is
         below n_features and its children come after it; leaves (feature
         -1) carry a stage code."""
-        tree = cls(
-            state["feature"], state["threshold"], state["left"],
-            state["right"], state["label"],
-        )
+        tree = cls(*(_numbers(state[name], float if name == "threshold" else np.int64,
+                            f"tree {name}") for name in cls.__slots__))
         n = tree.feature.size
         _require(n > 0, "tree has no nodes")
         for name in cls.__slots__:
@@ -341,9 +358,9 @@ class DecisionTree:
 
     @classmethod
     def from_document(cls, doc: dict) -> "DecisionTree":
-        params = TreeParams(**_params(doc, [f.name for f in fields(TreeParams)]))
+        params = TreeParams(**_params(doc, {"max_depth": [int, type(None)]}))
         state = doc["state"]
-        n_features = int(state["n_features"])
+        n_features = _n_features(state)
         return cls(params, n_features, _FlatTree.from_state(state["tree"], n_features))
 
 
@@ -403,11 +420,13 @@ class RandomForest:
 
     @classmethod
     def from_document(cls, doc: dict) -> "RandomForest":
-        p = dict(_params(doc, [f.name for f in fields(ForestParams)] + ["seed"]))
-        seed = int(p.pop("seed"))
+        p = dict(_params(doc, {"n_trees": [int], "features_per_split": [int], "bootstrap": [bool],
+                               "max_depth": [int, type(None)], "seed": [int]}))
+        seed = p.pop("seed")
         state = doc["state"]
-        n_features = int(state["n_features"])
+        n_features = _n_features(state)
         trees = [_FlatTree.from_state(s, n_features) for s in state["trees"]]
+        _require(len(trees) == p["n_trees"], f"forest n_trees is not its {len(trees)} trees")
         return cls(ForestParams(**p), n_features, seed, trees)
 
 
@@ -545,8 +564,9 @@ class Knn:
     def from_document(cls, doc: dict) -> "Knn":
         state = doc["state"]
         model = cls(
-            int(_params(doc, ["k"])["k"]), int(state["n_features"]),
-            state["mean"], state["std"], state["x"], state["y"],
+            _params(doc, {"k": [int]})["k"], _n_features(state),
+            *(_numbers(state[key], float, f"knn {key}") for key in ("mean", "std", "x")),
+            _numbers(state["y"], np.int64, "knn y"),
         )
         _require(model.y.ndim == 1, "knn y must be a flat list")
         n, d = model.y.size, model.n_features
@@ -608,11 +628,12 @@ class GaussianNB:
 
     @classmethod
     def from_document(cls, doc: dict) -> "GaussianNB":
-        _params(doc, [])
+        _params(doc, {})
         state = doc["state"]
         model = cls(
-            int(state["n_features"]), state["classes"], state["prior"],
-            state["mean"], state["var"],
+            _n_features(state),
+            _numbers(state["classes"], np.int64, "naive Bayes classes"),
+            *(_numbers(state[k], float, f"naive Bayes {k}") for k in ("prior", "mean", "var")),
         )
         _require(model.classes.ndim == 1, "naive Bayes classes must be a flat list")
         c, d = model.classes.size, model.n_features
@@ -712,7 +733,7 @@ def model_from_json(text: str):
         return cls.from_document(doc)
     except KeyError as exc:
         raise SchemaMismatch(f"{kind} model document lacks {exc.args[0]!r}") from None
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise SchemaMismatch(f"{kind} model document is ill-typed: {exc}") from None
 
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Stage
+from .core import STAGE_NAMES, Stage
 from .sleepwake import EPOCH_LEN, SleepWakeEpoch, WakeState
 
 _FONT = "font-family='Helvetica,Arial,sans-serif'"
@@ -47,16 +47,20 @@ def _text(x, y, s, size=12, anchor="start", color="#333333") -> str:
     )
 
 
-def _hline_labels(body, x0, x1, y0, y1, lo, hi, unit, n=5):
-    for i in range(n):
-        frac = i / (n - 1)
-        val = lo + (hi - lo) * frac
+def _line(x1, y1, x2, y2, stroke: str, width) -> str:
+    return (f"<line x1='{_f(x1)}' y1='{_f(y1)}' x2='{_f(x2)}' y2='{_f(y2)}' "
+            f"stroke='{stroke}' stroke-width='{width}'/>")
+
+
+def _grid(body, x0, x1, y0, y1, lo, hi, label: str):
+    """Five horizontal grid lines from lo at y1 up to hi at y0, each with its
+    value, formatted by label, left of the axis."""
+    for i in range(5):
+        frac = i / 4
         y = y1 - (y1 - y0) * frac
-        body.append(
-            f"<line x1='{_f(x0)}' y1='{_f(y)}' x2='{_f(x1)}' y2='{_f(y)}' "
-            f"stroke='#e5e5e5' stroke-width='1'/>"
-        )
-        body.append(_text(x0 - 6, y + 4, f"{val:.0f}{unit}", size=10, anchor="end"))
+        body.append(_line(x0, y, x1, y, "#e5e5e5", 1))
+        body.append(_text(x0 - 6, y + 4, label.format(lo + (hi - lo) * frac),
+                          size=10, anchor="end"))
 
 
 def _polyline(points: Sequence[str], stroke: str, width: str) -> str:
@@ -64,11 +68,7 @@ def _polyline(points: Sequence[str], stroke: str, width: str) -> str:
             f"stroke='{stroke}' stroke-width='{width}'/>")
 
 
-def threshold_trace_svg(
-    hr_series: np.ndarray,
-    epochs: Sequence[SleepWakeEpoch],
-    title: str = "Heart rate and moving wake threshold",
-) -> str:
+def threshold_trace_svg(hr_series: np.ndarray, epochs: Sequence[SleepWakeEpoch]) -> str:
     """Per-second HR (NaN for holes, as raw_hr_series returns) with the
     per-epoch threshold and asleep shading."""
     width, height = 960, 320
@@ -87,8 +87,8 @@ def threshold_trace_svg(
     def sy(v):
         return y1 - (y1 - y0) * (v - lo) / (hi - lo)
 
-    body = [_text(x0, 22, title, size=14, color="#111111")]
-    _hline_labels(body, x0, x1, y0, y1, lo, hi, " bpm")
+    body = [_text(x0, 22, "Heart rate and moving wake threshold", size=14, color="#111111")]
+    _grid(body, x0, x1, y0, y1, lo, hi, "{:.0f} bpm")
 
     for e in epochs:
         if e.state is WakeState.ASLEEP:
@@ -140,10 +140,7 @@ def _hypnogram_panel(body, codes, x0, x1, y0, panel_h, label):
     body.append(_text(x0, y0 - 6, label, size=12, color="#111111"))
     for s in _STAGE_ROWS:
         y = sy(int(s))
-        body.append(
-            f"<line x1='{_f(x0)}' y1='{_f(y)}' x2='{_f(x1)}' y2='{_f(y)}' "
-            f"stroke='#eeeeee' stroke-width='1'/>"
-        )
+        body.append(_line(x0, y, x1, y, "#eeeeee", 1))
         body.append(_text(x0 - 6, y + 4, s.level_name, size=10, anchor="end"))
 
     # run-length compression keeps the path small and the bytes stable
@@ -151,45 +148,35 @@ def _hypnogram_panel(body, codes, x0, x1, y0, panel_h, label):
     runs = list(zip(starts.tolist(), [*starts[1:].tolist(), codes.size],
                     codes[starts].tolist()))
     for start, end, code in runs:
-        y = _f(sy(code))
-        body.append(
-            f"<line x1='{_f(sx(start))}' y1='{y}' x2='{_f(sx(end))}' y2='{y}' "
-            f"stroke='{_STAGE_COLORS[Stage(code)]}' stroke-width='4'/>"
-        )
-    for (s1, e1, c1), (s2, e2, c2) in zip(runs, runs[1:]):
-        body.append(
-            f"<line x1='{_f(sx(s2))}' y1='{_f(sy(c1))}' x2='{_f(sx(s2))}' "
-            f"y2='{_f(sy(c2))}' stroke='#b0b0b0' stroke-width='1'/>"
-        )
+        body.append(_line(sx(start), sy(code), sx(end), sy(code),
+                          _STAGE_COLORS[Stage(code)], 4))
+    for (_, _, c1), (s2, _, c2) in zip(runs, runs[1:]):
+        body.append(_line(sx(s2), sy(c1), sx(s2), sy(c2), "#b0b0b0", 1))
 
 
-def hypnogram_pair_svg(
-    reference: Sequence[int],
-    predicted: Sequence[int],
-    labels: tuple[str, str] = ("Reference hypnogram", "Predicted hypnogram"),
-) -> str:
+def hypnogram_pair_svg(reference: Sequence[int], predicted: Sequence[int]) -> str:
     """Two stacked per-second hypnograms sharing one time axis."""
     width, height = 960, 380
     x0, x1 = 70, width - 20
     body: list[str] = []
-    _hypnogram_panel(body, reference, x0, x1, 30, 140, labels[0])
-    _hypnogram_panel(body, predicted, x0, x1, 210, 140, labels[1])
+    _hypnogram_panel(body, reference, x0, x1, 30, 140, "Reference hypnogram")
+    _hypnogram_panel(body, predicted, x0, x1, 210, 140, "Predicted hypnogram")
     body.append(_text((x0 + x1) / 2, height - 8, "seconds", size=10, anchor="middle"))
     return _svg(width, height, body)
 
 
-def confusion_heatmap_svg(cm, stage_names: Sequence[str]) -> str:
+def confusion_heatmap_svg(cm) -> str:
     """4x4 heat map, predicted on rows, true on columns, counts printed."""
-    k = len(stage_names)
+    k = len(STAGE_NAMES)
     cell, x0, y0 = 90, 140, 80
     width, height = x0 + k * cell + 40, y0 + k * cell + 60
     counts = [[int(v) for v in row] for row in cm]
     peak = max(max(row) for row in counts) or 1
     body = [_text(x0, 30, "Stage confusion (rows predicted, columns true)",
                   size=14, color="#111111")]
-    for j, name in enumerate(stage_names):
+    for j, name in enumerate(STAGE_NAMES):
         body.append(_text(x0 + j * cell + cell / 2, y0 - 10, name, size=11, anchor="middle"))
-    for i, name in enumerate(stage_names):
+    for i, name in enumerate(STAGE_NAMES):
         body.append(_text(x0 - 10, y0 + i * cell + cell / 2 + 4, name, size=11, anchor="end"))
     body.append(_text(x0 - 95, y0 + k * cell / 2, "predicted", size=11, anchor="middle"))
     body.append(_text(x0 + k * cell / 2, y0 - 40, "true", size=11, anchor="middle"))
@@ -230,14 +217,7 @@ def efficiency_box_svg(summary: dict) -> str:
         return y1 - (y1 - y0) * (v - lo) / (hi - lo)
 
     body = [_text(x0, 26, "Sleep efficiency per night", size=14, color="#111111")]
-    for i in range(5):
-        val = lo + (hi - lo) * i / 4
-        y = sy(val)
-        body.append(
-            f"<line x1='{_f(x0)}' y1='{_f(y)}' x2='{_f(x1)}' y2='{_f(y)}' "
-            f"stroke='#e5e5e5' stroke-width='1'/>"
-        )
-        body.append(_text(x0 - 6, y + 4, f"{val:.2f}", size=10, anchor="end"))
+    _grid(body, x0, x1, y0, y1, lo, hi, "{:.2f}")
 
     slots = (("algorithm", "#2c7fb8"), ("reference", "#555555"))
     span = (x1 - x0) / len(slots)
@@ -246,29 +226,16 @@ def efficiency_box_svg(summary: dict) -> str:
         cx = x0 + span * (idx + 0.5)
         half = span * 0.18
         for v in (stats["min"], stats["max"]):
-            body.append(
-                f"<line x1='{_f(cx - half / 2)}' y1='{_f(sy(v))}' "
-                f"x2='{_f(cx + half / 2)}' y2='{_f(sy(v))}' "
-                f"stroke='{color}' stroke-width='1.5'/>"
-            )
-        body.append(
-            f"<line x1='{_f(cx)}' y1='{_f(sy(stats['min']))}' x2='{_f(cx)}' "
-            f"y2='{_f(sy(stats['q1']))}' stroke='{color}' stroke-width='1.5'/>"
-        )
-        body.append(
-            f"<line x1='{_f(cx)}' y1='{_f(sy(stats['q3']))}' x2='{_f(cx)}' "
-            f"y2='{_f(sy(stats['max']))}' stroke='{color}' stroke-width='1.5'/>"
-        )
+            body.append(_line(cx - half / 2, sy(v), cx + half / 2, sy(v), color, 1.5))
+        body.append(_line(cx, sy(stats["min"]), cx, sy(stats["q1"]), color, 1.5))
+        body.append(_line(cx, sy(stats["q3"]), cx, sy(stats["max"]), color, 1.5))
         body.append(
             f"<rect x='{_f(cx - half)}' y='{_f(sy(stats['q3']))}' width='{_f(2 * half)}' "
             f"height='{_f(sy(stats['q1']) - sy(stats['q3']))}' fill='none' "
             f"stroke='{color}' stroke-width='1.5'/>"
         )
-        body.append(
-            f"<line x1='{_f(cx - half)}' y1='{_f(sy(stats['median']))}' "
-            f"x2='{_f(cx + half)}' y2='{_f(sy(stats['median']))}' "
-            f"stroke='{color}' stroke-width='2.5'/>"
-        )
+        body.append(_line(cx - half, sy(stats["median"]), cx + half, sy(stats["median"]),
+                          color, 2.5))
         for n in nights:
             body.append(
                 f"<circle cx='{_f(cx + half * 1.6)}' cy='{_f(sy(n[key]))}' r='2.5' "

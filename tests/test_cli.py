@@ -8,9 +8,10 @@ import time
 
 import pytest
 
+from bcgsleep import models
 from bcgsleep.cli import _load_feature_files, main
 from bcgsleep.ingest import load_night, save_night
-from bcgsleep.models import load_model
+from bcgsleep.models import load_model, model_to_json
 
 from conftest import checkout_env
 
@@ -108,6 +109,42 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith("SchemaMismatch") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("kind, edit", [
+        ("knn", lambda doc: doc["state"]["y"].__setitem__(0, 10**30)),
+        ("knn", lambda doc: doc["state"]["y"].__setitem__(0, 1.7)),
+        ("tree", lambda doc: doc["state"]["tree"]["feature"].__setitem__(
+            0, doc["state"]["tree"]["feature"][0] + 0.9)),
+        ("tree", lambda doc: doc["state"]["tree"]["label"].__setitem__(
+            -1, doc["state"]["tree"]["label"][-1] + 0.5)),
+        ("forest", lambda doc: doc["params"].update(seed=2.7)),
+        ("forest", lambda doc: doc["params"].update(n_trees=10)),
+    ], ids=["knn-y-past-int64", "knn-y-fraction", "tree-feature-fraction",
+            "tree-leaf-label-fraction", "forest-seed-fraction", "forest-n-trees-not-stored"])
+    def test_ill_typed_model_value_exits_1(self, workdir, tmp_path, capsys, kind, edit):
+        """Values that used to overflow, or load truncated, are refused at load."""
+        model = tmp_path / "model.json"
+        assert main(["train", "--features", *feature_args(workdir), "--model", kind,
+                     "--n-trees", "3", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["evaluate", "--features", *feature_args(workdir),
+                     "--model", str(model), "--out-dir", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("SchemaMismatch") and len(err.splitlines()) == 1
+        assert not (tmp_path / "e").exists()
+
+    def test_night_past_a_week_exits_1_without_files(self, tmp_path, capsys):
+        out = tmp_path / "long"
+        code = main(["synth", "--nights", "1", "--duration", "605000", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError") and len(err.splitlines()) == 1
+        assert "maximum night length" in err
+        assert not out.exists()
+
     def test_evaluate_without_model_exits_1(self, workdir, tmp_path, capsys):
         code = main(["evaluate", "--features", *feature_args(workdir),
                      "--out-dir", str(tmp_path)])
@@ -176,6 +213,17 @@ class TestTrainCommand:
         assert code == 0
         assert load_model(out).kind == "DecisionTree"
         assert "trained DecisionTree" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ("--model", "tree", "--max-depth", "0"),
+        ("--model", "tree", "--max-depth", "-2"),
+        ("--model", "forest", "--n-trees", "2", "--max-depth", "-2", "--seed", "-4"),
+    ], ids=["tree-depth-0", "tree-depth-negative", "forest-negative-depth-and-seed"])
+    def test_trained_model_reloads_byte_identical(self, workdir, tmp_path, flags):
+        out = tmp_path / "model.json"
+        assert main(["train", "--features", *feature_args(workdir), *flags,
+                     "--out", str(out)]) == 0
+        assert model_to_json(load_model(out)) + "\n" == out.read_text()
 
     def test_knn_k_zero_exits_1_without_output(self, workdir, tmp_path, capsys):
         out = tmp_path / "knn.json"
@@ -410,6 +458,20 @@ class TestReportCommand:
         for name in ("threshold_trace.svg", "hypnogram_pair.svg",
                      "confusion_heatmap.svg", "confusion.csv", "metrics.json"):
             assert (out_dir / name).exists(), name
+
+    def test_report_predicts_each_window_once(self, workdir, tmp_path, monkeypatch):
+        """The window metrics come from the hypnogram, not a second predict."""
+        model = tmp_path / "tree.json"
+        assert main(["train", "--features", *feature_args(workdir),
+                     "--model", "tree", "--out", str(model)]) == 0
+        calls = []
+        predict = models.predict
+        monkeypatch.setattr(models, "predict",
+                            lambda m, rows: calls.append(len(rows)) or predict(m, rows))
+        night = workdir / "nights" / "night01"
+        assert main(["report", "--night", f"{night}.ndjson", "--labels", f"{night}.labels.json",
+                     "--model", str(model), "--out-dir", str(tmp_path / "rep")]) == 0
+        assert calls == [3600 - 9]
 
     def test_cohort_report(self, workdir, tmp_path):
         out_dir = tmp_path / "rep3"

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcgsleep.core import (
+    MAX_NIGHT_SECONDS,
     VITAL_FIELDS,
     NightRecord,
     Stage,
@@ -89,22 +90,25 @@ class TestNightRecord:
 
     def test_span_and_bounds(self):
         rec = make_record([make_sample(3), make_sample(9)])
-        assert rec.first_t == 3
         assert rec.last_t == 9
-        assert rec.span_seconds == 7
 
     def test_empty_record(self):
         rec = make_record([])
-        assert rec.span_seconds == 0
         assert rec.last_t == -1
 
-    def test_gap_total(self):
-        rec = make_record([make_sample(0), make_sample(10)])
-        assert rec.total_gap_seconds() == 9
+    @pytest.mark.parametrize("t", [[-1, 0, 1], [0, MAX_NIGHT_SECONDS]],
+                             ids=["negative", "past-a-week"])
+    def test_t_outside_a_week_rejected(self, t):
+        with pytest.raises(ValueError, match="maximum night length"):
+            make_record(make_sample(v) for v in t)
+
+    def test_last_second_of_a_week_accepted(self):
+        rec = make_record([make_sample(0), make_sample(MAX_NIGHT_SECONDS - 1)])
+        assert rec.last_t == MAX_NIGHT_SECONDS - 1
 
     def test_bounds_and_gaps_are_python_ints(self):
         rec = make_record([make_sample(3), make_sample(9)])
-        assert type(rec.first_t) is int and type(rec.last_t) is int
+        assert type(rec.last_t) is int
         assert all(type(v) is int for gap in rec.gaps for v in gap)
         assert rec.gaps == ((4, 5),)
 

@@ -85,7 +85,7 @@ class TestRetryPolicy:
 
 class TestRecorderAgainstServer:
     def run(self, script, tmp_path, policy=FAST):
-        srv = serve_stream(script, ("127.0.0.1", 0))
+        srv = serve_stream(script, "127.0.0.1:0")
         try:
             return srv, record_stream(srv.endpoint, tmp_path / "out.ndjson", policy)
         finally:
@@ -146,10 +146,10 @@ class TestRecorderAgainstServer:
 
     def test_rerecording_truncates_previous_output(self, tmp_path):
         script = script_of(12)
-        srv = serve_stream(script, ("127.0.0.1", 0))
+        srv = serve_stream(script, "127.0.0.1:0")
         record_stream(srv.endpoint, tmp_path / "out.ndjson", FAST)
         srv.stop()
-        srv2 = serve_stream(script_of(12), ("127.0.0.1", 0))
+        srv2 = serve_stream(script_of(12), "127.0.0.1:0")
         res = record_stream(srv2.endpoint, tmp_path / "out.ndjson", FAST)
         srv2.stop()
         rec = load_night(res.path)
@@ -159,7 +159,7 @@ class TestRecorderAgainstServer:
 class TestSingleClientRule:
     def test_second_client_is_cut(self):
         script = script_of(60, tick=0.05)
-        srv = serve_stream(script, ("127.0.0.1", 0))
+        srv = serve_stream(script, "127.0.0.1:0")
         try:
             first = socket.create_connection(srv.address)
             first.settimeout(5)
@@ -191,7 +191,7 @@ def record_lines(lines, out):
     sender = threading.Thread(target=send, daemon=True)
     sender.start()
     try:
-        return record_stream(listener.getsockname()[:2], out,
+        return record_stream(f"127.0.0.1:{listener.getsockname()[1]}", out,
                              RetryPolicy(retry_interval=0.02, deadline=0.3))
     finally:
         sender.join(timeout=5)
@@ -244,7 +244,7 @@ class TestLineValidation:
         probe.close()
         out = tmp_path / "never.ndjson"
         with pytest.raises(InitialConnectFailure):
-            record_stream(("127.0.0.1", port), out,
+            record_stream(f"127.0.0.1:{port}", out,
                           RetryPolicy(retry_interval=0.03, deadline=0.2))
         side = json.loads((tmp_path / "never.ndjson.gaps.json").read_text())
         assert side["n_samples"] == 0 and side["dropped_lines"] == 0
@@ -258,7 +258,7 @@ class TestFailureModes:
         probe.close()
         policy = RetryPolicy(retry_interval=0.03, deadline=0.2)
         with pytest.raises(InitialConnectFailure) as exc:
-            record_stream(("127.0.0.1", port), tmp_path / "never.ndjson", policy)
+            record_stream(f"127.0.0.1:{port}", tmp_path / "never.ndjson", policy)
         assert exc.value.deadline == 0.2
 
     def test_unopenable_output_fails_before_connecting(self, tmp_path):
@@ -270,7 +270,7 @@ class TestFailureModes:
         out = tmp_path / "missing-dir" / "out.ndjson"
         t0 = time.monotonic()
         with pytest.raises(OSError):
-            record_stream(("127.0.0.1", port), out, policy)
+            record_stream(f"127.0.0.1:{port}", out, policy)
         assert time.monotonic() - t0 < policy.retry_interval
         assert not (tmp_path / "missing-dir").exists()
 
@@ -287,7 +287,7 @@ class TestFailureModes:
             return open(path, mode, *args, **kwargs)
 
         monkeypatch.setattr(devicesim, "open", open_full, raising=False)
-        srv = serve_stream(script_of(40), ("127.0.0.1", 0))
+        srv = serve_stream(script_of(40), "127.0.0.1:0")
         out = tmp_path / "out.ndjson"
         try:
             with pytest.raises(OSError, match="No space"):
@@ -299,7 +299,7 @@ class TestFailureModes:
         assert load_night(out).t.tolist() == [0, 1, 2, 3]
 
     def test_reconnect_deadline_ends_run_after_server_stops(self, tmp_path):
-        srv = serve_stream(script_of(10), ("127.0.0.1", 0))
+        srv = serve_stream(script_of(10), "127.0.0.1:0")
         policy = RetryPolicy(retry_interval=0.02, deadline=0.3)
         t0 = time.time()
         res = record_stream(srv.endpoint, tmp_path / "out.ndjson", policy)
@@ -309,11 +309,11 @@ class TestFailureModes:
 
     def test_kill_mid_run_leaves_parseable_file(self, tmp_path):
         script = script_of(200, tick=0.03)
-        srv = serve_stream(script, ("127.0.0.1", 0))
+        srv = serve_stream(script, "127.0.0.1:0")
         out = tmp_path / "killed.ndjson"
         code = (
             "from bcgsleep.devicesim import record_stream, RetryPolicy; "
-            f"record_stream(('127.0.0.1', {srv.address[1]}), {str(out)!r}, "
+            f"record_stream({srv.endpoint!r}, {str(out)!r}, "
             "RetryPolicy(retry_interval=0.05, deadline=5.0))"
         )
         child = subprocess.Popen([sys.executable, "-c", code], env=checkout_env())

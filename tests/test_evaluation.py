@@ -177,12 +177,16 @@ class TestBoxStats:
         assert got["min"] == min(v) and got["max"] == max(v)
         assert got["mean"] == pytest.approx(np.mean(v))
 
+    def test_quartiles_interpolate_linearly(self):
+        got = box_stats([1, 2, 3, 4])
+        assert (got["q1"], got["median"], got["q3"]) == (1.75, 2.5, 3.25)
+
 
 class TestEfficiencyComparison:
     def test_affine_relation_gives_r_one(self):
         ref = [0.70, 0.75, 0.80, 0.85, 0.90]
         alg = [0.02 + v for v in ref]
-        out = efficiency_comparison(alg, ref)
+        out = efficiency_comparison(alg, ref, ["a", "b", "c", "d", "e"])
         assert out["r"] == pytest.approx(1.0)
         assert out["p"] == 0.0
         assert len(out["nights"]) == 5
@@ -198,22 +202,22 @@ class TestEfficiencyComparison:
     def test_json_serializable(self):
         import json
 
-        out = efficiency_comparison([0.7, 0.8, 0.9], [0.72, 0.81, 0.88])
+        out = efficiency_comparison([0.7, 0.8, 0.9], [0.72, 0.81, 0.88], ["a", "b", "c"])
         json.dumps(out)
 
     def test_too_few_nights(self):
         with pytest.raises(TooFewPoints):
-            efficiency_comparison([0.7, 0.8], [0.7, 0.8])
+            efficiency_comparison([0.7, 0.8], [0.7, 0.8], ["a", "b"])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            efficiency_comparison([0.7, 0.8, 0.9], [0.7, 0.8])
+            efficiency_comparison([0.7, 0.8, 0.9], [0.7, 0.8], ["a", "b", "c"])
 
 
 class TestConfusionCsv:
     def test_golden_layout(self):
         cm = np.arange(16).reshape(4, 4)
-        lines = list(confusion_to_csv(cm, ["wake", "rem", "light", "deep"]))
+        lines = list(confusion_to_csv(cm))
         assert lines[0] == "predicted\\true,wake,rem,light,deep"
         assert lines[1] == "wake,0,1,2,3"
         assert lines[4] == "deep,12,13,14,15"

@@ -22,7 +22,6 @@ from bcgsleep.features import (
     feature_matrix_for_starts,
     parse_feature_csv,
     pca_explained_variance,
-    percentile,
     standardize_apply,
     standardize_fit,
     window_night,
@@ -82,9 +81,6 @@ class TestComputeStats:
     def test_wrong_length_rejected(self, n):
         with pytest.raises(ValueError):
             compute_stats([1.0] * n)
-
-    def test_percentile_interpolates(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 75.0) == 3.25
 
 
 class TestWindowing:

@@ -206,7 +206,7 @@ class TestLabels:
             ],
         }
         with pytest.raises(OverlappingIntervals):
-            parse_labels(doc)
+            parse_labels(json.dumps(doc))
 
     def test_touching_intervals_allowed(self):
         doc = {
@@ -216,17 +216,17 @@ class TestLabels:
                 {"level": "deep", "start_t": 100, "seconds": 100},
             ],
         }
-        assert len(parse_labels(doc)) == 2
+        assert len(parse_labels(json.dumps(doc))) == 2
 
     def test_unknown_level_rejected(self):
         doc = {"night_id": "n", "levels": [{"level": "n3", "start_t": 0, "seconds": 10}]}
         with pytest.raises(UnknownLevel):
-            parse_labels(doc)
+            parse_labels(json.dumps(doc))
 
     def test_missing_key_reports_entry_index(self):
         doc = {"night_id": "n", "levels": [{"level": "wake", "start_t": 0}]}
         with pytest.raises(MalformedRow) as exc:
-            parse_labels(doc)
+            parse_labels(json.dumps(doc))
         assert exc.value.line_no == 0
 
     @pytest.mark.parametrize("seconds", [0, -30])
@@ -236,11 +236,11 @@ class TestLabels:
             "levels": [{"level": "wake", "start_t": 0, "seconds": seconds}],
         }
         with pytest.raises(MalformedRow):
-            parse_labels(doc)
+            parse_labels(json.dumps(doc))
 
     def test_not_an_object(self):
         with pytest.raises(MalformedRow):
-            parse_labels([1, 2, 3])
+            parse_labels(json.dumps([1, 2, 3]))
 
 
 @st.composite

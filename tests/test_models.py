@@ -751,6 +751,25 @@ class TestSerialization:
         ("RandomForest", lambda st, p: p.update(criterion="gini")),
         ("Knn", lambda st, p: p.update(seed=None)),
         ("GaussianNB", lambda st, p: p.update(var_smoothing=1e-9)),
+        ("Knn", lambda st, p: st["y"].__setitem__(0, 10**30)),
+        ("Knn", lambda st, p: st["y"].__setitem__(0, 1.7)),
+        ("Knn", lambda st, p: st["y"].__setitem__(0, True)),
+        ("Knn", lambda st, p: st["x"][0].__setitem__(0, float("nan"))),
+        ("Knn", lambda st, p: st["mean"].__setitem__(0, "0.5")),
+        ("Knn", lambda st, p: p.update(k=True)),
+        ("Knn", lambda st, p: st.update(n_features=5.0)),
+        ("DecisionTree", lambda st, p: st["tree"]["feature"].__setitem__(
+            0, st["tree"]["feature"][0] + 0.9)),
+        ("DecisionTree", lambda st, p: st["tree"]["label"].__setitem__(-1, 0.5)),
+        ("DecisionTree", lambda st, p: st["tree"]["threshold"].__setitem__(0, float("inf"))),
+        ("DecisionTree", lambda st, p: p.update(max_depth=2.5)),
+        ("DecisionTree", lambda st, p: p.update(max_depth="20")),
+        ("RandomForest", lambda st, p: p.update(seed=2.7)),
+        ("RandomForest", lambda st, p: p.update(n_trees=10)),
+        ("RandomForest", lambda st, p: p.update(bootstrap=1)),
+        ("RandomForest", lambda st, p: p.update(features_per_split=False)),
+        ("GaussianNB", lambda st, p: st["classes"].__setitem__(0, 0.0)),
+        ("GaussianNB", lambda st, p: st["var"][0].__setitem__(0, None)),
     ], ids=[
         "knn-mean", "knn-std", "knn-x", "knn-y", "knn-code", "knn-k-above-rows",
         "knn-k-zero", "tree-child-past-end", "tree-child-loops-back",
@@ -760,11 +779,19 @@ class TestSerialization:
         "tree-params-no-max-depth", "tree-params-criterion",
         "tree-params-min-samples-split", "forest-params-no-seed",
         "forest-params-criterion", "knn-params-seed", "nb-params-var-smoothing",
+        "knn-y-past-int64", "knn-y-fraction", "knn-y-bool", "knn-x-nan",
+        "knn-mean-text", "knn-k-bool", "knn-n-features-float",
+        "tree-feature-fraction", "tree-leaf-label-fraction", "tree-threshold-inf",
+        "tree-max-depth-fraction", "tree-max-depth-text", "forest-seed-fraction",
+        "forest-n-trees-not-stored", "forest-bootstrap-int", "forest-mtry-bool",
+        "nb-class-float", "nb-var-null",
     ])
     def test_inconsistent_state_rejected(self, kind, edit):
         """Shapes against n_features, k against the stored rows, stage codes
-        in 0..3, tree links and the exact params keys are checked at load,
-        not met at predict."""
+        in 0..3, tree links, the exact params keys, n_trees against the
+        stored trees and the JSON type of every value (int arrays in int64,
+        float arrays finite, no bool for an int) are checked at load, not
+        met at predict or truncated."""
         import json
 
         rng = np.random.default_rng(32)
