@@ -18,7 +18,6 @@ import numpy as np
 
 from . import devicesim, evaluation, features, ingest, models, preprocess, report
 from . import sleepwake, synth
-from .core import Stage
 from .errors import AllMissing, BcgSleepError
 
 MODEL_KINDS = ("tree", "forest", "knn", "nb")
@@ -247,12 +246,6 @@ def _fill_codes(aligned: np.ndarray) -> np.ndarray:
     return aligned[np.maximum.accumulate(source)]
 
 
-def _scripted_efficiency(intervals) -> float:
-    total = max(iv.end_t for iv in intervals)
-    wake = sum(iv.duration for iv in intervals if iv.stage is Stage.WAKE)
-    return 1.0 - wake / total
-
-
 def _cmd_report(args) -> int:
     doc: dict = {}
     outputs = {}
@@ -278,8 +271,8 @@ def _cmd_report(args) -> int:
             outputs["hypnogram_pair.svg"] = report.hypnogram_pair_svg(
                 _fill_codes(aligned), predicted)
             # window s's prediction is the hypnogram's second s
-            windows = features.window_night(cleaned, aligned)
-            block = _metric_block(windows.y, predicted[windows.start_t])
+            starts = features.kept_starts(aligned)
+            block = _metric_block(aligned[starts], predicted[starts])
             doc["windows"] = block
             doc["windows"]["kind"] = model.kind
             outputs["confusion_heatmap.svg"] = report.confusion_heatmap_svg(block["confusion"])
@@ -296,7 +289,7 @@ def _cmd_report(args) -> int:
             intervals = ingest.load_labels(labels_path)
             ids.append(rec.night_id)
             algo.append(sleepwake.sleep_efficiency(sleepwake.run_night(rec)))
-            ref.append(_scripted_efficiency(intervals))
+            ref.append(synth.scripted_efficiency(intervals))
         summary = evaluation.efficiency_comparison(algo, ref, ids)
         doc["efficiency"] = summary
         outputs["efficiency_box.svg"] = report.efficiency_box_svg(summary)
@@ -468,12 +461,7 @@ def main(argv=None) -> int:
             argv[at:at] = _config_args(config, command, flags[command])
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit:
-        raise
-    except BcgSleepError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (BcgSleepError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

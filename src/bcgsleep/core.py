@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidStageCode, NegativeVital
+from .errors import InvalidStageCode, NegativeVital, NonMonotonicTimestamp
 
 
 class Stage(IntEnum):
@@ -87,7 +87,9 @@ class NightRecord:
     is float64[n, 5], row i the second t[i], columns in file order
     VITAL_FIELDS. Every vital is finite and non-negative; hr == 0 is the
     sensor's motion-artifact marker (waveform defective), not a physiological
-    reading. Both arrays are read-only views.
+    reading. Both arrays are read-only views. Construction checks the shapes
+    (ValueError), then the vitals (NegativeVital), then that t increases
+    (NonMonotonicTimestamp) and lies within a week (ValueError).
     """
 
     night_id: str
@@ -108,10 +110,14 @@ class NightRecord:
         vitals.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "vitals", vitals)
-        check_vitals(t, vitals)
-        bad_t = first_non_increasing(t)
-        if bad_t is not None:
-            raise ValueError(f"sample timestamps not strictly increasing at t={bad_t}")
+        # the first negative or non-finite vital in row-major order
+        bad = ~(vitals >= 0) | np.isinf(vitals)
+        if bad.any():
+            row, col = divmod(int(np.argmax(bad)), len(VITAL_FIELDS))
+            raise NegativeVital(VITAL_FIELDS[col], t=int(t[row]), value=float(vitals[row, col]))
+        at = np.flatnonzero(np.diff(t) <= 0)
+        if at.size:
+            raise NonMonotonicTimestamp(int(t[at[0] + 1]))
         if t.size and not (t[0] >= 0 and t[-1] < MAX_NIGHT_SECONDS):
             raise ValueError(f"sample timestamps {t[0]}..{t[-1]} are not all in "
                              f"[0, {MAX_NIGHT_SECONDS}), the maximum night length")
@@ -133,24 +139,19 @@ class NightRecord:
         return int(self.t[-1]) if self.t.size else -1
 
 
-def check_vitals(t: np.ndarray, vitals: np.ndarray) -> None:
-    """Raise NegativeVital for the first negative or non-finite value in
-    row-major order."""
-    bad = ~(vitals >= 0) | np.isinf(vitals)
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad)), len(VITAL_FIELDS))
-        raise NegativeVital(VITAL_FIELDS[col], t=int(t[row]), value=float(vitals[row, col]))
-
-
-def first_non_increasing(t: np.ndarray) -> Optional[int]:
-    """The first timestamp not above its predecessor, or None."""
-    at = np.flatnonzero(np.diff(t) <= 0)
-    return int(t[at[0] + 1]) if at.size else None
-
-
 def compute_gaps(timestamps: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Runs of missing seconds between consecutive sample timestamps."""
     t = np.asarray(timestamps, dtype=np.int64)
     step = np.diff(t)
     at = np.flatnonzero(step > 1)
     return tuple(zip((t[at] + 1).tolist(), (step[at] - 1).tolist()))
+
+
+def stage_codes(intervals: Iterable[StageInterval], n: int) -> np.ndarray:
+    """One int64 stage code per second over [0, n); seconds covered by no
+    interval are -1 (unlabeled). Interval parts outside [0, n) are ignored."""
+    codes = np.full(max(n, 0), -1, dtype=np.int64)
+    for iv in intervals:
+        lo = max(iv.start_t, 0)
+        codes[lo : max(iv.end_t, lo)] = int(iv.stage)
+    return codes

@@ -102,9 +102,13 @@ class StreamScript:
 
 
 def _split_endpoint(endpoint: str) -> tuple[str, int]:
-    """A "host:port" string as (host, port); an empty host is 127.0.0.1."""
-    host, _, port = endpoint.rpartition(":")
-    return host or "127.0.0.1", int(port)
+    """A "host:port" string as (host, port); an empty host is 127.0.0.1.
+    A port that is not an integer in 0..65535 is a ValueError."""
+    host, _, text = endpoint.rpartition(":")
+    port = int(text)
+    if port not in range(65536):
+        raise ValueError(f"endpoint port must be in 0..65535, got {endpoint!r}")
+    return host or "127.0.0.1", port
 
 
 class DeviceServer:

@@ -28,7 +28,9 @@ class MalformedRow(BcgSleepError):
         self.line_no = line_no
 
 
-class NonMonotonicTimestamp(BcgSleepError):
+class NonMonotonicTimestamp(BcgSleepError, ValueError):
+    """NightRecord's timestamp check; a ValueError like its other checks."""
+
     def __init__(self, t):
         super().__init__(f"timestamp not strictly increasing at t={t}")
         self.t = t

@@ -104,30 +104,39 @@ def candidate_starts(record: NightRecord) -> range:
     return range(0, record.last_t - WINDOW_LEN + 2)
 
 
+def kept_starts(codes: np.ndarray) -> np.ndarray:
+    """Ascending int64 starts of the windows whose WINDOW_LEN seconds all
+    carry one identical stage code (never -1, unlabeled)."""
+    if len(codes) < WINDOW_LEN:
+        return np.empty(0, dtype=np.int64)
+    label_windows = np.lib.stride_tricks.sliding_window_view(codes, WINDOW_LEN)
+    lo = label_windows.min(axis=1)
+    hi = label_windows.max(axis=1)
+    return np.nonzero((lo == hi) & (lo >= 0))[0]
+
+
+def window_rows(record: NightRecord, starts: np.ndarray) -> np.ndarray:
+    """(len(starts), 30) statistics of the windows of a cleaned record (one
+    sample per second) that begin at each start."""
+    if not len(starts):
+        return np.empty((0, N_FEATURES))
+    if len(record.t) != record.last_t + 1:
+        raise ValueError("record has holes; clean_for_features it first")
+    return feature_matrix_for_starts(record.vitals[:, SIGNAL_COLUMNS], starts)
+
+
 def window_night(record: NightRecord, labels) -> FeatureTable:
     """Extract labeled feature windows from a cleaned record.
 
     labels holds one stage code per second over [0, last_t], -1 where
-    unlabeled (as align_labels returns). A candidate is kept iff all
-    WINDOW_LEN of its seconds carry one identical stage code.
+    unlabeled (as align_labels returns); the windows kept are kept_starts'.
     """
     n = record.last_t + 1
     codes = np.asarray(labels, dtype=np.int64)
     if len(codes) != n:
         raise ValueError(f"need one label per second: {len(codes)} != {n}")
-
-    starts = np.empty(0, dtype=np.int64)
-    if n >= WINDOW_LEN:
-        label_windows = np.lib.stride_tricks.sliding_window_view(codes, WINDOW_LEN)
-        lo = label_windows.min(axis=1)
-        hi = label_windows.max(axis=1)
-        starts = np.nonzero((lo == hi) & (lo >= 0))[0]
-    stats = np.empty((0, N_FEATURES))
-    if starts.size:
-        if len(record.t) != n:
-            raise ValueError("record has holes; clean_for_features it first")
-        stats = feature_matrix_for_starts(record.vitals[:, SIGNAL_COLUMNS], starts)
-    return _table(stats, codes[starts], starts, record.night_id)
+    starts = kept_starts(codes)
+    return _table(window_rows(record, starts), codes[starts], starts, record.night_id)
 
 
 def feature_matrix_for_starts(matrix: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -26,15 +26,9 @@ from .core import (
     NightRecord,
     Stage,
     StageInterval,
-    check_vitals,
-    first_non_increasing,
+    stage_codes,
 )
-from .errors import (
-    MalformedRow,
-    NonMonotonicTimestamp,
-    OverlappingIntervals,
-    UnknownLevel,
-)
+from .errors import MalformedRow, OverlappingIntervals, UnknownLevel
 
 SAMPLE_FIELDS = ("t",) + VITAL_FIELDS
 CSV_HEADER = ",".join(SAMPLE_FIELDS)
@@ -118,7 +112,8 @@ def parse_night(lines: Iterable[str], fmt: str, night_id: str = "") -> NightReco
     consecutive samples are the record's gaps. The night id is not carried
     by the sample formats and is supplied by the caller.
     Errors come in this order: MalformedRow for the first bad line, then
-    NegativeVital for the first bad value, then NonMonotonicTimestamp.
+    NightRecord's: NegativeVital for the first bad value, then
+    NonMonotonicTimestamp.
     """
     _check_format(fmt)
     if fmt == "csv":
@@ -139,12 +134,7 @@ def parse_night(lines: Iterable[str], fmt: str, night_id: str = "") -> NightReco
 
     t = np.array([r[0] for r in rows], dtype=np.int64)
     table = np.array(rows, dtype=np.float64).reshape(len(rows), len(SAMPLE_FIELDS))
-    vitals = np.ascontiguousarray(table[:, 1:])
-    check_vitals(t, vitals)
-    bad_t = first_non_increasing(t)
-    if bad_t is not None:
-        raise NonMonotonicTimestamp(bad_t)
-    return NightRecord(night_id, t, vitals)
+    return NightRecord(night_id, t, np.ascontiguousarray(table[:, 1:]))
 
 
 def sample_line(row) -> str:
@@ -247,9 +237,4 @@ def align_labels(
     Seconds covered by no interval are -1 (unlabeled): the reference
     tracker's log does not necessarily span the whole recording.
     """
-    n = max(record.last_t + 1, 0)
-    codes = np.full(n, -1, dtype=np.int64)
-    for iv in intervals:
-        lo = max(iv.start_t, 0)
-        codes[lo : max(iv.end_t, lo)] = int(iv.stage)
-    return codes
+    return stage_codes(intervals, record.last_t + 1)

@@ -30,12 +30,12 @@ import numpy as np
 
 from .errors import EmptyTrainingSet, RecordTooShort, SchemaMismatch, TooFewItems
 from .features import (
-    SIGNAL_COLUMNS,
     WINDOW_LEN,
     FeatureTable,
-    feature_matrix_for_starts,
+    candidate_starts,
     standardize_apply,
     standardize_fit,
+    window_rows,
 )
 
 MODEL_SCHEMA = 2
@@ -693,10 +693,7 @@ def predict_hypnogram(model, record) -> np.ndarray:
     n = record.last_t + 1
     if n < WINDOW_LEN:
         raise RecordTooShort(max(n, 0), WINDOW_LEN)
-    if len(record.t) != n:
-        raise ValueError("record has holes; clean_for_features it first")
-    starts = np.arange(0, n - WINDOW_LEN + 1)
-    stats = feature_matrix_for_starts(record.vitals[:, SIGNAL_COLUMNS], starts)
+    stats = window_rows(record, np.asarray(candidate_starts(record)))
     return np.pad(predict(model, stats), (0, WINDOW_LEN - 1), mode="edge")
 
 

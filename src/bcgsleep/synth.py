@@ -1,7 +1,7 @@
 """Synthetic overnight recordings with scripted ground truth.
 
 Nights follow a semi-Markov architecture: an initial wake bout, then
-repeating Light -> Deep -> Light -> Rem cycles averaging profile.mean_cycle_s
+repeating Light -> Deep -> Light -> Rem cycles averaging MEAN_CYCLE_S
 seconds, REM bouts lengthening and deep bouts shrinking as the night goes
 on, with brief wake returns scattered between sleep bouts. Per-second
 vitals are truncated-at-zero Gaussians per stage; wake seconds additionally
@@ -19,22 +19,26 @@ from typing import Optional
 
 import numpy as np
 
-from .core import VITAL_FIELDS, NightRecord, Stage, StageInterval
+from .core import VITAL_FIELDS, NightRecord, Stage, StageInterval, stage_codes
 from .errors import DurationTooShort
 from .features import SIGNAL_COLUMNS, SIGNAL_ORDER
 
 MIN_DURATION = 1800
+MEAN_CYCLE_S = 5400
 
-# Motion bursts drawn for ordinary nights (seconds, inclusive range).
+# Motion bursts per wake-hour, and each burst's length range (seconds,
+# inclusive) for ordinary nights.
+MOTION_BURST_RATE = 110.0
 BURST_LEN = (10, 18)
-# Dropout window length range (seconds) and the interior margin that keeps
-# the first and last samples of a night intact.
+# Expected dropout windows per night, their length range (seconds) and the
+# interior margin that keeps the first and last samples of a night intact.
+DROPOUT_RATE = 3.0
 DROPOUT_LEN = (20, 120)
 DROPOUT_MARGIN = 300
 
 _SEED_MASK = (1 << 64) - 1
 
-# Cycle composition as fractions of mean_cycle_s; REM grows and deep
+# Cycle composition as fractions of MEAN_CYCLE_S; REM grows and deep
 # shrinks across the night.
 _CYCLE_WEIGHTS = (
     (Stage.LIGHT, 0.30),
@@ -48,7 +52,7 @@ _DEEP_DECAY = 0.25
 
 @dataclass(frozen=True)
 class SubjectProfile:
-    """Per-stage vitals distributions plus night-level event rates.
+    """Per-stage vitals distributions.
 
     stage_params maps Stage -> signal name -> (mean, std). HR means must be
     ordered Deep < Light < Rem < Wake and the REM hr std must be strictly
@@ -56,9 +60,6 @@ class SubjectProfile:
     """
 
     stage_params: dict[Stage, dict[str, tuple[float, float]]]
-    motion_burst_rate: float = 110.0  # bursts per wake-hour
-    dropout_rate: float = 3.0  # expected dropout windows per night
-    mean_cycle_s: int = 5400
 
     def __post_init__(self):
         for stage in Stage:
@@ -82,10 +83,6 @@ class SubjectProfile:
         others = [hr[s][1] for s in Stage if s is not Stage.REM]
         if not all(rem_std > s for s in others):
             raise ValueError("REM hr std must be strictly largest")
-        if self.motion_burst_rate < 0 or self.dropout_rate < 0:
-            raise ValueError("rates must be non-negative")
-        if self.mean_cycle_s <= 0:
-            raise ValueError("mean_cycle_s must be positive")
 
 
 def default_profile() -> SubjectProfile:
@@ -118,14 +115,14 @@ class SynthNight:
     scripted_efficiency: float
 
 
-def _sleep_bouts(rng, budget: int, mean_cycle: int) -> list[tuple[Stage, int]]:
+def _sleep_bouts(rng, budget: int) -> list[tuple[Stage, int]]:
     """Cycle bouts truncated to exactly `budget` seconds of sleep."""
     bouts: list[tuple[Stage, int]] = []
     acc = 0
     cycle = 0
     while acc < budget:
         for stage, weight in _CYCLE_WEIGHTS:
-            mu = weight * mean_cycle
+            mu = weight * MEAN_CYCLE_S
             if stage is Stage.REM:
                 mu *= 1.0 + _REM_GROWTH * cycle
             elif stage is Stage.DEEP:
@@ -141,16 +138,24 @@ def _sleep_bouts(rng, budget: int, mean_cycle: int) -> list[tuple[Stage, int]]:
     return bouts
 
 
-def _stage_script(
-    rng, duration: int, wake_budget: int, mean_cycle: int
-) -> list[StageInterval]:
+def _intervals(seq) -> list[StageInterval]:
+    """(stage, duration) bouts laid end to end from t = 0."""
+    intervals = []
+    start = 0
+    for stage, dur in seq:
+        intervals.append(StageInterval(stage=stage, start_t=start, duration=dur))
+        start += dur
+    return intervals
+
+
+def _stage_script(rng, duration: int, wake_budget: int) -> list[StageInterval]:
     """Interval list partitioning [0, duration) with exactly wake_budget
     seconds of Wake: one long initial bout, the rest spread as returns."""
     sleep_budget = duration - wake_budget
     assert sleep_budget > 0
     wake0 = min(wake_budget, max(360, min(int(round(0.5 * wake_budget)), 3600)))
     returns = wake_budget - wake0
-    bouts = _sleep_bouts(rng, sleep_budget, mean_cycle)
+    bouts = _sleep_bouts(rng, sleep_budget)
 
     chunks: list[int] = []
     n_slots = len(bouts) - 1
@@ -173,33 +178,22 @@ def _stage_script(
     if returns > 0 and n_slots == 0:
         seq.append((Stage.WAKE, returns))
 
-    intervals = []
-    start = 0
-    for stage, dur in seq:
-        intervals.append(StageInterval(stage=stage, start_t=start, duration=dur))
-        start += dur
-    assert start == duration
+    intervals = _intervals(seq)
+    assert intervals[-1].end_t == duration
     return intervals
 
 
-def _stage_per_second(intervals, duration: int) -> np.ndarray:
-    codes = np.empty(duration, dtype=np.int64)
-    for iv in intervals:
-        codes[iv.start_t : iv.end_t] = int(iv.stage)
-    return codes
-
-
-def _draw_signals(rng, profile: SubjectProfile, stage_codes: np.ndarray) -> np.ndarray:
+def _draw_signals(rng, profile: SubjectProfile, codes: np.ndarray) -> np.ndarray:
     """(duration, 5) vitals matrix; negatives are redrawn, not clipped."""
-    n = stage_codes.size
+    n = codes.size
     out = np.empty((n, len(SIGNAL_ORDER)))
     for j, sig in enumerate(SIGNAL_ORDER):
         means = np.array([profile.stage_params[Stage(c)][sig][0] for c in range(4)])
         stds = np.array([profile.stage_params[Stage(c)][sig][1] for c in range(4)])
-        vals = means[stage_codes] + stds[stage_codes] * rng.standard_normal(n)
+        vals = means[codes] + stds[codes] * rng.standard_normal(n)
         bad = vals < 0
         while bad.any():
-            redraw = means[stage_codes[bad]] + stds[stage_codes[bad]] * rng.standard_normal(
+            redraw = means[codes[bad]] + stds[codes[bad]] * rng.standard_normal(
                 int(bad.sum())
             )
             vals[bad] = redraw
@@ -208,12 +202,10 @@ def _draw_signals(rng, profile: SubjectProfile, stage_codes: np.ndarray) -> np.n
     return out
 
 
-def _apply_motion_bursts(rng, profile, stage_codes, signals) -> None:
+def _apply_motion_bursts(rng, codes, signals) -> None:
     """Zero out hr during randomly placed bursts confined to wake seconds."""
-    wake_seconds = np.nonzero(stage_codes == int(Stage.WAKE))[0]
-    if wake_seconds.size == 0 or profile.motion_burst_rate == 0:
-        return
-    n_bursts = int(rng.poisson(profile.motion_burst_rate * wake_seconds.size / 3600.0))
+    wake_seconds = np.nonzero(codes == int(Stage.WAKE))[0]
+    n_bursts = int(rng.poisson(MOTION_BURST_RATE * wake_seconds.size / 3600.0))
     for _ in range(n_bursts):
         start = int(rng.integers(0, wake_seconds.size))
         length = int(rng.integers(BURST_LEN[0], BURST_LEN[1] + 1))
@@ -221,31 +213,23 @@ def _apply_motion_bursts(rng, profile, stage_codes, signals) -> None:
         signals[hit, 0] = 0.0
 
 
-def _draw_dropouts(rng, profile, duration: int) -> list[tuple[int, int]]:
-    """Merged interior dropout windows as (start, length) pairs."""
-    if profile.dropout_rate == 0:
-        return []
+def _draw_dropouts(rng, duration: int) -> list[tuple[int, int]]:
+    """Interior dropout windows as (start, length) pairs, in draw order;
+    they may overlap."""
     lo, hi = DROPOUT_MARGIN, duration - 2 * DROPOUT_MARGIN
     if hi <= lo:
         return []
-    n = int(rng.poisson(profile.dropout_rate))
-    raw = []
-    for _ in range(n):
+    windows = []
+    for _ in range(int(rng.poisson(DROPOUT_RATE))):
         start = int(rng.integers(lo, hi))
         length = int(rng.integers(DROPOUT_LEN[0], DROPOUT_LEN[1] + 1))
-        raw.append((start, min(length, duration - DROPOUT_MARGIN - start)))
-    raw.sort()
-    merged: list[tuple[int, int]] = []
-    for start, length in raw:
-        if merged and start <= merged[-1][0] + merged[-1][1]:
-            prev_start, prev_len = merged[-1]
-            merged[-1] = (prev_start, max(prev_len, start + length - prev_start))
-        else:
-            merged.append((start, length))
-    return merged
+        windows.append((start, min(length, duration - DROPOUT_MARGIN - start)))
+    return windows
 
 
 def _build_record(night_id: str, signals: np.ndarray, gaps) -> NightRecord:
+    """The record of signals minus the seconds any (start, length) gap
+    covers; overlapping gaps merge."""
     kept = np.ones(signals.shape[0], dtype=bool)
     for start, length in gaps:
         kept[start : start + length] = False
@@ -278,14 +262,20 @@ def generate_night(
         wake_budget = int(round(duration_s * (1.0 - target_efficiency)))
     wake_budget = max(1, min(wake_budget, duration_s - 1))
 
-    intervals = _stage_script(rng, duration_s, wake_budget, profile.mean_cycle_s)
-    stage_codes = _stage_per_second(intervals, duration_s)
-    signals = _draw_signals(rng, profile, stage_codes)
-    _apply_motion_bursts(rng, profile, stage_codes, signals)
-    gaps = _draw_dropouts(rng, profile, duration_s)
-    record = _build_record(night_id, signals, gaps)
-    efficiency = 1.0 - wake_budget / duration_s
-    return record, intervals, efficiency
+    intervals = _stage_script(rng, duration_s, wake_budget)
+    codes = stage_codes(intervals, duration_s)
+    signals = _draw_signals(rng, profile, codes)
+    _apply_motion_bursts(rng, codes, signals)
+    record = _build_record(night_id, signals, _draw_dropouts(rng, duration_s))
+    return record, intervals, scripted_efficiency(intervals)
+
+
+def scripted_efficiency(intervals) -> float:
+    """Non-wake seconds over the scripted span, which ends where the last
+    interval does."""
+    total = max(iv.end_t for iv in intervals)
+    wake = sum(iv.duration for iv in intervals if iv.stage is Stage.WAKE)
+    return 1.0 - wake / total
 
 
 def generate_cohort(
@@ -340,14 +330,8 @@ def generate_step_night(
     rng = np.random.default_rng(seed & _SEED_MASK)
     onset = int(rng.integers(600, duration_s // 2 + 1))
 
-    intervals = [StageInterval(stage=Stage.WAKE, start_t=0, duration=onset)]
-    for iv in _sleep_bouts(rng, duration_s - onset, profile.mean_cycle_s):
-        stage, dur = iv
-        start = intervals[-1].end_t
-        intervals.append(StageInterval(stage=stage, start_t=start, duration=dur))
-
-    stage_codes = _stage_per_second(intervals, duration_s)
-    signals = _draw_signals(rng, profile, stage_codes)
+    intervals = _intervals([(Stage.WAKE, onset), *_sleep_bouts(rng, duration_s - onset)])
+    signals = _draw_signals(rng, profile, stage_codes(intervals, duration_s))
 
     # Deterministic burst tiling: clean 8..12 s then burst 13..16 s, so any
     # aligned 30 s wake epoch contains one whole burst and trips the motion

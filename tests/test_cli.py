@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from bcgsleep import models
+from bcgsleep import features, models
 from bcgsleep.cli import _load_feature_files, main
 from bcgsleep.ingest import load_night, save_night
 from bcgsleep.models import load_model, model_to_json
@@ -460,7 +460,9 @@ class TestReportCommand:
             assert (out_dir / name).exists(), name
 
     def test_report_predicts_each_window_once(self, workdir, tmp_path, monkeypatch):
-        """The window metrics come from the hypnogram, not a second predict."""
+        """The window metrics come from the hypnogram, not a second predict,
+        and the window labels from the aligned codes: only the hypnogram
+        computes window statistics."""
         model = tmp_path / "tree.json"
         assert main(["train", "--features", *feature_args(workdir),
                      "--model", "tree", "--out", str(model)]) == 0
@@ -468,6 +470,11 @@ class TestReportCommand:
         predict = models.predict
         monkeypatch.setattr(models, "predict",
                             lambda m, rows: calls.append(len(rows)) or predict(m, rows))
+
+        def fail(*args):
+            raise AssertionError("report called features.window_night")
+
+        monkeypatch.setattr(features, "window_night", fail)
         night = workdir / "nights" / "night01"
         assert main(["report", "--night", f"{night}.ndjson", "--labels", f"{night}.labels.json",
                      "--model", str(model), "--out-dir", str(tmp_path / "rep")]) == 0
@@ -530,3 +537,21 @@ class TestServeRecordCommands:
         finally:
             server.terminate()
             server.wait(timeout=10)
+            server.stdout.close()
+
+    @pytest.mark.parametrize("port", ["99999", "-1", "65536"])
+    def test_serve_port_out_of_range_exits_1(self, workdir, port, capsys):
+        night = workdir / "nights" / "night00.ndjson"
+        assert main(["serve", "--in", str(night), "--endpoint", f"127.0.0.1:{port}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and "0..65535" in err
+        assert err.count("\n") == 1
+
+    def test_record_port_out_of_range_exits_1_without_files(self, tmp_path, capsys):
+        out = tmp_path / "recorded.ndjson"
+        assert main(["record", "--endpoint", "127.0.0.1:99999", "--out", str(out),
+                     "--retry-interval", "0.05", "--deadline", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and "0..65535" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []

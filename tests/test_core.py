@@ -17,7 +17,8 @@ from bcgsleep.core import (
     VitalsSample,
     compute_gaps,
 )
-from bcgsleep.errors import InvalidStageCode, NegativeVital
+from bcgsleep.errors import InvalidStageCode, NegativeVital, NonMonotonicTimestamp
+from bcgsleep.ingest import parse_night, sample_line
 
 from conftest import make_record, make_sample
 
@@ -87,6 +88,16 @@ class TestNightRecord:
         samples = [make_sample(0), make_sample(2), make_sample(2)]
         with pytest.raises(ValueError):
             make_record(samples)
+
+    def test_repeated_t_is_non_monotonic_timestamp(self):
+        """The record owns the check, so building a record and parsing a
+        file fail alike."""
+        samples = [make_sample(0), make_sample(2), make_sample(2)]
+        with pytest.raises(NonMonotonicTimestamp) as built:
+            make_record(samples)
+        with pytest.raises(NonMonotonicTimestamp) as parsed:
+            parse_night(map(sample_line, samples), "ndjson")
+        assert str(built.value) == str(parsed.value) == "timestamp not strictly increasing at t=2"
 
     def test_span_and_bounds(self):
         rec = make_record([make_sample(3), make_sample(9)])

@@ -20,6 +20,7 @@ from bcgsleep.features import (
     candidate_starts,
     compute_stats,
     feature_matrix_for_starts,
+    kept_starts,
     parse_feature_csv,
     pca_explained_variance,
     standardize_apply,
@@ -122,8 +123,10 @@ class TestWindowing:
             per_second.extend([None] * (WINDOW_LEN - n))
             n = len(per_second)
         rec = flat_record(n)
-        windows = window_night(rec, [-1 if s is None else int(s) for s in per_second])
+        codes = [-1 if s is None else int(s) for s in per_second]
+        windows = window_night(rec, codes)
         kept = set(windows.start_t.tolist())
+        assert kept_starts(np.array(codes)).tolist() == sorted(kept)
         expected = set()
         for s in range(0, n - WINDOW_LEN + 1):
             chunk = per_second[s : s + WINDOW_LEN]

@@ -36,8 +36,6 @@ class TestProfile:
         del bad[Stage.DEEP]["hrv"]
         with pytest.raises(ValueError):
             SubjectProfile(stage_params=bad)
-        with pytest.raises(ValueError):
-            SubjectProfile(stage_params=p.stage_params, mean_cycle_s=0)
 
 
 class TestGenerateNight:
