@@ -101,14 +101,17 @@ class StreamScript:
         return tuple(t for t in self.source.t.tolist() if self.window_at(t) is None)
 
 
-def _split_endpoint(endpoint: str) -> tuple[str, int]:
-    """A "host:port" string as (host, port); an empty host is 127.0.0.1.
-    A port that is not an integer in 0..65535 is a ValueError."""
-    host, _, text = endpoint.rpartition(":")
-    port = int(text)
+def _check_port(port: int) -> int:
+    """port, unless it is not an integer in 0..65535: then a ValueError."""
     if port not in range(65536):
-        raise ValueError(f"endpoint port must be in 0..65535, got {endpoint!r}")
-    return host or "127.0.0.1", port
+        raise ValueError(f"port must be in 0..65535, got {port!r}")
+    return port
+
+
+def _split_endpoint(endpoint: str) -> tuple[str, int]:
+    """A "host:port" string as (host, port); an empty host is 127.0.0.1."""
+    host, _, text = endpoint.rpartition(":")
+    return host or "127.0.0.1", _check_port(int(text))
 
 
 class DeviceServer:
@@ -122,7 +125,9 @@ class DeviceServer:
 
     def __init__(self, script: StreamScript, host: str = "127.0.0.1", port: int = 0):
         self.script = script
-        self._listener = socket.create_server((host, port))
+        # create_server closes its socket on OSError only, so a port it
+        # would reject with OverflowError is refused before a socket exists
+        self._listener = socket.create_server((host, _check_port(port)))
         # accept() polls so that the serving thread notices stop()
         self._listener.settimeout(0.1)
         self.address = self._listener.getsockname()[:2]

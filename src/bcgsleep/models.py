@@ -10,8 +10,10 @@ posterior goes to the lowest stage code (wake first); a tied kNN vote goes
 to the nearest neighbor whose class is among the winners.
 
 Both costly loops use every usable CPU, with no setting: the forest grows
-its trees in forked worker processes, and kNN answers its queries in chunks
-on one thread per CPU. Neither changes a result.
+its trees in forked worker processes, each bootstrap tree on the distinct
+rows of its draw weighted by their multiplicities, and kNN answers its
+queries in 256-row chunks, one contiguous block of chunks per thread, each
+thread holding at most two 256 x n buffers. Neither changes a result.
 
 Models serialize to a versioned JSON document and round-trip exactly.
 """
@@ -245,8 +247,13 @@ def _gini(counts: np.ndarray, total: int) -> float:
     return 1.0 - float((counts * counts).sum()) / (total * total)
 
 
-def _best_split(x, y, idx, feats):
+def _best_split(x, y, w, idx, feats):
     """Lowest weighted-Gini (feature, threshold, gain) over candidate cuts.
+
+    Row i stands for w[i] copies of itself (a bootstrap multiplicity, or one),
+    so the node's size, its class counts and each side's counts are sums of
+    weights: the same integers the repeated rows would give, at the same
+    distinct values.
 
     Candidates are midpoints between consecutive distinct sorted values; if
     float rounding pulls a midpoint up onto the right value it falls back to
@@ -258,15 +265,17 @@ def _best_split(x, y, idx, feats):
     the same float a float count would give.
     """
     ysub = y[idx]
-    m = idx.size
-    counts = np.bincount(ysub, minlength=4)
-    parent = _gini(counts, m)
-    best = (-1, 0.0, 0.0)
+    wsub = w[idx]
     # a class absent from the node adds nothing to any sum of squares
-    present = np.flatnonzero(counts)
-    have = counts[present]
-    # one cumsum runs over the (class, row) indicators flattened class by
-    # class, so each class's running count starts at the totals before it
+    present = np.flatnonzero(np.bincount(ysub, minlength=4))
+    # each row's weight in its class's row of indicators, built once per node
+    ind = (ysub == present[:, None]) * wsub
+    have = ind.sum(axis=1)
+    m = int(have.sum())
+    parent = _gini(have, m)
+    best = (-1, 0.0, 0.0)
+    # one cumsum runs over the indicators flattened class by class, so each
+    # class's running count starts at the totals before it
     before = (np.cumsum(have) - have)[:, None]
     for f, col in zip(feats, x[idx[:, None], feats].T):
         # tie order within equal values never matters: cut points sit only at
@@ -276,10 +285,10 @@ def _best_split(x, y, idx, feats):
         if sx[0] == sx[-1]:
             continue
         pos = np.nonzero(sx[:-1] != sx[1:])[0]
-        running = np.cumsum(ysub[order] == present[:, None]).reshape(present.size, m)
+        running = np.cumsum(np.take(ind, order, axis=1)).reshape(present.size, -1)
         left = np.take(running, pos, axis=1) - before
         right = have[:, None] - left
-        nl = (pos + 1).astype(float)
+        nl = left.sum(axis=0).astype(float)
         nr = m - nl
         gini_l = 1.0 - (left * left).sum(axis=0).astype(float) / (nl * nl)
         gini_r = 1.0 - (right * right).sum(axis=0).astype(float) / (nr * nr)
@@ -295,7 +304,8 @@ def _best_split(x, y, idx, feats):
     return best
 
 
-def _grow_tree(x, y, max_depth, mtry, rng) -> _FlatTree:
+def _grow_tree(x, y, w, max_depth, mtry, rng) -> _FlatTree:
+    """CART on rows x with codes y, row i counted w[i] times (int64, >= 1)."""
     n_features = x.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
@@ -303,27 +313,27 @@ def _grow_tree(x, y, max_depth, mtry, rng) -> _FlatTree:
     right: list[int] = []
     label: list[int] = []
 
-    def leaf(ysub) -> int:
+    def leaf(idx) -> int:
         i = len(feature)
         feature.append(-1)
         threshold.append(0.0)
         left.append(i)
         right.append(i)
-        label.append(int(np.argmax(np.bincount(ysub, minlength=4))))
+        label.append(int(np.argmax(np.bincount(y[idx], weights=w[idx], minlength=4))))
         return i
 
     def build(idx, depth) -> int:
         ysub = y[idx]
         # a one-row node is pure, and no split leaves a side empty
         if (max_depth is not None and depth >= max_depth) or (ysub == ysub[0]).all():
-            return leaf(ysub)
+            return leaf(idx)
         if mtry is None or mtry >= n_features:
             feats = np.arange(n_features)
         else:
             feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
-        feat, thr, gain = _best_split(x, y, idx, feats)
+        feat, thr, gain = _best_split(x, y, w, idx, feats)
         if feat < 0 or gain <= MIN_GAIN:
-            return leaf(ysub)
+            return leaf(idx)
         i = len(feature)
         feature.append(feat)
         threshold.append(thr)
@@ -367,7 +377,7 @@ class DecisionTree:
 def train_decision_tree(rows, labels, params: TreeParams = TreeParams()) -> DecisionTree:
     """Greedy CART fit; unlimited depth on distinct rows separates perfectly."""
     x, y = _training_set(rows, labels, "decision tree")
-    tree = _grow_tree(x, y, params.max_depth, None, None)
+    tree = _grow_tree(x, y, np.ones(x.shape[0], dtype=np.int64), params.max_depth, None, None)
     return DecisionTree(params, x.shape[1], tree)
 
 
@@ -438,12 +448,20 @@ def _usable_cpus() -> int:
 
 
 def _forest_tree(job: tuple, i: int) -> _FlatTree:
-    """Tree i of the forest job (x, y, params, mtry, seed), from its own generator."""
+    """Tree i of the forest job (x, y, params, mtry, seed), from its own generator.
+
+    A bootstrap tree grows on the distinct rows of its draw (about 63% of the
+    rows), each weighted by how often it was drawn: the same cuts as on the
+    repeated rows, with less to sort."""
     x, y, params, mtry, seed = job
     n = x.shape[0]
     rng = _tree_rng(seed, i)
-    idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-    return _grow_tree(x[idx], y[idx], params.max_depth, mtry, rng)
+    if params.bootstrap:
+        w = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    else:
+        w = np.ones(n, dtype=np.int64)
+    rows = np.flatnonzero(w)
+    return _grow_tree(x[rows], y[rows], w[rows], params.max_depth, mtry, rng)
 
 
 # The job of a forked forest worker; only the pool's initializer sets it, in the worker.
@@ -502,9 +520,11 @@ class Knn:
     def neighbors(self, rows) -> np.ndarray:
         """(n, k) training-row indices by increasing distance, ties by index.
 
-        Queries go in chunks of 256 rows, one thread per usable CPU: numpy
-        releases the interpreter lock in the matmul, the ufuncs and the
-        partition, and each chunk fills its own rows of the result.
+        Queries go in chunks of 256 rows. Each of min(usable CPUs, chunks)
+        threads takes a contiguous block of chunks and writes them through
+        two 256 x n buffers of its own: numpy releases the interpreter lock
+        in the matmul, the ufuncs and the partition, and each chunk fills its
+        own rows of the result.
         """
         k = self.k
         q = _as_matrix(rows)
@@ -515,28 +535,34 @@ class Knn:
         tt = (x_std * x_std).sum(axis=1)
         out = np.empty((q.shape[0], k), dtype=np.int64)
         chunk = 256
+        starts = range(0, q.shape[0], chunk)
 
-        def fill(lo: int):
-            qc = q[lo : lo + chunk]
-            # |q - t|^2 expanded so one matmul does the heavy lifting; the
-            # in-place steps give the bits of (qq + tt) - 2.0 * (q @ x.T)
-            d2 = (qc * qc).sum(axis=1)[:, None] + tt
-            qt = qc @ x_std.T
-            qt *= 2.0
-            d2 -= qt
-            del qt
-            # partition pulls the k nearest in O(n); the tiny candidate set
-            # (k plus any exact distance ties) is then ordered exactly
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            for i, row in enumerate(d2):
-                kth = row[part[i]].max()
-                cand = np.nonzero(row <= kth)[0]
-                order = np.lexsort((cand, row[cand]))
-                out[lo + i] = cand[order[:k]]
+        def fill(block):
+            d2_buf = np.empty((chunk, tt.size))
+            part_buf = np.empty_like(d2_buf)
+            for lo in block:
+                qc = q[lo : lo + chunk]
+                d2, part = d2_buf[: qc.shape[0]], part_buf[: qc.shape[0]]
+                # |q - t|^2 expanded so one matmul does the heavy lifting; the
+                # steps give the bits of (qq + tt) - 2.0 * (q @ x.T)
+                np.add((qc * qc).sum(axis=1)[:, None], tt, out=d2)
+                np.matmul(qc, x_std.T, out=part)
+                np.multiply(part, 2.0, out=part)
+                np.subtract(d2, part, out=d2)
+                # partition pulls each row's k-th distance in O(n); the tiny
+                # candidate set (k plus any exact distance ties) is then
+                # ordered exactly
+                part[...] = d2
+                part.partition(k - 1, axis=1)
+                for i, row in enumerate(d2):
+                    cand = np.nonzero(row <= part[i, k - 1])[0]
+                    order = np.lexsort((cand, row[cand]))
+                    out[lo + i] = cand[order[:k]]
 
+        threads = min(_usable_cpus(), len(starts))
         # leaving the block joins every thread, so a later fork copies none
-        with ThreadPoolExecutor(_usable_cpus()) as pool:
-            list(pool.map(fill, range(0, q.shape[0], chunk)))
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(fill, np.array_split(starts, threads)))
         return out
 
     def predict_codes(self, x: np.ndarray) -> np.ndarray:

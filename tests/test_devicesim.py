@@ -251,6 +251,13 @@ class TestLineValidation:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize("port", [99999, -1, 65536])
+    def test_server_port_out_of_range_opens_no_socket(self, port):
+        # a socket half made and leaked here fails under the suite's
+        # error::ResourceWarning filter
+        with pytest.raises(ValueError, match=r"0\.\.65535"):
+            devicesim.DeviceServer(script_of(5), "127.0.0.1", port)
+
     def test_initial_connect_failure(self, tmp_path):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))

@@ -10,6 +10,8 @@ import math
 import multiprocessing
 import os
 import threading
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -261,6 +263,17 @@ def _split_case(kind, seed, m):
     return x, y.astype(np.int64), idx, feats
 
 
+def _ones(x):
+    return np.ones(x.shape[0], dtype=np.int64)
+
+
+def _repeated(x, y, w, idx):
+    """The rows of a weighted split search written out: row i repeated w[i]
+    times, and the node's rows among them."""
+    rep = np.repeat(np.arange(x.shape[0]), w)
+    return x[rep], y[rep], np.flatnonzero(np.isin(rep, idx))
+
+
 class TestIntegerSplitScoring:
     """models._best_split against the float one-hot search, compared with ==."""
 
@@ -271,8 +284,21 @@ class TestIntegerSplitScoring:
     @pytest.mark.parametrize("m", [2, 3, 17, 240, 1999, 6001])
     def test_equals_float_counts(self, kind, m):
         for seed in range(3):
-            case = _split_case(kind, seed + 1000 * m, m)
-            assert models._best_split(*case) == _float_best_split(*case)
+            x, y, idx, feats = _split_case(kind, seed + 1000 * m, m)
+            assert (models._best_split(x, y, _ones(x), idx, feats)
+                    == _float_best_split(x, y, idx, feats))
+
+    @pytest.mark.parametrize("kind", [
+        "repeated", "constant", "single-class", "adjacent", "imbalanced", "rounded",
+        "normal",
+    ])
+    @pytest.mark.parametrize("m", [2, 3, 17, 240, 1999, 6001])
+    def test_weighted_rows_equal_repeated_rows(self, kind, m):
+        for seed in range(3):
+            x, y, idx, feats = _split_case(kind, seed + 1000 * m, m)
+            w = np.random.default_rng(seed).integers(1, 5, size=x.shape[0])
+            assert (models._best_split(x, y, w, idx, feats)
+                    == _float_best_split(*_repeated(x, y, w, idx), feats))
 
     def test_midpoint_fallback_takes_left_value(self):
         lo = 1.0 + 2.0**-52
@@ -281,14 +307,25 @@ class TestIntegerSplitScoring:
         x = np.array([[lo], [lo], [hi], [hi]])
         y = np.array([0, 0, 1, 1])
         idx = np.arange(4)
-        got = models._best_split(x, y, idx, np.array([0]))
+        got = models._best_split(x, y, _ones(x), idx, np.array([0]))
         assert got == _float_best_split(x, y, idx, np.array([0])) == (0, lo, 0.5)
+
+    def test_weighted_midpoint_fallback_takes_left_value(self):
+        lo = 1.0 + 2.0**-52
+        hi = np.nextafter(lo, np.inf)
+        x = np.array([[lo], [hi], [hi]])
+        y = np.array([0, 1, 1])
+        w = np.array([3, 2, 1])
+        idx = np.arange(3)
+        got = models._best_split(x, y, w, idx, np.array([0]))
+        assert got == _float_best_split(*_repeated(x, y, w, idx), np.array([0])) == (0, lo, 0.5)
 
     def test_grown_tree_equals_float_split_tree(self, monkeypatch):
         x, y = random_dataset(np.random.default_rng(40), n=600, d=6, spread=1.0)
         x = np.round(x, 1)
         want = model_to_json(train_decision_tree(x, y))
-        monkeypatch.setattr(models, "_best_split", _float_best_split)
+        monkeypatch.setattr(models, "_best_split",
+                            lambda x, y, w, idx, feats: _float_best_split(x, y, idx, feats))
         assert model_to_json(train_decision_tree(x, y)) == want
 
 
@@ -349,14 +386,16 @@ class TestRandomForest:
 
 
 def _plain_loop_forest_json(x, y, params, seed):
-    """The forest as one loop over the per-tree generators grows it."""
+    """The forest as one loop over the per-tree generators grows it, each tree
+    on its whole sample, duplicated bootstrap rows included, with weights of
+    one: the algorithm as it stood before trees grew on distinct rows."""
     n = x.shape[0]
     mtry = min(params.features_per_split, x.shape[1])
     trees = []
     for i in range(params.n_trees):
         rng = models._tree_rng(seed, i)
         idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        trees.append(models._grow_tree(x[idx], y[idx], params.max_depth, mtry, rng))
+        trees.append(models._grow_tree(x[idx], y[idx], _ones(x), params.max_depth, mtry, rng))
     return model_to_json(models.RandomForest(params, x.shape[1], seed, trees))
 
 
@@ -382,6 +421,16 @@ class TestParallelForest:
         got = model_to_json(train_random_forest(x, y, params, seed=seed))
         assert got == _plain_loop_forest_json(x, y, params, seed)
 
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    def test_bytes_equal_plain_loop_on_repeated_values(self, monkeypatch, max_depth):
+        # values rounded to 0.1, so most thresholds fall between repeated values
+        _cpus(monkeypatch, 2)
+        x, y = random_dataset(np.random.default_rng(21), n=3000, d=8, spread=1.0)
+        x = np.round(x, 1)
+        params = ForestParams(n_trees=4, features_per_split=3, max_depth=max_depth)
+        got = model_to_json(train_random_forest(x, y, params, seed=13))
+        assert got == _plain_loop_forest_json(x, y, params, 13)
+
     def test_one_cpu_builds_serially(self, monkeypatch):
         x, y = random_dataset(np.random.default_rng(8), n=120, d=8, spread=1.5)
         params = ForestParams(n_trees=5, features_per_split=3)
@@ -399,10 +448,10 @@ class TestParallelForest:
         parent = os.getpid()
         grow = models._grow_tree
 
-        def fail_tree_three(x, y, max_depth, mtry, rng):
+        def fail_tree_three(x, y, w, max_depth, mtry, rng):
             if rng.bit_generator.seed_seq.entropy[1] == 3:
                 raise TreeFailure(os.getpid())
-            return grow(x, y, max_depth, mtry, rng)
+            return grow(x, y, w, max_depth, mtry, rng)
 
         monkeypatch.setattr(models, "_grow_tree", fail_tree_three)
         x, y = random_dataset(np.random.default_rng(9), n=60)
@@ -509,9 +558,55 @@ def _tied_knn_case(seed):
     return x, y, queries
 
 
+@lru_cache(maxsize=None)
+def _block_case(n_queries):
+    """A tied kNN case with n_queries queries, its k=5 model and its oracle."""
+    x, y, queries = _tied_knn_case(20)
+    queries = np.resize(queries, (n_queries, queries.shape[1]))
+    nbrs, preds = _knn_oracle(x, y, queries, 5)
+    return train_knn(x, y, k=5), queries, nbrs, preds
+
+
 class TestThreadedKnn:
-    """Query chunks run on one thread per usable CPU; the CPUs are claimed so
-    that the pool size does not depend on the host."""
+    """Each thread answers a contiguous block of 256-row query chunks; the
+    CPUs are claimed so that the pool size does not depend on the host."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_queries", [1, 255, 257, 600, 1025])
+    def test_blocks_match_quadratic_scan(self, monkeypatch, cpus, n_queries):
+        _cpus(monkeypatch, cpus)
+        pools = []
+
+        class Pool(models.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(models, "ThreadPoolExecutor", Pool)
+        model, queries, want_nbrs, want_preds = _block_case(n_queries)
+        got = model.neighbors(queries)
+        assert pools == [min(cpus, -(-n_queries // 256))]
+        assert got.dtype == np.int64 and got.shape == (n_queries, 5)
+        assert got.tolist() == want_nbrs.tolist()
+        assert predict(model, queries).tolist() == want_preds.tolist()
+
+    def test_memory_is_two_buffers_per_thread(self, monkeypatch):
+        # five chunks on two threads: each thread may hold two 256 x n
+        # buffers; one more (256, n) array per chunk or thread breaks the bound
+        threads = 2
+        _cpus(monkeypatch, threads)
+        rng = np.random.default_rng(14)
+        x, y = random_dataset(rng, n=3000, d=6)
+        model = train_knn(x, y, k=5)
+        queries = rng.normal(size=(1025, 6))
+        tracemalloc.start()
+        try:
+            model.neighbors(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = 256 * x.shape[0] * 8
+        assert peak < (2 * threads + 1) * buffer + 2 * queries.nbytes
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("k", [1, 5, 6])
