@@ -147,7 +147,7 @@ def _load_feature_files(paths) -> features.FeatureTable:
             tables.append(features.parse_feature_csv(fh, night_id=_night_stem(path)))
     windows = features.FeatureTable.concat(tables)
     if not len(windows):
-        raise AllMissing("feature windows")
+        raise AllMissing("the feature files hold no windows")
     return windows
 
 
@@ -201,11 +201,10 @@ def _cmd_evaluate(args) -> int:
         if not args.model_kind:
             raise ValueError("--kfold needs --model-kind")
         x, y = windows.x, windows.y
-        folds = models.kfold_indices(len(windows), args.kfold, seed=args.seed)
+        group, n_groups = models.split_groups(windows, args.grouping)
         fold_blocks = []
-        for fold in folds:
-            test = np.zeros(len(windows), dtype=bool)
-            test[fold] = True
+        for fold in models.kfold_indices(n_groups, args.kfold, seed=args.seed):
+            test = np.isin(group, fold)
             model = _train_kind(args.model_kind, x[~test], y[~test], args.seed, args)
             fold_blocks.append(_metric_block(y[test], models.predict(model, x[test])))
         doc["kfold"] = {
@@ -241,7 +240,7 @@ def _fill_codes(aligned: np.ndarray) -> np.ndarray:
     the first labeled second."""
     labeled = aligned >= 0
     if not labeled.any():
-        raise AllMissing("stage labels")
+        raise AllMissing("labels cover no second of the night")
     source = np.where(labeled, np.arange(aligned.size), np.argmax(labeled))
     return aligned[np.maximum.accumulate(source)]
 
@@ -249,6 +248,8 @@ def _fill_codes(aligned: np.ndarray) -> np.ndarray:
 def _cmd_report(args) -> int:
     doc: dict = {}
     outputs = {}
+    if (args.labels or args.model) and not (args.night and args.labels and args.model):
+        raise ValueError("--labels and --model must be given together, with --night")
 
     if args.night:
         record = ingest.load_night(args.night, night_id=_night_stem(args.night))
@@ -262,7 +263,7 @@ def _cmd_report(args) -> int:
             "n_epochs": len(epochs),
         }
 
-        if args.labels and args.model:
+        if args.model:
             intervals = ingest.load_labels(args.labels)
             model = models.load_model(args.model)
             cleaned = preprocess.clean_for_features(record)
@@ -281,7 +282,7 @@ def _cmd_report(args) -> int:
     if args.cohort_dir:
         cohort = sorted(Path(args.cohort_dir).glob("*.ndjson"))
         if not cohort:
-            raise AllMissing(f"night files in {args.cohort_dir}")
+            raise AllMissing(f"no night files (*.ndjson) in {args.cohort_dir}")
         ids, algo, ref = [], [], []
         for night_path in cohort:
             rec = ingest.load_night(night_path, night_id=_night_stem(night_path))

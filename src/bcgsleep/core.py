@@ -40,7 +40,17 @@ class Stage(IntEnum):
 
 # level names in stage-code order: STAGE_NAMES[code] names Stage(code)
 STAGE_NAMES = tuple(s.level_name for s in Stage)
+N_STAGES = len(STAGE_NAMES)
 _NAME_TO_STAGE = dict(zip(STAGE_NAMES, Stage))
+
+
+def check_stage_codes(codes: np.ndarray, what: str, error=ValueError) -> np.ndarray:
+    """The int codes, if all are stage codes 0..N_STAGES-1; else error(message)
+    naming what and the first code that is not."""
+    bad = codes[(codes < 0) | (codes >= N_STAGES)]
+    if bad.size:
+        raise error(f"{what}: {bad[0]} is not a stage code 0..{N_STAGES - 1}")
+    return codes
 
 
 VITAL_FIELDS = ("hr", "rr", "sv", "hrv", "b2b")

@@ -63,8 +63,7 @@ class OverlappingIntervals(BcgSleepError):
 # --- preprocess ---------------------------------------------------------
 
 class AllMissing(BcgSleepError):
-    def __init__(self, what="series"):
-        super().__init__(f"cannot impute: {what} has no present value")
+    """An input holds none of what a step needs; the message says what."""
 
 
 # --- sleepwake ----------------------------------------------------------

@@ -12,26 +12,24 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
-from .core import STAGE_NAMES
+from .core import N_STAGES, STAGE_NAMES, check_stage_codes
 from .errors import ConstantInput, LengthMismatch, TooFewPoints
 
-N_STAGES = 4
 
-
-def _codes(stages) -> np.ndarray:
-    return np.asarray(stages, dtype=np.int64)
+def _pair(true_stages, predicted_stages) -> tuple[np.ndarray, np.ndarray]:
+    """Both as int64 codes: a code outside 0..3 is ValueError, and unequal or
+    zero lengths LengthMismatch."""
+    t = check_stage_codes(np.asarray(true_stages, dtype=np.int64), "true stages")
+    p = check_stage_codes(np.asarray(predicted_stages, dtype=np.int64), "predicted stages")
+    if t.size != p.size or t.size == 0:
+        raise LengthMismatch(t.size, p.size)
+    return t, p
 
 
 def confusion_matrix(true_stages, predicted_stages) -> np.ndarray:
     """4x4 counts, cell[predicted][true]."""
-    t = _codes(true_stages)
-    p = _codes(predicted_stages)
-    if t.size != p.size:
-        raise LengthMismatch(t.size, p.size)
-    if t.size == 0:
-        raise LengthMismatch(0, 0)
+    t, p = _pair(true_stages, predicted_stages)
     cm = np.zeros((N_STAGES, N_STAGES), dtype=np.int64)
     np.add.at(cm, (p, t), 1)
     return cm
@@ -60,12 +58,7 @@ def macro_f1(cm: np.ndarray) -> float:
 
 
 def rmse(true_stages, predicted_stages) -> float:
-    t = _codes(true_stages)
-    p = _codes(predicted_stages)
-    if t.size != p.size:
-        raise LengthMismatch(t.size, p.size)
-    if t.size == 0:
-        raise LengthMismatch(0, 0)
+    t, p = _pair(true_stages, predicted_stages)
     return float(np.sqrt(np.mean((t - p) ** 2)))
 
 
@@ -97,6 +90,10 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     if 1.0 - r * r <= 0.0:
         return r, 0.0
     t2 = r * r * df / (1.0 - r * r)
+    # imported here, the package's one use of scipy, so that importing the
+    # package and running commands that compute no p-value do not load it
+    from scipy.special import betainc
+
     p = float(betainc(df / 2.0, 0.5, df / (df + t2)))
     return r, p
 

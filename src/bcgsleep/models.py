@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import N_STAGES, check_stage_codes
 from .errors import EmptyTrainingSet, RecordTooShort, SchemaMismatch, TooFewItems
 from .features import (
     WINDOW_LEN,
@@ -65,40 +66,36 @@ class SplitSpec:
             raise ValueError(f"unknown grouping {self.grouping!r}")
 
 
+def split_groups(windows: FeatureTable, grouping: str) -> tuple[np.ndarray, int]:
+    """(group of each row, number of groups) under a grouping: window-level
+    makes each window its own group, night-level numbers the nights in order
+    of first appearance. Splits and folds never cut a group."""
+    if grouping == WINDOW_GROUPING:
+        return np.arange(len(windows)), len(windows)
+    _, first, night = np.unique(windows.night_id, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[night], first.size
+
+
 def split_train_test(
     windows: FeatureTable, spec: SplitSpec
 ) -> tuple[FeatureTable, FeatureTable]:
     """Disjoint, exhaustive train/test split, deterministic under spec.seed.
 
-    Window-level shuffles individual windows and puts round(train_fraction*N)
-    of them in train, in table order. Night-level keeps every night intact on
-    one side: shuffled nights join train, in shuffled order, until it reaches
-    that target, but the last shuffled night always goes to test, so
-    overlapping windows from one night never straddle the split and test is
-    never empty.
+    One rule for both groupings (split_groups): the groups are shuffled, and
+    shuffled groups join train until it holds round(train_fraction*N)
+    windows, but the last shuffled group never does, so a group never
+    straddles the split and test is never empty. Both sides keep table order.
     """
-    n = len(windows)
-    if n < 2:
-        raise TooFewItems(n, 2)
-    target = int(round(spec.train_fraction * n))
-    rng = np.random.default_rng(spec.seed & _SEED_MASK)
-
-    if spec.grouping == WINDOW_GROUPING:
-        perm = rng.permutation(n)
-        return windows[np.sort(perm[:target])], windows[np.sort(perm[target:])]
-
-    nights, first = np.unique(windows.night_id, return_index=True)
-    if nights.size < 2:
-        raise TooFewItems(int(nights.size), 2)
-    # nights in order of first appearance, then shuffled
-    by_night = [np.nonzero(windows.night_id == nights[j])[0] for j in np.argsort(first)]
-    order = [by_night[i] for i in rng.permutation(len(by_night))]
-    n_train = k = 0
-    while k < len(order) - 1 and n_train < target:
-        n_train += order[k].size
-        k += 1
-    rows = np.concatenate(order)
-    return windows[rows[:n_train]], windows[rows[n_train:]]
+    group, n_groups = split_groups(windows, spec.grouping)
+    if n_groups < 2:
+        raise TooFewItems(n_groups, 2)
+    target = int(round(spec.train_fraction * len(windows)))
+    order = np.random.default_rng(spec.seed & _SEED_MASK).permutation(n_groups)
+    # filled[k]: rows in train once the first k shuffled groups have joined
+    filled = np.concatenate(([0], np.cumsum(np.bincount(group)[order])))
+    k = min(int(np.searchsorted(filled, target)), n_groups - 1)
+    train = np.isin(group, order[:k])
+    return windows[train], windows[~train]
 
 
 def kfold_indices(n: int, folds: int = 5, seed: int = 0) -> list[np.ndarray]:
@@ -116,23 +113,19 @@ def _as_matrix(rows) -> np.ndarray:
     return x
 
 
-def _as_codes(labels) -> np.ndarray:
-    return np.asarray(labels, dtype=np.int64)
-
-
 def _training_set(rows, labels, model: str, min_rows: int = 0):
     """(x, y) for a fit, checked in this order: fewer than min_rows rows is
     TooFewItems, no rows EmptyTrainingSet(model), and a row count that is not
-    the label count ValueError."""
+    the label count or a label that is not a stage code ValueError."""
     x = _as_matrix(rows)
-    y = _as_codes(labels)
+    y = np.asarray(labels, dtype=np.int64)
     if x.shape[0] < min_rows:
         raise TooFewItems(x.shape[0], min_rows)
     if x.shape[0] == 0:
         raise EmptyTrainingSet(model)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"{x.shape[0]} rows vs {y.shape[0]} labels")
-    return x, y
+    return x, check_stage_codes(y, f"{model} labels")
 
 
 def _require(ok, detail: str):
@@ -170,10 +163,6 @@ def _params(doc: dict, types: dict) -> dict:
 
 def _check_shape(a: np.ndarray, shape: tuple, what: str):
     _require(a.shape == shape, f"{what} has shape {a.shape}, expected {shape}")
-
-
-def _check_codes(codes: np.ndarray, what: str):
-    _require(((codes >= 0) & (codes <= 3)).all(), f"{what} holds a stage code outside 0..3")
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +228,7 @@ class _FlatTree:
         for child in (tree.left, tree.right):
             _require(((child > node) & (child < n))[split].all(),
                      "tree child index not after its parent or past the last node")
-        _check_codes(tree.label[~split], "tree leaf label")
+        check_stage_codes(tree.label[~split], "tree leaf label", SchemaMismatch)
         return tree
 
 
@@ -267,7 +256,7 @@ def _best_split(x, y, w, idx, feats):
     ysub = y[idx]
     wsub = w[idx]
     # a class absent from the node adds nothing to any sum of squares
-    present = np.flatnonzero(np.bincount(ysub, minlength=4))
+    present = np.flatnonzero(np.bincount(ysub, minlength=N_STAGES))
     # each row's weight in its class's row of indicators, built once per node
     ind = (ysub == present[:, None]) * wsub
     have = ind.sum(axis=1)
@@ -319,7 +308,7 @@ def _grow_tree(x, y, w, max_depth, mtry, rng) -> _FlatTree:
         threshold.append(0.0)
         left.append(i)
         right.append(i)
-        label.append(int(np.argmax(np.bincount(y[idx], weights=w[idx], minlength=4))))
+        label.append(int(np.argmax(np.bincount(y[idx], weights=w[idx], minlength=N_STAGES))))
         return i
 
     def build(idx, depth) -> int:
@@ -569,7 +558,7 @@ class Knn:
         """Majority vote of the k neighbors; a tied vote goes to the nearest
         neighbor whose class is among the winners."""
         labels = self.y[self.neighbors(x)]
-        votes = (labels[:, :, None] == np.arange(4)).sum(axis=1)
+        votes = (labels[:, :, None] == np.arange(N_STAGES)).sum(axis=1)
         winners = votes == votes.max(axis=1, keepdims=True)
         first = np.argmax(np.take_along_axis(winners, labels, axis=1), axis=1)
         return labels[np.arange(labels.shape[0]), first]
@@ -599,7 +588,7 @@ class Knn:
         _check_shape(model.x_std, (n, d), "knn x")
         _check_shape(model.mean, (d,), "knn mean")
         _check_shape(model.std, (d,), "knn std")
-        _check_codes(model.y, "knn y")
+        check_stage_codes(model.y, "knn y", SchemaMismatch)
         _require(1 <= model.k <= n, f"knn k={model.k} needs 1..{n} stored rows")
         return model
 
@@ -666,7 +655,7 @@ class GaussianNB:
         _check_shape(model.prior, (c,), "naive Bayes prior")
         _check_shape(model.mean, (c, d), "naive Bayes mean")
         _check_shape(model.var, (c, d), "naive Bayes var")
-        _check_codes(model.classes, "naive Bayes classes")
+        check_stage_codes(model.classes, "naive Bayes classes", SchemaMismatch)
         _require(c > 0 and (model.prior > 0).all() and (model.var > 0).all(),
                  "naive Bayes needs a class, and positive priors and variances")
         return model

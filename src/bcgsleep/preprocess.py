@@ -38,7 +38,7 @@ def clean_for_features(record: NightRecord) -> NightRecord:
     n = record.last_t + 1
     valid = record.vitals[:, 0] != 0.0
     if n <= 0 or not valid.any():
-        raise AllMissing("record")
+        raise AllMissing("cannot impute: record has no present value")
     valid_t = record.t[valid]
     source = np.searchsorted(valid_t, np.arange(n), side="right") - 1
     np.maximum(source, 0, out=source)

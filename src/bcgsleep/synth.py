@@ -188,8 +188,8 @@ def _draw_signals(rng, profile: SubjectProfile, codes: np.ndarray) -> np.ndarray
     n = codes.size
     out = np.empty((n, len(SIGNAL_ORDER)))
     for j, sig in enumerate(SIGNAL_ORDER):
-        means = np.array([profile.stage_params[Stage(c)][sig][0] for c in range(4)])
-        stds = np.array([profile.stage_params[Stage(c)][sig][1] for c in range(4)])
+        means = np.array([profile.stage_params[s][sig][0] for s in Stage])
+        stds = np.array([profile.stage_params[s][sig][1] for s in Stage])
         vals = means[codes] + stds[codes] * rng.standard_normal(n)
         bad = vals < 0
         while bad.any():

@@ -41,6 +41,22 @@ def feature_args(workdir, stems=("night00", "night01", "night02")):
     return [str(workdir / "features" / f"{s}.features.csv") for s in stems]
 
 
+@pytest.fixture(scope="module")
+def equal_nights(tmp_path_factory):
+    """Feature files of four synthesized 1 h nights (seed 5)."""
+    root = tmp_path_factory.mktemp("equal")
+    nights = root / "nights"
+    assert main(["synth", "--out", str(nights), "--nights", "4", "--seed", "5",
+                 "--duration", "3600"]) == 0
+    feats = []
+    for i in range(4):
+        feats.append(root / f"night0{i}.features.csv")
+        assert main(["featurize", "--in", str(nights / f"night0{i}.ndjson"),
+                     "--labels", str(nights / f"night0{i}.labels.json"),
+                     "--out", str(feats[-1])]) == 0
+    return feats
+
+
 class TestUsageErrors:
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -335,16 +351,8 @@ class TestEvaluateCommand:
         assert len(doc["kfold"]["folds"]) == 3
         assert 0.0 <= doc["kfold"]["mean"]["accuracy"] <= 1.0
 
-    def test_night_level_split_on_equal_nights(self, tmp_path):
-        nights = tmp_path / "nights"
-        assert main(["synth", "--out", str(nights), "--nights", "4", "--seed", "5",
-                     "--duration", "3600"]) == 0
-        feats = []
-        for i in range(4):
-            feats.append(tmp_path / f"night0{i}.features.csv")
-            assert main(["featurize", "--in", str(nights / f"night0{i}.ndjson"),
-                         "--labels", str(nights / f"night0{i}.labels.json"),
-                         "--out", str(feats[-1])]) == 0
+    def test_night_level_split_on_equal_nights(self, equal_nights, tmp_path):
+        feats = equal_nights
         flags = ["--features", *map(str, feats), "--grouping", "night-level",
                  "--seed", "1"]
         model = tmp_path / "nb.json"
@@ -355,6 +363,31 @@ class TestEvaluateCommand:
         rows = [len(f.read_text().splitlines()) - 1 for f in feats]
         assert doc["n_test"] in rows  # exactly one whole night held out
         assert doc["n_train"] + doc["n_test"] == sum(rows)
+
+    def test_night_level_kfold_holds_whole_nights(self, equal_nights, tmp_path):
+        out_dir = tmp_path / "kfold"
+        assert main(["evaluate", "--features", *map(str, equal_nights),
+                     "--kfold", "4", "--model-kind", "nb", "--grouping", "night-level",
+                     "--seed", "1", "--out-dir", str(out_dir)]) == 0
+        doc = json.loads((out_dir / "metrics.json").read_text())
+        rows = [len(f.read_text().splitlines()) - 1 for f in equal_nights]
+        # four groups in four folds: fold i holds the one night kfold_indices gives it
+        nights = [int(f[0]) for f in models.kfold_indices(4, 4, seed=1)]
+        assert [b["n"] for b in doc["kfold"]["folds"]] == [rows[i] for i in nights]
+
+    def test_two_windows_hold_one_out(self, workdir, tmp_path, capsys):
+        """round(0.8 * 2) is both windows; one stays in test all the same."""
+        lines = (workdir / "features" / "night00.features.csv").read_text().splitlines()
+        feats = tmp_path / "two.features.csv"
+        feats.write_text("\n".join(lines[:3]) + "\n")
+        model = tmp_path / "nb.json"
+        assert main(["train", "--features", str(feats), "--model", "nb",
+                     "--out", str(model)]) == 0
+        assert "(1 held out)" in capsys.readouterr().out
+        assert main(["evaluate", "--features", str(feats), "--model", str(model),
+                     "--out-dir", str(tmp_path / "eval")]) == 0
+        doc = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert (doc["n_train"], doc["n_test"]) == (1, 1)
 
 
 def _sha256(path) -> str:
@@ -504,6 +537,23 @@ class TestReportCommand:
         assert capsys.readouterr().err.startswith("AllMissing")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("given", [("night", "labels"), ("night", "model"),
+                                       ("labels", "model"), ("labels",), ("model",)])
+    def test_labels_and_model_need_each_other_and_night(self, workdir, tmp_path,
+                                                        capsys, given):
+        night = workdir / "nights" / "night00"
+        paths = {"night": f"{night}.ndjson", "labels": f"{night}.labels.json",
+                 "model": str(tmp_path / "any.json")}
+        out_dir = tmp_path / "rep"
+        argv = ["report", "--out-dir", str(out_dir)]
+        for name in given:
+            argv += [f"--{name}", paths[name]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError") and len(err.splitlines()) == 1
+        assert "--labels and --model" in err
+        assert not out_dir.exists()
+
     def test_report_reruns_byte_identical(self, workdir, tmp_path):
         a, b = tmp_path / "ra", tmp_path / "rb"
         night = str(workdir / "nights" / "night02.ndjson")
@@ -511,6 +561,37 @@ class TestReportCommand:
             assert main(["report", "--night", night, "--out-dir", str(out_dir)]) == 0
         assert (a / "threshold_trace.svg").read_bytes() == (b / "threshold_trace.svg").read_bytes()
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+
+
+class TestAllMissingMessages:
+    """Each AllMissing names what is missing; only imputing says 'impute'."""
+
+    def test_empty_cohort_dir(self, tmp_path, capsys):
+        assert main(["report", "--cohort-dir", str(tmp_path),
+                     "--out-dir", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"AllMissing: no night files (*.ndjson) in {tmp_path}\n"
+
+    def test_feature_files_without_windows(self, workdir, tmp_path, capsys):
+        header = (workdir / "features" / "night00.features.csv").read_text().splitlines()[0]
+        feats = tmp_path / "empty.features.csv"
+        feats.write_text(header + "\n")
+        assert main(["train", "--features", str(feats), "--model", "nb",
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == "AllMissing: the feature files hold no windows\n"
+
+    def test_night_without_labelled_second(self, workdir, tmp_path, capsys):
+        model = tmp_path / "nb.json"
+        assert main(["train", "--features", *feature_args(workdir), "--model", "nb",
+                     "--out", str(model)]) == 0
+        labels = tmp_path / "late.labels.json"
+        labels.write_text(json.dumps({"night_id": "night00", "levels": [
+            {"level": "wake", "start_t": 10**5, "seconds": 30}]}))
+        capsys.readouterr()
+        assert main(["report", "--night", str(workdir / "nights" / "night00.ndjson"),
+                     "--labels", str(labels), "--model", str(model),
+                     "--out-dir", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == "AllMissing: labels cover no second of the night\n"
+        assert not (tmp_path / "r").exists()
 
 
 class TestServeRecordCommands:

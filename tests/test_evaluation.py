@@ -1,6 +1,8 @@
 """Metrics against counting oracles, hand-worked cases, and scipy.stats."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from bcgsleep.evaluation import (
     pearson_r,
     rmse,
 )
+
+from conftest import checkout_env
 
 stage_lists = st.lists(st.sampled_from(list(Stage)), min_size=1, max_size=60)
 
@@ -49,6 +53,13 @@ class TestConfusionMatrix:
     def test_empty_rejected(self):
         with pytest.raises(LengthMismatch):
             confusion_matrix([], [])
+
+    @pytest.mark.parametrize("true, pred", [([-1, 0], [0, 0]), ([4, 0], [0, 0]),
+                                            ([0, 0], [0, 9])])
+    def test_codes_outside_stages_rejected(self, true, pred):
+        """-1 used to count as deep and 4 to raise IndexError."""
+        with pytest.raises(ValueError, match="is not a stage code 0..3"):
+            confusion_matrix(true, pred)
 
 
 class TestAccuracyAndF1:
@@ -96,6 +107,11 @@ class TestRmse:
         with pytest.raises(LengthMismatch):
             rmse([Stage.WAKE], [])
 
+    @pytest.mark.parametrize("true, pred", [([5], [0]), ([0], [-1])])
+    def test_codes_outside_stages_rejected(self, true, pred):
+        with pytest.raises(ValueError, match="is not a stage code 0..3"):
+            rmse(true, pred)
+
 
 def _construct_with_exact_r(r, n=8):
     """x arbitrary; y built from x's direction plus an orthogonal residual."""
@@ -112,6 +128,16 @@ def _construct_with_exact_r(r, n=8):
 
 
 class TestPearson:
+    def test_package_import_loads_no_scipy(self):
+        """scipy is only needed for the p-value, so importing the package and
+        its CLI leaves it unloaded; pearson_r loads it."""
+        code = ("import sys, bcgsleep, bcgsleep.cli; a = 'scipy' in sys.modules; "
+                "bcgsleep.evaluation.pearson_r([1, 2, 3], [1, 3, 2]); "
+                "print(a, 'scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=checkout_env(), check=True).stdout
+        assert out.split() == ["False", "True"]
+
     def test_paper_operating_point(self):
         x, y = _construct_with_exact_r(0.897, n=8)
         r, p = pearson_r(x, y)

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bcgsleep import models
 from bcgsleep.core import Stage
@@ -28,6 +30,7 @@ from bcgsleep.features import FeatureTable, N_FEATURES, standardize_apply, stand
 from bcgsleep.models import (
     ForestParams,
     NIGHT_GROUPING,
+    WINDOW_GROUPING,
     SplitSpec,
     TreeParams,
     kfold_indices,
@@ -116,6 +119,69 @@ class TestSplit:
         with pytest.raises(TooFewItems) as exc:
             split_train_test(windows_for(10), spec)
         assert (exc.value.n, exc.value.needed) == (1, 2)
+
+    @given(
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=7),
+        interleave=st.booleans(),
+        shuffle_seed=st.integers(0, 2**32 - 1),
+        fraction=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**64 - 1),
+        grouping=st.sampled_from([WINDOW_GROUPING, NIGHT_GROUPING]),
+    )
+    def test_one_rule_for_both_groupings(self, sizes, interleave, shuffle_seed,
+                                         fraction, seed, grouping):
+        """Train is the shortest prefix of the shuffled groups that reaches
+        round(fraction * N) windows, capped at all groups but the last; both
+        sides come back in table order and no night straddles the split."""
+        ids = np.repeat([f"night{i}" for i in range(len(sizes))], sizes)
+        if interleave:
+            ids = np.random.default_rng(shuffle_seed).permutation(ids)
+        n = ids.size
+        windows = windows_for(n, night_ids=ids)
+        spec = SplitSpec(train_fraction=fraction, seed=seed, grouping=grouping)
+        if grouping == WINDOW_GROUPING:
+            groups = [[i] for i in range(n)]
+        else:  # nights in order of first appearance
+            _, first = np.unique(ids, return_index=True)
+            groups = [np.flatnonzero(ids == ids[i]).tolist() for i in np.sort(first)]
+        if len(groups) < 2:
+            with pytest.raises(TooFewItems):
+                split_train_test(windows, spec)
+            return
+        train, test = split_train_test(windows, spec)
+        tr, te = train.start_t, test.start_t
+        assert np.array_equal(np.sort(np.concatenate([tr, te])), np.arange(n))
+        assert (np.diff(tr) > 0).all() and (np.diff(te) > 0).all()
+        assert len(te) > 0
+        if grouping == NIGHT_GROUPING:
+            assert not set(train.night_id.tolist()) & set(test.night_id.tolist())
+        target = round(fraction * n)
+        perm = np.random.default_rng(seed).permutation(len(groups))
+        k = 0
+        while k < len(groups) - 1 and sum(len(groups[g]) for g in perm[:k]) < target:
+            k += 1
+        assert tr.tolist() == sorted(i for g in perm[:k] for i in groups[g])
+        if grouping == WINDOW_GROUPING and target < n:
+            # the window-level rule before groups: the first target shuffled windows
+            assert tr.tolist() == np.sort(perm[:target]).tolist()
+            assert te.tolist() == np.sort(perm[target:]).tolist()
+
+    def test_every_window_in_train_keeps_one_for_test(self):
+        train, test = split_train_test(windows_for(2), SplitSpec(train_fraction=0.8))
+        assert (len(train), len(test)) == (1, 1)
+
+    def test_night_level_sides_in_table_order(self):
+        ids = [f"night{i % 3}" for i in range(30)]
+        spec = SplitSpec(seed=4, grouping=NIGHT_GROUPING)
+        for side in split_train_test(windows_for(30, night_ids=ids), spec):
+            assert side.start_t.tolist() == sorted(side.start_t.tolist())
+
+    def test_split_groups(self):
+        ids = ["b", "b", "a", "c", "a", "b"]
+        group, n = models.split_groups(windows_for(6, night_ids=ids), NIGHT_GROUPING)
+        assert (group.tolist(), n) == ([0, 0, 1, 2, 1, 0], 3)
+        group, n = models.split_groups(windows_for(6, night_ids=ids), WINDOW_GROUPING)
+        assert (group.tolist(), n) == (list(range(6)), 6)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -710,6 +776,26 @@ class TestGaussianNB:
         model = train_gaussian_nb(x, y)
         acc = np.mean([int(p) == t for p, t in zip(predict(model, x), y)])
         assert acc > 0.95
+
+
+class TestStageCodes:
+    TRAINERS = {
+        "tree": train_decision_tree,
+        "forest": lambda x, y: train_random_forest(x, y, ForestParams(n_trees=2), seed=0),
+        "knn": train_knn,
+        "nb": train_gaussian_nb,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TRAINERS))
+    @pytest.mark.parametrize("bad", [7, 4, -1])
+    def test_training_rejects_labels_outside_stages(self, kind, bad, monkeypatch):
+        """A label outside 0..3 stops training before any fit, so no trainer
+        hands save_model a document that load_model would refuse."""
+        x = np.arange(40, dtype=float).reshape(20, 2)
+        monkeypatch.setattr(models, "_grow_tree", None)  # a fit would call None
+        monkeypatch.setattr(models, "standardize_fit", None)
+        with pytest.raises(ValueError, match=f"labels: {bad} is not a stage code 0..3"):
+            self.TRAINERS[kind](x, [0, 1, bad, 2] * 5)
 
 
 class TestPredictContract:
