@@ -203,7 +203,8 @@ def _cmd_evaluate(args) -> int:
         x, y = windows.x, windows.y
         group, n_groups = models.split_groups(windows, args.grouping)
         fold_blocks = []
-        for fold in models.kfold_indices(n_groups, args.kfold, seed=args.seed):
+        unit = models.GROUP_UNITS[args.grouping]
+        for fold in models.kfold_indices(n_groups, args.kfold, seed=args.seed, unit=unit):
             test = np.isin(group, fold)
             model = _train_kind(args.model_kind, x[~test], y[~test], args.seed, args)
             fold_blocks.append(_metric_block(y[test], models.predict(model, x[test])))

@@ -9,6 +9,17 @@ class BcgSleepError(Exception):
     """Base class for all pipeline errors."""
 
 
+class TooFewItems(BcgSleepError):
+    """A step got fewer of something than it needs; unit names what, such as
+    nights, windows or training windows."""
+
+    def __init__(self, n, needed, unit):
+        super().__init__(f"need at least {needed} {unit}, got {n}")
+        self.n = n
+        self.needed = needed
+        self.unit = unit
+
+
 # --- core ---------------------------------------------------------------
 
 class InvalidStageCode(BcgSleepError):
@@ -94,13 +105,6 @@ class DegenerateMatrix(BcgSleepError):
 
 # --- models -------------------------------------------------------------
 
-class TooFewItems(BcgSleepError):
-    def __init__(self, n, needed):
-        super().__init__(f"got {n} items, need at least {needed}")
-        self.n = n
-        self.needed = needed
-
-
 class EmptyTrainingSet(BcgSleepError):
     def __init__(self, what="training set"):
         super().__init__(f"{what}: training set is empty")
@@ -121,13 +125,6 @@ class LengthMismatch(BcgSleepError):
 class ConstantInput(BcgSleepError):
     def __init__(self, which):
         super().__init__(f"correlation undefined: {which} input is constant")
-
-
-class TooFewPoints(BcgSleepError):
-    def __init__(self, n, needed):
-        super().__init__(f"got {n} points, need at least {needed}")
-        self.n = n
-        self.needed = needed
 
 
 # --- synth --------------------------------------------------------------

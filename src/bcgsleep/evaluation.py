@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import N_STAGES, STAGE_NAMES, check_stage_codes
-from .errors import ConstantInput, LengthMismatch, TooFewPoints
+from .errors import ConstantInput, LengthMismatch, TooFewItems
 
 
 def _pair(true_stages, predicted_stages) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +75,7 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
         raise LengthMismatch(xa.size, ya.size)
     n = xa.size
     if n < 3:
-        raise TooFewPoints(n, 3)
+        raise TooFewItems(n, 3, "points")
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     sxx = float(dx @ dx)
@@ -125,7 +125,7 @@ def efficiency_comparison(
     if len(a) != len(b):
         raise LengthMismatch(len(a), len(b))
     if len(a) < 3:
-        raise TooFewPoints(len(a), 3)
+        raise TooFewItems(len(a), 3, "nights")
     ids = [str(n) for n in night_ids]
     if len(ids) != len(a):
         raise LengthMismatch(len(ids), len(a))

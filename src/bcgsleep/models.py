@@ -15,17 +15,20 @@ rows of its draw weighted by their multiplicities, and kNN answers its
 queries in 256-row chunks, one contiguous block of chunks per thread, each
 thread holding at most two 256 x n buffers. Neither changes a result.
 
-Models serialize to a versioned JSON document and round-trip exactly.
+Models serialize to a versioned JSON document whose fitted arrays are typed
+base64 blobs of their little-endian bytes, so they round-trip exactly.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -41,9 +44,11 @@ from .features import (
     window_rows,
 )
 
-MODEL_SCHEMA = 2
+MODEL_SCHEMA = 3
 WINDOW_GROUPING = "window-level"
 NIGHT_GROUPING = "night-level"
+# What one group of each grouping is, as a count's unit.
+GROUP_UNITS = {WINDOW_GROUPING: "windows", NIGHT_GROUPING: "nights"}
 
 # Splits with weighted-Gini improvement at or below this are not worth a node.
 MIN_GAIN = 1e-12
@@ -88,7 +93,7 @@ def split_train_test(
     """
     group, n_groups = split_groups(windows, spec.grouping)
     if n_groups < 2:
-        raise TooFewItems(n_groups, 2)
+        raise TooFewItems(n_groups, 2, GROUP_UNITS[spec.grouping])
     target = int(round(spec.train_fraction * len(windows)))
     order = np.random.default_rng(spec.seed & _SEED_MASK).permutation(n_groups)
     # filled[k]: rows in train once the first k shuffled groups have joined
@@ -98,10 +103,14 @@ def split_train_test(
     return windows[train], windows[~train]
 
 
-def kfold_indices(n: int, folds: int = 5, seed: int = 0) -> list[np.ndarray]:
-    """Shuffled partition of range(n) into `folds` test folds, sizes within 1."""
+def kfold_indices(n: int, folds: int = 5, seed: int = 0,
+                  unit: str = "windows") -> list[np.ndarray]:
+    """Shuffled partition of range(n) into `folds` test folds, sizes within 1;
+    n counts `unit`. A fold count below 2 is a ValueError."""
+    if folds < 2:
+        raise ValueError(f"k-fold needs at least 2 folds, got {folds}")
     if n < folds:
-        raise TooFewItems(n, folds)
+        raise TooFewItems(n, folds, unit)
     perm = np.random.default_rng(seed & _SEED_MASK).permutation(n)
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
@@ -120,7 +129,7 @@ def _training_set(rows, labels, model: str, min_rows: int = 0):
     x = _as_matrix(rows)
     y = np.asarray(labels, dtype=np.int64)
     if x.shape[0] < min_rows:
-        raise TooFewItems(x.shape[0], min_rows)
+        raise TooFewItems(x.shape[0], min_rows, "training windows")
     if x.shape[0] == 0:
         raise EmptyTrainingSet(model)
     if x.shape[0] != y.shape[0]:
@@ -139,14 +148,34 @@ def _n_features(state: dict) -> int:
     return state["n_features"]
 
 
-def _numbers(values, dtype, what: str) -> np.ndarray:
-    """A document list, possibly nested, as an int64 array of JSON integers (a
-    bool is not one) or a float array of finite JSON numbers."""
-    a = np.asarray(values, dtype=object)
-    _require(set(map(type, a.flat)) <= ({int, float} if dtype is float else {int}),
-             f"{what} must hold {dtype.__name__} values")
-    a = a.astype(dtype)
-    _require(np.isfinite(a).all(), f"{what} holds a value that is not finite")
+def _blob(a: np.ndarray) -> dict:
+    """An array as its document entry, laid out like an .npy header: the
+    dtype string, the shape, and base64 of the C-order little-endian bytes."""
+    dtype = "<f8" if a.dtype.kind == "f" else "<i8"
+    data = base64.b64encode(a.astype(dtype, copy=False).tobytes()).decode("ascii")
+    return {"data": data, "dtype": dtype, "shape": list(a.shape)}
+
+
+def _array(entry, dtype: str, what: str) -> np.ndarray:
+    """A document array entry as an owned, writable, native-order array,
+    checked: exactly the keys data, dtype and shape; the expected dtype string
+    ("<f8" or "<i8"); a shape of non-negative integers (a bool is not one);
+    strict base64 data of 8 bytes per value; no float that is not finite."""
+    _require(isinstance(entry, dict) and set(entry) == {"data", "dtype", "shape"},
+             f"{what} must be an object with exactly the keys data, dtype and shape")
+    _require(entry["dtype"] == dtype, f"{what} dtype is {entry['dtype']!r}, expected {dtype!r}")
+    shape = entry["shape"]
+    _require(isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape),
+             f"{what} shape must be a list of non-negative integers")
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+        _require(len(raw) == 8 * math.prod(shape),
+                 f"{what} data holds {len(raw)} bytes, shape {shape} needs {8 * math.prod(shape)}")
+        # "f8" and "i8" name the same types in native byte order
+        a = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype[1:])
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"{what} data does not decode: {exc}") from None
+    _require(dtype == "<i8" or np.isfinite(a).all(), f"{what} holds a value that is not finite")
     return a
 
 
@@ -201,13 +230,7 @@ class _FlatTree:
         return self.label[pos]
 
     def to_state(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "label": self.label.tolist(),
-        }
+        return {name: _blob(getattr(self, name)) for name in self.__slots__}
 
     @classmethod
     def from_state(cls, state: dict, n_features: int) -> "_FlatTree":
@@ -215,7 +238,7 @@ class _FlatTree:
         ends at a leaf within len(feature) steps: each split's feature is
         below n_features and its children come after it; leaves (feature
         -1) carry a stage code."""
-        tree = cls(*(_numbers(state[name], float if name == "threshold" else np.int64,
+        tree = cls(*(_array(state[name], "<f8" if name == "threshold" else "<i8",
                             f"tree {name}") for name in cls.__slots__))
         n = tree.feature.size
         _require(n > 0, "tree has no nodes")
@@ -358,9 +381,8 @@ class DecisionTree:
     @classmethod
     def from_document(cls, doc: dict) -> "DecisionTree":
         params = TreeParams(**_params(doc, {"max_depth": [int, type(None)]}))
-        state = doc["state"]
-        n_features = _n_features(state)
-        return cls(params, n_features, _FlatTree.from_state(state["tree"], n_features))
+        n_features = _n_features(doc["state"])
+        return cls(params, n_features, _FlatTree.from_state(doc["state"]["tree"], n_features))
 
 
 def train_decision_tree(rows, labels, params: TreeParams = TreeParams()) -> DecisionTree:
@@ -412,10 +434,7 @@ class RandomForest:
         return {**asdict(self.params), "seed": self.seed}
 
     def state_dict(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "trees": [t.to_state() for t in self._trees],
-        }
+        return {"n_features": self.n_features, "trees": [t.to_state() for t in self._trees]}
 
     @classmethod
     def from_document(cls, doc: dict) -> "RandomForest":
@@ -498,13 +517,16 @@ def train_random_forest(
 class Knn:
     kind = "Knn"
 
-    def __init__(self, k, n_features, mean, std, x_std, y):
+    def __init__(self, k, mean, std, x_std, y):
         self.k = k
-        self.n_features = n_features
         self.mean = np.asarray(mean, dtype=float)
         self.std = np.asarray(std, dtype=float)
         self.x_std = np.asarray(x_std, dtype=float)
         self.y = np.asarray(y, dtype=np.int64)
+
+    @property
+    def n_features(self) -> int:
+        return self.x_std.shape[1]
 
     def neighbors(self, rows) -> np.ndarray:
         """(n, k) training-row indices by increasing distance, ties by index.
@@ -567,25 +589,20 @@ class Knn:
         return {"k": self.k}
 
     def state_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "n_features": self.n_features,
-            "std": self.std.tolist(),
-            "x": self.x_std.tolist(),
-            "y": self.y.tolist(),
-        }
+        return {"mean": _blob(self.mean), "std": _blob(self.std),
+                "x": _blob(self.x_std), "y": _blob(self.y)}
 
     @classmethod
     def from_document(cls, doc: dict) -> "Knn":
         state = doc["state"]
         model = cls(
-            _params(doc, {"k": [int]})["k"], _n_features(state),
-            *(_numbers(state[key], float, f"knn {key}") for key in ("mean", "std", "x")),
-            _numbers(state["y"], np.int64, "knn y"),
+            _params(doc, {"k": [int]})["k"],
+            *(_array(state[key], "<f8", f"knn {key}") for key in ("mean", "std", "x")),
+            _array(state["y"], "<i8", "knn y"),
         )
-        _require(model.y.ndim == 1, "knn y must be a flat list")
-        n, d = model.y.size, model.n_features
-        _check_shape(model.x_std, (n, d), "knn x")
+        _require(model.x_std.ndim == 2, "knn x must be a matrix")
+        n, d = model.x_std.shape
+        _check_shape(model.y, (n,), "knn y")
         _check_shape(model.mean, (d,), "knn mean")
         _check_shape(model.std, (d,), "knn std")
         check_stage_codes(model.y, "knn y", SchemaMismatch)
@@ -599,7 +616,7 @@ def train_knn(rows, labels, k: int = 5) -> Knn:
         raise ValueError(f"knn k must be at least 1, got {k}")
     x, y = _training_set(rows, labels, "knn", min_rows=k)
     mean, std = standardize_fit(x)
-    return Knn(k, x.shape[1], mean, std, standardize_apply(x, (mean, std)), y)
+    return Knn(k, mean, std, standardize_apply(x, (mean, std)), y)
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +626,15 @@ def train_knn(rows, labels, k: int = 5) -> Knn:
 class GaussianNB:
     kind = "GaussianNB"
 
-    def __init__(self, n_features, classes, prior, mean, var):
-        self.n_features = n_features
+    def __init__(self, classes, prior, mean, var):
         self.classes = np.asarray(classes, dtype=np.int64)
         self.prior = np.asarray(prior, dtype=float)
         self.mean = np.asarray(mean, dtype=float)
         self.var = np.asarray(var, dtype=float)
+
+    @property
+    def n_features(self) -> int:
+        return self.mean.shape[1]
 
     def log_posterior(self, x: np.ndarray) -> np.ndarray:
         """Unnormalized log posterior, one column per stored class."""
@@ -633,27 +653,21 @@ class GaussianNB:
         return {}
 
     def state_dict(self) -> dict:
-        return {
-            "classes": self.classes.tolist(),
-            "mean": self.mean.tolist(),
-            "n_features": self.n_features,
-            "prior": self.prior.tolist(),
-            "var": self.var.tolist(),
-        }
+        return {"classes": _blob(self.classes), "mean": _blob(self.mean),
+                "prior": _blob(self.prior), "var": _blob(self.var)}
 
     @classmethod
     def from_document(cls, doc: dict) -> "GaussianNB":
         _params(doc, {})
         state = doc["state"]
         model = cls(
-            _n_features(state),
-            _numbers(state["classes"], np.int64, "naive Bayes classes"),
-            *(_numbers(state[k], float, f"naive Bayes {k}") for k in ("prior", "mean", "var")),
+            _array(state["classes"], "<i8", "naive Bayes classes"),
+            *(_array(state[k], "<f8", f"naive Bayes {k}") for k in ("prior", "mean", "var")),
         )
-        _require(model.classes.ndim == 1, "naive Bayes classes must be a flat list")
-        c, d = model.classes.size, model.n_features
+        _require(model.mean.ndim == 2, "naive Bayes mean must be a matrix")
+        c, d = model.mean.shape
+        _check_shape(model.classes, (c,), "naive Bayes classes")
         _check_shape(model.prior, (c,), "naive Bayes prior")
-        _check_shape(model.mean, (c, d), "naive Bayes mean")
         _check_shape(model.var, (c, d), "naive Bayes var")
         check_stage_codes(model.classes, "naive Bayes classes", SchemaMismatch)
         _require(c > 0 and (model.prior > 0).all() and (model.var > 0).all(),
@@ -675,18 +689,13 @@ def train_gaussian_nb(rows, labels) -> GaussianNB:
         prior.append(sub.shape[0] / x.shape[0])
         mean.append(sub.mean(axis=0))
         var.append(sub.var(axis=0) + eps)
-    return GaussianNB(x.shape[1], classes, prior, np.array(mean), np.array(var))
+    return GaussianNB(classes, prior, np.array(mean), np.array(var))
 
 
 # ---------------------------------------------------------------------------
 # Shared prediction and serialization
 
-_KINDS = {
-    "DecisionTree": DecisionTree,
-    "RandomForest": RandomForest,
-    "Knn": Knn,
-    "GaussianNB": GaussianNB,
-}
+_KINDS = {cls.kind: cls for cls in (DecisionTree, RandomForest, Knn, GaussianNB)}
 
 
 def predict(model, rows) -> np.ndarray:
@@ -694,10 +703,8 @@ def predict(model, rows) -> np.ndarray:
     x = _as_matrix(rows)
     if x.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    if x.shape[1] != model.n_features:
-        raise SchemaMismatch(
-            f"model expects {model.n_features} features, rows have {x.shape[1]}"
-        )
+    _require(x.shape[1] == model.n_features,
+             f"model expects {model.n_features} features, rows have {x.shape[1]}")
     return np.asarray(model.predict_codes(x), dtype=np.int64)
 
 
@@ -713,12 +720,8 @@ def predict_hypnogram(model, record) -> np.ndarray:
 
 
 def model_to_json(model) -> str:
-    doc = {
-        "schema": MODEL_SCHEMA,
-        "kind": model.kind,
-        "params": model.params_dict(),
-        "state": model.state_dict(),
-    }
+    doc = {"schema": MODEL_SCHEMA, "kind": model.kind,
+           "params": model.params_dict(), "state": model.state_dict()}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -727,20 +730,16 @@ def model_from_json(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaMismatch(f"model document must be a JSON object, not {type(doc).__name__}")
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise SchemaMismatch(
-            f"unsupported model schema {doc.get('schema')!r}; this version reads "
-            f"schema {MODEL_SCHEMA}, so retrain the model"
-        )
+    _require(isinstance(doc, dict),
+             f"model document must be a JSON object, not {type(doc).__name__}")
+    _require(doc.get("schema") == MODEL_SCHEMA,
+             f"unsupported model schema {doc.get('schema')!r}; this version reads "
+             f"schema {MODEL_SCHEMA}, so retrain the model")
     kind = doc.get("kind")
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise SchemaMismatch(f"unknown model kind {kind!r}")
+    _require(cls is not None, f"unknown model kind {kind!r}")
     for key in ("params", "state"):
-        if not isinstance(doc.get(key), dict):
-            raise SchemaMismatch(f"{kind} model document needs a {key!r} object")
+        _require(isinstance(doc.get(key), dict), f"{kind} model document needs a {key!r} object")
     try:
         return cls.from_document(doc)
     except KeyError as exc:
@@ -750,11 +749,8 @@ def model_from_json(text: str):
 
 
 def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model))
-        fh.write("\n")
+    Path(path).write_text(model_to_json(model) + "\n", encoding="utf-8")
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+    return model_from_json(Path(path).read_text(encoding="utf-8"))

@@ -1,9 +1,11 @@
+import base64
 import os
 from pathlib import Path
 
 import hypothesis
 import numpy as np
 
+from bcgsleep import models
 from bcgsleep.core import NightRecord, VitalsSample
 
 hypothesis.settings.register_profile(
@@ -18,6 +20,15 @@ def checkout_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def reencode(blob, fn):
+    """A model document array entry {data, dtype, shape} for fn(its decoded
+    array), laid out the same way but with the new array's own dtype string,
+    which need not be one a model document allows."""
+    a = fn(models._array(blob, blob["dtype"], "test array"))
+    return {"data": base64.b64encode(a.tobytes()).decode("ascii"),
+            "dtype": a.dtype.str, "shape": list(a.shape)}
 
 
 def make_sample(t, hr=60.0, rr=14.0, sv=70.0, hrv=40.0, b2b=1000.0):

@@ -13,7 +13,7 @@ from bcgsleep.cli import _load_feature_files, main
 from bcgsleep.ingest import load_night, save_night
 from bcgsleep.models import load_model, model_to_json
 
-from conftest import checkout_env
+from conftest import checkout_env, reencode
 
 
 @pytest.fixture(scope="module")
@@ -126,18 +126,22 @@ class TestDataErrors:
         assert err.startswith("SchemaMismatch") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("kind, edit", [
-        ("knn", lambda doc: doc["state"]["y"].__setitem__(0, 10**30)),
-        ("knn", lambda doc: doc["state"]["y"].__setitem__(0, 1.7)),
-        ("tree", lambda doc: doc["state"]["tree"]["feature"].__setitem__(
-            0, doc["state"]["tree"]["feature"][0] + 0.9)),
-        ("tree", lambda doc: doc["state"]["tree"]["label"].__setitem__(
-            -1, doc["state"]["tree"]["label"][-1] + 0.5)),
+        ("knn", lambda doc: doc["state"]["y"].update(
+            reencode(doc["state"]["y"], lambda a: a.astype("<u8") + 2**63))),
+        ("knn", lambda doc: doc["state"]["y"].update(
+            reencode(doc["state"]["y"], lambda a: a + 0.7))),
+        ("tree", lambda doc: doc["state"]["tree"]["feature"].update(
+            reencode(doc["state"]["tree"]["feature"], lambda a: a + 0.9))),
+        ("tree", lambda doc: doc["state"]["tree"]["label"].update(
+            reencode(doc["state"]["tree"]["label"], lambda a: a + 0.5))),
         ("forest", lambda doc: doc["params"].update(seed=2.7)),
         ("forest", lambda doc: doc["params"].update(n_trees=10)),
     ], ids=["knn-y-past-int64", "knn-y-fraction", "tree-feature-fraction",
             "tree-leaf-label-fraction", "forest-seed-fraction", "forest-n-trees-not-stored"])
     def test_ill_typed_model_value_exits_1(self, workdir, tmp_path, capsys, kind, edit):
-        """Values that used to overflow, or load truncated, are refused at load."""
+        """Arrays of a dtype other than the schema's, whose values used to
+        overflow or load truncated as JSON numbers, and ill-typed params are
+        refused at load."""
         model = tmp_path / "model.json"
         assert main(["train", "--features", *feature_args(workdir), "--model", kind,
                      "--n-trees", "3", "--out", str(model)]) == 0
@@ -166,6 +170,55 @@ class TestDataErrors:
                      "--out-dir", str(tmp_path)])
         assert code == 1
         assert "ValueError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", ["-3", "1"])
+    def test_kfold_below_two_exits_1(self, workdir, tmp_path, capsys, folds):
+        out_dir = tmp_path / "ek"
+        code = main(["evaluate", "--features", *feature_args(workdir), "--kfold", folds,
+                     "--model-kind", "nb", "--out-dir", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"ValueError: k-fold needs at least 2 folds, got {folds}\n"
+        assert not out_dir.exists()
+
+    def test_too_few_nights_to_split_exits_1(self, workdir, tmp_path, capsys):
+        out = tmp_path / "nb.json"
+        code = main(["train", "--features", *feature_args(workdir, ("night00",)),
+                     "--model", "nb", "--grouping", "night-level", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "TooFewItems: need at least 2 nights, got 1\n"
+        assert not out.exists()
+
+    def test_too_few_nights_to_fold_exits_1(self, workdir, tmp_path, capsys):
+        out_dir = tmp_path / "ek"
+        code = main(["evaluate", "--features", *feature_args(workdir, ("night00", "night01")),
+                     "--kfold", "3", "--model-kind", "nb", "--grouping", "night-level",
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "TooFewItems: need at least 3 nights, got 2\n"
+        assert not out_dir.exists()
+
+    def test_k_above_training_windows_exits_1(self, workdir, tmp_path, capsys):
+        out = tmp_path / "knn.json"
+        code = main(["train", "--features", *feature_args(workdir), "--model", "knn",
+                     "--k", "100000", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("TooFewItems: need at least 100000 training windows, got ")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+    def test_cohort_of_two_nights_exits_1(self, workdir, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        cohort.mkdir()
+        for stem in ("night00", "night01"):
+            for suffix in (".ndjson", ".labels.json"):
+                src = workdir / "nights" / f"{stem}{suffix}"
+                (cohort / src.name).write_bytes(src.read_bytes())
+        out_dir = tmp_path / "rep"
+        code = main(["report", "--cohort-dir", str(cohort), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "TooFewItems: need at least 3 nights, got 2\n"
+        assert not out_dir.exists()
 
     def test_failed_evaluate_leaves_no_directory(self, workdir, tmp_path, capsys):
         out_dir = tmp_path / "ek"
@@ -397,7 +450,7 @@ def _sha256(path) -> str:
 # Artifacts of the workdir cohort (synth seed 11) as produced before feature
 # windows, night records and per-second series became columnar; a refactor
 # must reproduce them byte for byte. The four model digests are those of
-# model schema 2, whose state objects equal schema 1's.
+# model schema 3; their arrays are bit-equal to the lists of schemas 1 and 2.
 GOLDEN_SHA256 = {
     "nights/night00.ndjson": "c9a52144c1926b0a58614f21c52e1d59f22ca83b386d32356a603a66245a1abb",
     "nights/night00.labels.json": "c1d697ab0330ecae9b2e4cdc12df1d9ed7c90d8ee8c13d35036c16eb2820aa22",
@@ -408,10 +461,10 @@ GOLDEN_SHA256 = {
     "features/night00.features.csv": "893a92137de425cc3da786db6fdefe55d8a2ec4ef126d65d1b549b451de463ee",
     "features/night01.features.csv": "d298929664027b6ff77bd7e933ea1130e60e89f9d7812321b5274aec152a341f",
     "features/night02.features.csv": "53e6e6195b7a5625d6ec3fa68d00c00334478c0733e79991d9c2adeec63db2d0",
-    "tree.json": "7f014044566ef889199d0da48eedc9c11b551bbe5dbab849ce58a211faaca626",
-    "forest.json": "48556323e27e0a91f4e12b0fccbbe8e966728fc1ed13f627692bea8924c99966",
-    "knn.json": "84219420367c018940ed4bb6ffa41653b56635d7f1a05413f7f0df1dac6cb8cf",
-    "nb.json": "467d685f2a362452b7bd54fce5ad6c8774c6f53767726e1abca2fb83da073f95",
+    "tree.json": "86ed92b10be4204fadfbe677ba3462b16dc081ddad8a97582f5e6e2ae7758393",
+    "forest.json": "8519a50dd7a4d515804dce499c97822e86e3f0da589f0393dd1c31c8fd0dd501",
+    "knn.json": "50a9d867a1f12264396e53759ea06f5b6730bc5932ac7d172e5e2dc7a71d9b0f",
+    "nb.json": "31589aa453fce60f6e59886dc24f581094037adbb4e5b77068f94343cc874ddd",
     "eval-tree/metrics.json": "149823729821bfea0a378b958af8a0b94e7edbad40036ed336ff7d876bc2cb17",
     "eval-tree/confusion.csv": "25c66261954b51c59085183af3337e3de6e5b6a58b699b6f1124c28d4b4d2076",
     "eval-forest/metrics.json": "1be705670f4d1d412f25de3c8a6f950512f749f5fa01e1e511279a7d62e78c9d",

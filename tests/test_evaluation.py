@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcgsleep.core import Stage
-from bcgsleep.errors import ConstantInput, LengthMismatch, TooFewPoints
+from bcgsleep.errors import ConstantInput, LengthMismatch, TooFewItems
 from bcgsleep.evaluation import (
     accuracy,
     box_stats,
@@ -175,7 +175,7 @@ class TestPearson:
             pearson_r([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(TooFewItems, match="need at least 3 points, got 2"):
             pearson_r([1.0, 2.0], [3.0, 4.0])
 
     def test_shared_permutation_invariance(self):
@@ -232,7 +232,7 @@ class TestEfficiencyComparison:
         json.dumps(out)
 
     def test_too_few_nights(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(TooFewItems, match="need at least 3 nights, got 2"):
             efficiency_comparison([0.7, 0.8], [0.7, 0.8], ["a", "b"])
 
     def test_length_mismatch(self):

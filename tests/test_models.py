@@ -6,6 +6,7 @@ forest against its own degenerate single-tree configuration, and the tree
 against the memorization property of unlimited-depth CART.
 """
 
+import json
 import math
 import multiprocessing
 import os
@@ -47,7 +48,7 @@ from bcgsleep.models import (
     train_random_forest,
 )
 
-from conftest import make_record, make_sample
+from conftest import make_record, make_sample, reencode
 
 
 def random_dataset(rng, n=80, d=6, n_classes=4, spread=4.0):
@@ -91,7 +92,7 @@ class TestSplit:
         assert [w.start_t for w in a[0]] != [w.start_t for w in c[0]]
 
     def test_too_few_items(self):
-        with pytest.raises(TooFewItems):
+        with pytest.raises(TooFewItems, match="need at least 2 windows, got 1"):
             split_train_test(windows_for(1), SplitSpec())
 
     def test_night_level_keeps_nights_whole(self):
@@ -118,7 +119,7 @@ class TestSplit:
         spec = SplitSpec(grouping=NIGHT_GROUPING)
         with pytest.raises(TooFewItems) as exc:
             split_train_test(windows_for(10), spec)
-        assert (exc.value.n, exc.value.needed) == (1, 2)
+        assert (exc.value.n, exc.value.needed, exc.value.unit) == (1, 2, "nights")
 
     @given(
         sizes=st.lists(st.integers(1, 30), min_size=1, max_size=7),
@@ -204,8 +205,13 @@ class TestKfold:
         assert sorted(sizes, reverse=True) == [2, 2, 1, 1, 1]
 
     def test_too_few(self):
-        with pytest.raises(TooFewItems):
+        with pytest.raises(TooFewItems, match="need at least 5 windows, got 4"):
             kfold_indices(4, folds=5)
+
+    @pytest.mark.parametrize("folds", [1, 0, -3])
+    def test_fewer_than_two_folds_rejected(self, folds):
+        with pytest.raises(ValueError, match=f"got {folds}"):
+            kfold_indices(30, folds=folds)
 
     def test_deterministic(self):
         a = kfold_indices(30, folds=5, seed=9)
@@ -586,7 +592,7 @@ class TestKnn:
         assert int(got) == Stage.LIGHT  # neighbor order 0,1,2,3; label 2 appears first
 
     def test_k_larger_than_train_rejected(self):
-        with pytest.raises(TooFewItems):
+        with pytest.raises(TooFewItems, match="need at least 5 training windows, got 3"):
             train_knn(np.ones((3, 2)), [Stage.WAKE] * 3, k=5)
 
     @pytest.mark.parametrize("k", [0, -1])
@@ -833,6 +839,60 @@ class TestPredictContract:
             predict_hypnogram(self.model(), rec)
 
 
+def _document(kind):
+    """A small trained model of kind as a parsed model document."""
+    rng = np.random.default_rng(32)
+    x, y = random_dataset(rng, n=20, d=5)
+    model = {
+        "Knn": lambda: train_knn(x, y),
+        "DecisionTree": lambda: train_decision_tree(x, y),
+        "RandomForest": lambda: train_random_forest(x, y, ForestParams(n_trees=2)),
+        "GaussianNB": lambda: train_gaussian_nb(x, y),
+    }[kind]()
+    return json.loads(model_to_json(model))
+
+
+def _fitted_arrays(model):
+    """Every fitted array of a model, in a fixed order."""
+    if model.kind in ("DecisionTree", "RandomForest"):
+        trees = [model._tree] if model.kind == "DecisionTree" else model._trees
+        return [getattr(t, name) for t in trees for name in t.__slots__]
+    if model.kind == "Knn":
+        return [model.mean, model.std, model.x_std, model.y]
+    return [model.classes, model.prior, model.mean, model.var]
+
+
+def _blob_paths(node, path=()):
+    """(path, entry) of every array entry in a document state."""
+    if isinstance(node, dict) and "dtype" in node:
+        yield path, node
+    elif isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _blob_paths(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _decoded(edit):
+    """edit(state, params) applied with every state array decoded to nested
+    lists; each array then goes back as an entry of its stored dtype, so the
+    edit may change values and shapes, not dtypes."""
+    def apply(state, params):
+        found = list(_blob_paths(state))
+        for path, blob in found:
+            _at(state, path[:-1])[path[-1]] = models._array(
+                blob, blob["dtype"], "test array").tolist()
+        edit(state, params)
+        for path, blob in found:
+            parent = _at(state, path[:-1])
+            parent[path[-1]] = models._blob(np.array(parent[path[-1]], dtype=blob["dtype"]))
+    return apply
+
+
 class TestSerialization:
     def all_models(self):
         rng = np.random.default_rng(30)
@@ -845,6 +905,8 @@ class TestSerialization:
         ]
 
     def test_save_load_round_trip(self, tmp_path):
+        """Every fitted array comes back with the same bits, as an owned,
+        writable, native-order array, and re-serializes to the file text."""
         rng = np.random.default_rng(31)
         probe = rng.normal(size=(12, 5))
         for model in self.all_models():
@@ -853,11 +915,15 @@ class TestSerialization:
             back = load_model(path)
             assert back.kind == model.kind
             assert np.array_equal(predict(back, probe), predict(model, probe))
-            assert model_to_json(back) == model_to_json(model)
+            assert model_to_json(back) + "\n" == path.read_text()
+            pairs = list(zip(_fitted_arrays(model), _fitted_arrays(back), strict=True))
+            assert pairs
+            for want, got in pairs:
+                assert got.dtype == want.dtype and got.dtype.isnative
+                assert got.flags.owndata and got.flags.writeable
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_schema_field_pinned(self):
-        import json
-
         want = {
             "DecisionTree": {"max_depth": 20},
             "RandomForest": {"bootstrap": True, "features_per_split": 6,
@@ -865,19 +931,31 @@ class TestSerialization:
             "Knn": {"k": 5},
             "GaussianNB": {},
         }
+        state_keys = {
+            "DecisionTree": {"n_features", "tree"},
+            "RandomForest": {"n_features", "trees"},
+            "Knn": {"mean", "std", "x", "y"},
+            "GaussianNB": {"classes", "mean", "prior", "var"},
+        }
         for model in self.all_models():
             doc = json.loads(model_to_json(model))
-            assert doc["schema"] == 2
+            assert doc["schema"] == 3
             assert set(doc) == {"schema", "kind", "params", "state"}
             assert doc["params"] == want[doc["kind"]]
+            assert set(doc["state"]) == state_keys[doc["kind"]]
+            blobs = list(_blob_paths(doc["state"]))
+            assert blobs
+            for _, blob in blobs:
+                assert set(blob) == {"data", "dtype", "shape"}
+                assert blob["dtype"] in ("<f8", "<i8")
 
     def test_bad_documents_rejected(self):
         with pytest.raises(SchemaMismatch):
             model_from_json("not json at all {")
-        with pytest.raises(SchemaMismatch):
-            model_from_json('{"schema":3,"kind":"DecisionTree"}')
-        with pytest.raises(SchemaMismatch):
-            model_from_json('{"schema":2,"kind":"Perceptron"}')
+        with pytest.raises(SchemaMismatch, match="schema 4"):
+            model_from_json('{"schema":4,"kind":"DecisionTree"}')
+        with pytest.raises(SchemaMismatch, match="Perceptron"):
+            model_from_json('{"schema":3,"kind":"Perceptron"}')
 
     def test_schema_1_document_rejected(self):
         """A schema-1 file (top-level seed, criterion and min_samples_split
@@ -890,41 +968,55 @@ class TestSerialization:
         with pytest.raises(SchemaMismatch, match="schema 1"):
             model_from_json(text)
         for model in self.all_models():
-            current = model_to_json(model).replace('"schema":2', '"schema":1')
+            current = model_to_json(model).replace('"schema":3', '"schema":1')
             with pytest.raises(SchemaMismatch, match="schema 1"):
                 model_from_json(current)
+
+    @pytest.mark.parametrize("text", [
+        '{"kind":"DecisionTree","params":{"max_depth":20},"schema":2,"state":{"n_features":1,'
+        '"tree":{"feature":[-1],"label":[0],"left":[0],"right":[0],"threshold":[0.0]}}}',
+        '{"kind":"Knn","params":{"k":1},"schema":2,"state":{"mean":[0.0],"n_features":1,'
+        '"std":[1.0],"x":[[0.0]],"y":[0]}}',
+    ], ids=["tree", "knn"])
+    def test_schema_2_document_rejected(self, text):
+        """A schema-2 file (arrays as JSON number lists) names its schema and
+        asks for a retrain; there is no second decode path."""
+        with pytest.raises(SchemaMismatch, match="schema 2.*retrain"):
+            model_from_json(text)
 
     @pytest.mark.parametrize("text", [
         "[1]", "3", '"model"', "null",
         '{"schema":1,"kind":["Knn"]}',
         '{"schema":2,"kind":["Knn"]}',
+        '{"schema":3,"kind":["Knn"]}',
     ])
     def test_non_object_documents_rejected(self, text):
         with pytest.raises(SchemaMismatch):
             model_from_json(text)
 
     @pytest.mark.parametrize("kind, edit", [
-        ("Knn", lambda st, p: st.update(mean=[0.0])),
-        ("Knn", lambda st, p: st.update(std=st["std"] + [1.0])),
-        ("Knn", lambda st, p: st.update(x=[row[:-1] for row in st["x"]])),
-        ("Knn", lambda st, p: st.update(y=st["y"][:-1])),
-        ("Knn", lambda st, p: st["y"].__setitem__(3, 7)),
+        ("Knn", _decoded(lambda st, p: st.update(mean=[0.0]))),
+        ("Knn", _decoded(lambda st, p: st.update(std=st["std"] + [1.0]))),
+        ("Knn", _decoded(lambda st, p: st.update(x=[row[:-1] for row in st["x"]]))),
+        ("Knn", _decoded(lambda st, p: st.update(y=st["y"][:-1]))),
+        ("Knn", _decoded(lambda st, p: st["y"].__setitem__(3, 7))),
         ("Knn", lambda st, p: p.update(k=50)),
         ("Knn", lambda st, p: p.update(k=0)),
-        ("DecisionTree", lambda st, p: st["tree"]["left"].__setitem__(0, 999)),
-        ("DecisionTree", lambda st, p: st["tree"]["right"].__setitem__(0, 0)),
-        ("DecisionTree", lambda st, p: st["tree"]["feature"].__setitem__(0, 5)),
-        ("DecisionTree", lambda st, p: st["tree"]["feature"].__setitem__(0, -2)),
-        ("DecisionTree", lambda st, p: st["tree"]["label"].__setitem__(-1, 7)),
-        ("DecisionTree", lambda st, p: st["tree"]["threshold"].pop()),
-        ("DecisionTree", lambda st, p: st["tree"].update(feature=[], threshold=[],
-                                                       left=[], right=[], label=[])),
-        ("RandomForest", lambda st, p: st["trees"][1]["right"].__setitem__(0, -1)),
-        ("GaussianNB", lambda st, p: st.update(mean=[row[:-1] for row in st["mean"]])),
-        ("GaussianNB", lambda st, p: st.update(prior=st["prior"][:-1])),
-        ("GaussianNB", lambda st, p: st["classes"].__setitem__(0, 9)),
-        ("GaussianNB", lambda st, p: st["var"][0].__setitem__(0, 0.0)),
-        ("GaussianNB", lambda st, p: st.update(classes=[], prior=[], mean=[], var=[])),
+        ("DecisionTree", _decoded(lambda st, p: st["tree"]["left"].__setitem__(0, 999))),
+        ("DecisionTree", _decoded(lambda st, p: st["tree"]["right"].__setitem__(0, 0))),
+        ("DecisionTree", _decoded(lambda st, p: st["tree"]["feature"].__setitem__(0, 5))),
+        ("DecisionTree", _decoded(lambda st, p: st["tree"]["feature"].__setitem__(0, -2))),
+        ("DecisionTree", _decoded(lambda st, p: st["tree"]["label"].__setitem__(-1, 7))),
+        ("DecisionTree", _decoded(lambda st, p: st["tree"]["threshold"].pop())),
+        ("DecisionTree", _decoded(lambda st, p: st["tree"].update(
+            feature=[], threshold=[], left=[], right=[], label=[]))),
+        ("RandomForest", _decoded(lambda st, p: st["trees"][1]["right"].__setitem__(0, -1))),
+        ("GaussianNB", _decoded(lambda st, p: st.update(mean=[row[:-1] for row in st["mean"]]))),
+        ("GaussianNB", _decoded(lambda st, p: st.update(prior=st["prior"][:-1]))),
+        ("GaussianNB", _decoded(lambda st, p: st.update(classes=st["classes"][:-1]))),
+        ("GaussianNB", _decoded(lambda st, p: st["classes"].__setitem__(0, 9))),
+        ("GaussianNB", _decoded(lambda st, p: st["var"][0].__setitem__(0, 0.0))),
+        ("GaussianNB", _decoded(lambda st, p: st.update(classes=[], prior=[], mean=[], var=[]))),
         ("DecisionTree", lambda st, p: p.pop("max_depth")),
         ("DecisionTree", lambda st, p: p.update(criterion="gini")),
         ("DecisionTree", lambda st, p: p.update(min_samples_split=2)),
@@ -932,31 +1024,36 @@ class TestSerialization:
         ("RandomForest", lambda st, p: p.update(criterion="gini")),
         ("Knn", lambda st, p: p.update(seed=None)),
         ("GaussianNB", lambda st, p: p.update(var_smoothing=1e-9)),
-        ("Knn", lambda st, p: st["y"].__setitem__(0, 10**30)),
-        ("Knn", lambda st, p: st["y"].__setitem__(0, 1.7)),
-        ("Knn", lambda st, p: st["y"].__setitem__(0, True)),
-        ("Knn", lambda st, p: st["x"][0].__setitem__(0, float("nan"))),
-        ("Knn", lambda st, p: st["mean"].__setitem__(0, "0.5")),
+        ("Knn", lambda st, p: st["y"].update(reencode(st["y"], lambda a: a.astype("<u8") + 2**63))),
+        ("Knn", lambda st, p: st["y"].update(reencode(st["y"], lambda a: a + 0.7))),
+        ("Knn", lambda st, p: st["y"].update(reencode(st["y"], lambda a: a > 0))),
+        ("Knn", _decoded(lambda st, p: st["x"][0].__setitem__(0, float("nan")))),
+        ("Knn", lambda st, p: st["mean"].update(data="0.5,0.25,0.125")),
         ("Knn", lambda st, p: p.update(k=True)),
-        ("Knn", lambda st, p: st.update(n_features=5.0)),
-        ("DecisionTree", lambda st, p: st["tree"]["feature"].__setitem__(
-            0, st["tree"]["feature"][0] + 0.9)),
-        ("DecisionTree", lambda st, p: st["tree"]["label"].__setitem__(-1, 0.5)),
-        ("DecisionTree", lambda st, p: st["tree"]["threshold"].__setitem__(0, float("inf"))),
+        ("Knn", lambda st, p: st["x"]["shape"].__setitem__(1, 5.0)),
+        ("DecisionTree", lambda st, p: st["tree"]["feature"].update(
+            reencode(st["tree"]["feature"], lambda a: a + 0.9))),
+        ("DecisionTree", lambda st, p: st["tree"]["label"].update(
+            reencode(st["tree"]["label"], lambda a: a + 0.5))),
+        ("DecisionTree", _decoded(lambda st, p: st["tree"]["threshold"].__setitem__(
+            0, float("inf")))),
         ("DecisionTree", lambda st, p: p.update(max_depth=2.5)),
         ("DecisionTree", lambda st, p: p.update(max_depth="20")),
         ("RandomForest", lambda st, p: p.update(seed=2.7)),
         ("RandomForest", lambda st, p: p.update(n_trees=10)),
         ("RandomForest", lambda st, p: p.update(bootstrap=1)),
         ("RandomForest", lambda st, p: p.update(features_per_split=False)),
-        ("GaussianNB", lambda st, p: st["classes"].__setitem__(0, 0.0)),
-        ("GaussianNB", lambda st, p: st["var"][0].__setitem__(0, None)),
+        ("GaussianNB", lambda st, p: st["classes"].update(
+            reencode(st["classes"], lambda a: a * 1.0))),
+        ("GaussianNB", lambda st, p: st["var"].update(data=None)),
+        ("DecisionTree", lambda st, p: st.update(n_features=5.0)),
+        ("RandomForest", lambda st, p: st.update(n_features=True)),
     ], ids=[
         "knn-mean", "knn-std", "knn-x", "knn-y", "knn-code", "knn-k-above-rows",
         "knn-k-zero", "tree-child-past-end", "tree-child-loops-back",
         "tree-feature-too-large", "tree-feature-below-leaf", "tree-leaf-code",
         "tree-ragged", "tree-no-nodes", "forest-child-negative", "nb-mean",
-        "nb-prior", "nb-code", "nb-zero-var", "nb-no-classes",
+        "nb-prior", "nb-classes", "nb-code", "nb-zero-var", "nb-no-classes",
         "tree-params-no-max-depth", "tree-params-criterion",
         "tree-params-min-samples-split", "forest-params-no-seed",
         "forest-params-criterion", "knn-params-seed", "nb-params-var-smoothing",
@@ -965,32 +1062,59 @@ class TestSerialization:
         "tree-feature-fraction", "tree-leaf-label-fraction", "tree-threshold-inf",
         "tree-max-depth-fraction", "tree-max-depth-text", "forest-seed-fraction",
         "forest-n-trees-not-stored", "forest-bootstrap-int", "forest-mtry-bool",
-        "nb-class-float", "nb-var-null",
+        "nb-class-float", "nb-var-null", "tree-n-features-float",
+        "forest-n-features-bool",
     ])
     def test_inconsistent_state_rejected(self, kind, edit):
-        """Shapes against n_features, k against the stored rows, stage codes
+        """Shapes against each other, k against the stored rows, stage codes
         in 0..3, tree links, the exact params keys, n_trees against the
-        stored trees and the JSON type of every value (int arrays in int64,
-        float arrays finite, no bool for an int) are checked at load, not
-        met at predict or truncated."""
-        import json
-
-        rng = np.random.default_rng(32)
-        x, y = random_dataset(rng, n=20, d=5)
-        model = {
-            "Knn": lambda: train_knn(x, y),
-            "DecisionTree": lambda: train_decision_tree(x, y),
-            "RandomForest": lambda: train_random_forest(x, y, ForestParams(n_trees=2)),
-            "GaussianNB": lambda: train_gaussian_nb(x, y),
-        }[kind]()
-        doc = json.loads(model_to_json(model))
+        stored trees and the type of every value are checked at load, not
+        met at predict or truncated. A value that used to be ill-typed JSON
+        (past int64, a fraction, a bool, text, null) can now only arrive as
+        an array entry of the wrong dtype, shape or data."""
+        doc = _document(kind)
         edit(doc["state"], doc["params"])
         with pytest.raises(SchemaMismatch):
             model_from_json(json.dumps(doc))
 
-    def test_missing_and_ill_typed_keys_rejected(self):
-        import json
+    @pytest.mark.parametrize("kind, array, edit", [
+        ("Knn", "x", lambda b: b.update(dtype="<f4")),
+        ("Knn", "mean", lambda b: b.update(dtype=">f8")),
+        ("Knn", "y", lambda b: b.update(dtype="|b1")),
+        ("DecisionTree", "label", lambda b: b.update(dtype="<f8")),
+        ("DecisionTree", "threshold", lambda b: b.update(dtype="<i8")),
+        ("Knn", "x", lambda b: b["shape"].__setitem__(1, b["shape"][1] + 1)),
+        ("Knn", "x", lambda b: b.update(shape=[b["shape"][0] * b["shape"][1]])),
+        ("GaussianNB", "prior", lambda b: b.update(data=b["data"][:-12] + "=")),
+        ("Knn", "mean", lambda b: b.update(shape=b["shape"][0])),
+        ("Knn", "mean", lambda b: b.update(shape="5")),
+        ("Knn", "mean", lambda b: b.update(shape=[-b["shape"][0]])),
+        ("Knn", "x", lambda b: b.update(data=b["data"][:8] + "!" + b["data"][9:])),
+        ("Knn", "x", lambda b: b.update(data=b["data"][:-1])),
+        ("Knn", "x", lambda b: b.update(data=b["data"][:8] + "\u00e9" + b["data"][9:])),
+        ("Knn", "x", lambda b: b.update(data=" " + b["data"])),
+        ("RandomForest", "left", lambda b: b.update(order="C")),
+        ("RandomForest", "left", lambda b: b.pop("shape")),
+        ("RandomForest", "left", lambda b: b.pop("dtype")),
+    ], ids=[
+        "knn-x-f4", "knn-mean-big-endian", "knn-y-b1", "tree-label-f8",
+        "tree-threshold-i8", "knn-x-shape-too-wide", "knn-x-shape-flat",
+        "nb-prior-data-short", "knn-mean-shape-int", "knn-mean-shape-text",
+        "knn-mean-shape-negative", "knn-x-data-not-base64", "knn-x-data-padding",
+        "knn-x-data-non-ascii", "knn-x-data-space", "forest-left-extra-key",
+        "forest-left-no-shape", "forest-left-no-dtype",
+    ])
+    def test_bad_blob_rejected(self, kind, array, edit):
+        """Each array entry is exactly {dtype, shape, data}: the expected
+        dtype string, a list of non-negative integers and strict base64 of
+        8 bytes per value; the failure names the array."""
+        doc = _document(kind)
+        blob = next(b for path, b in _blob_paths(doc["state"]) if path[-1] == array)
+        edit(blob)
+        with pytest.raises(SchemaMismatch, match=f" {array} "):
+            model_from_json(json.dumps(doc))
 
+    def test_missing_and_ill_typed_keys_rejected(self):
         for model in self.all_models():
             good = json.loads(model_to_json(model))
             for key in ("params", "state"):
@@ -1001,6 +1125,110 @@ class TestSerialization:
                 doc = {k: v for k, v in good.items() if k != key}
                 with pytest.raises(SchemaMismatch, match=key):
                     model_from_json(json.dumps(doc))
-            doc = dict(good, state=dict(good["state"], n_features="thirty"))
-            with pytest.raises(SchemaMismatch):
-                model_from_json(json.dumps(doc))
+            for path, _ in _blob_paths(good["state"]):
+                doc = json.loads(model_to_json(model))
+                parent = _at(doc["state"], path[:-1])
+                for bad in (None, [1.0], "x"):
+                    parent[path[-1]] = bad
+                    with pytest.raises(SchemaMismatch):
+                        model_from_json(json.dumps(doc))
+                del parent[path[-1]]
+                with pytest.raises(SchemaMismatch, match=str(path[-1])):
+                    model_from_json(json.dumps(doc))
+            if "n_features" in good["state"]:  # knn and naive Bayes derive it
+                doc = dict(good, state=dict(good["state"], n_features="thirty"))
+                with pytest.raises(SchemaMismatch):
+                    model_from_json(json.dumps(doc))
+
+
+_FLOAT64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+_SHAPES = st.lists(st.integers(0, 4), max_size=3)
+
+
+def _random_array(draw, elements, dtype):
+    shape = draw(_SHAPES)
+    values = draw(st.lists(elements, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+def _round_trip(a):
+    blob = json.loads(json.dumps(models._blob(a)))
+    return models._array(blob, blob["dtype"], "test array")
+
+
+class TestArrayCodec:
+    """models._blob and models._array: exact bits, one checked decoder."""
+
+    @given(st.data())
+    def test_float64_round_trip_bit_equal(self, data):
+        a = _random_array(data.draw, _FLOAT64, np.float64)
+        back = _round_trip(a)
+        assert back.dtype == np.float64 and back.shape == a.shape
+        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
+
+    def test_float64_edge_values_bit_equal(self):
+        info = np.finfo(np.float64)
+        a = np.array([-0.0, 0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                      info.tiny / 3.0, info.max, -info.max, info.eps, 0.1, -1e-310])
+        back = _round_trip(a)
+        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
+        assert math.copysign(1.0, back[0]) == -1.0
+
+    @given(st.data())
+    def test_int64_round_trip(self, data):
+        a = _random_array(data.draw, _INT64, np.int64)
+        back = _round_trip(a)
+        assert back.dtype == np.int64 and np.array_equal(back, a)
+
+    def test_int64_extremes(self):
+        info = np.iinfo(np.int64)
+        a = np.array([[info.min, info.max], [-1, 0]], dtype=np.int64)
+        assert np.array_equal(_round_trip(a), a)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad):
+        a = np.array([[1.0, bad], [2.0, 3.0]])
+        with pytest.raises(SchemaMismatch, match="not finite"):
+            _round_trip(a)
+
+    @pytest.mark.parametrize("shape", [[True], [1, True], [1.0], [None], ["1"], [-1, -1], "1"])
+    def test_shape_not_a_list_of_non_negative_integers_rejected(self, shape):
+        blob = models._blob(np.array([2.5]))
+        blob["shape"] = shape
+        with pytest.raises(SchemaMismatch, match="shape must be"):
+            models._array(blob, "<f8", "test array")
+
+    @pytest.mark.parametrize("shape", [[0, 2**64], [0] * 65, [0, 2**62, 2**62]])
+    def test_empty_shape_past_numpy_limits_rejected(self, shape):
+        blob = {"data": "", "dtype": "<f8", "shape": shape}
+        with pytest.raises(SchemaMismatch):
+            models._array(blob, "<f8", "test array")
+
+    @given(st.data())
+    def test_one_character_change_is_caught_or_decodes(self, data):
+        """Changing one character of the dtype, shape or data in an entry's
+        JSON text raises SchemaMismatch (invalid JSON is what model_from_json
+        reports as one) or decodes to the stated dtype and shape."""
+        dtype = data.draw(st.sampled_from(["<f8", "<i8"]))
+        elements = _FLOAT64 if dtype == "<f8" else _INT64
+        blob = models._blob(_random_array(data.draw, elements, dtype))
+        text = json.dumps(blob, sort_keys=True)
+        key = data.draw(st.sampled_from(["dtype", "shape", "data"]))
+        start = text.index(f'"{key}": ') + len(key) + 4
+        value = json.dumps(blob[key])
+        if key != "shape":  # inside the quotes
+            start, value = start + 1, value[1:-1]
+        if not value:
+            return
+        at = start + data.draw(st.integers(0, len(value) - 1))
+        text = text[:at] + data.draw(st.characters()) + text[at + 1:]
+        try:
+            entry = json.loads(text)
+        except ValueError:
+            return
+        try:
+            a = models._array(entry, dtype, "test array")
+        except SchemaMismatch:
+            return
+        assert a.dtype == np.dtype(dtype) and list(a.shape) == entry["shape"]
