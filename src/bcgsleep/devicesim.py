@@ -5,17 +5,22 @@ default. Scripted dropout windows reproduce the two field failure modes:
 silent windows (the sensor sends nothing but the link stays up) and
 disconnect windows (the link drops and the client must reconnect). The
 server's clock keeps running through a dropout, and outside dropouts it
-advances only on a successful send, so whatever the script says is lost is
-exactly what the recorder's gap log ends up showing.
+advances on each line wholly handed to the socket, so whatever the script
+says is lost is exactly what the recorder's gap log ends up showing.
 
 The server runs one thread, which owns both the listener and the client it
-is streaming to. The recorder runs in the caller's thread: it checks every
-received line and appends it to the output with a single unbuffered write,
-so a kill at any moment leaves only complete, loadable lines behind.
+is streaming to. It sends each run of due lines as one batch: a paced
+script (tick_interval > 0) still sends one line per tick, while at tick 0 a
+night goes out in a few large sends. The recorder runs in the caller's
+thread: it reads the socket in chunks, checks every complete line and
+appends it to the output with a single unbuffered write, so a kill at any
+moment leaves only complete, loadable lines behind.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import os
@@ -32,6 +37,11 @@ from .ingest import parse_sample_line, write_night
 
 SILENCE = "silence"
 DISCONNECT = "disconnect"
+
+# the server sends pending lines once they reach this many bytes
+BATCH_BYTES = 64 * 1024
+# the recorder reads the socket in chunks of at most this many bytes
+RECV_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -117,10 +127,13 @@ def _split_endpoint(endpoint: str) -> tuple[str, int]:
 class DeviceServer:
     """Streams a script to one client at a time; extra connects are closed.
 
-    One thread owns the listener, the client and the script cursor. It blocks
-    while no client is attached (except inside dropout windows, where time
-    passes regardless), resends nothing, skips nothing it was not told to
-    skip, and closes the listener when the script is exhausted.
+    One thread owns the listener, the client and the script cursor. It
+    renders due lines into a pending batch and sends the batch before it
+    sleeps, before a dropout window and whenever the batch reaches
+    BATCH_BYTES. It blocks while no client is attached (except inside
+    dropout windows, where time passes regardless), resends nothing, skips
+    nothing it was not told to skip, and closes the listener when the script
+    is exhausted.
     """
 
     def __init__(self, script: StreamScript, host: str = "127.0.0.1", port: int = 0):
@@ -134,6 +147,12 @@ class DeviceServer:
         self._stop = threading.Event()
         self.finished = threading.Event()
         self._sent: list[int] = []
+        # the serving thread's own state: the client, and the lines rendered
+        # but not yet sent with their t values and their size in bytes
+        self._conn: Optional[socket.socket] = None
+        self._pending: list[str] = []
+        self._pending_t: list[int] = []
+        self._pending_bytes = 0
         self._serve_thread = threading.Thread(target=self._serve_loop, daemon=True)
 
     @property
@@ -160,6 +179,7 @@ class DeviceServer:
 
     def _tick(self):
         if self.script.tick_interval > 0:
+            self._flush()
             time.sleep(self.script.tick_interval)
 
     def _close_extras(self):
@@ -179,8 +199,42 @@ class DeviceServer:
                 continue
         return None
 
+    def _drop_client(self):
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _flush(self):
+        """Send the pending lines, waiting for a client if none is attached.
+
+        A line counts as sent once it is wholly handed to the socket. If the
+        client fails, the next one gets the stream from the first line not
+        wholly sent; the part of it already sent is a partial tail that the
+        recorder discards. Returns early, dropping the batch, on stop().
+        """
+        lines, self._pending = self._pending, []
+        stamps, self._pending_t = self._pending_t, []
+        self._pending_bytes = 0
+        data = memoryview("".join(lines).encode("ascii"))
+        ends = list(itertools.accumulate(map(len, lines)))
+        done = sent = 0  # bytes handed to the socket; lines wholly among them
+        while sent < len(lines) and not self._stop.is_set():
+            if self._conn is None:
+                self._conn = self._next_client()
+                if self._conn is None:
+                    return
+            self._close_extras()
+            try:
+                done += self._conn.send(data[done:])
+            except OSError:
+                self._drop_client()
+                done = ends[sent - 1] if sent else 0
+                continue
+            now = bisect.bisect_right(ends, done, lo=sent)
+            self._sent.extend(stamps[sent:now])
+            sent = now
+
     def _serve_loop(self):
-        conn: Optional[socket.socket] = None
         try:
             source = self.script.source
             for t, line in zip(source.t.tolist(), write_night(source, "ndjson")):
@@ -188,29 +242,19 @@ class DeviceServer:
                     return
                 window = self.script.window_at(t)
                 if window is not None:
-                    if window.mode == DISCONNECT and conn is not None:
-                        conn.close()
-                        conn = None
-                    self._tick()
-                    continue
-                payload = (line + "\n").encode("ascii")
-                while not self._stop.is_set():
-                    if conn is None:
-                        conn = self._next_client()
-                        if conn is None:
-                            return
-                    self._close_extras()
-                    try:
-                        conn.sendall(payload)
-                        self._sent.append(t)
-                        break
-                    except OSError:
-                        conn.close()
-                        conn = None
+                    self._flush()
+                    if window.mode == DISCONNECT:
+                        self._drop_client()
+                else:
+                    self._pending.append(line + "\n")
+                    self._pending_t.append(t)
+                    self._pending_bytes += len(line) + 1
+                    if self._pending_bytes >= BATCH_BYTES:
+                        self._flush()
                 self._tick()
+            self._flush()
         finally:
-            if conn is not None:
-                conn.close()
+            self._drop_client()
             # Closing the listener resets any connection still in its
             # backlog, so a reconnect that raced the end of the script sees
             # the stream end instead of blocking on read forever.
@@ -325,20 +369,29 @@ def record_stream(
                 break
             connected_once = True
             sock.settimeout(None)
-            with sock, sock.makefile("rb") as stream:
+            with sock:
+                partial = b""  # a line's start, carried to the next chunk
                 while True:
                     try:
-                        raw = stream.readline()
+                        chunk = sock.recv(RECV_BYTES)
                     except OSError:
                         break  # a reset is just a less polite disconnect
-                    if not raw.endswith(b"\n"):
-                        break  # closed, or the partial tail of a mid-line drop
-                    t = _kept_t(raw, timestamps[-1] if timestamps else None)
-                    if t is None:
-                        dropped += 1
-                        continue
-                    out.write(raw)
-                    timestamps.append(t)
+                    if not chunk:
+                        break  # closed; the partial tail of a mid-line drop is lost
+                    *lines, rest = chunk.split(b"\n")
+                    if lines:
+                        lines[0] = partial + lines[0]
+                        partial = rest
+                    else:
+                        partial += rest
+                    for body in lines:
+                        raw = body + b"\n"
+                        t = _kept_t(raw, timestamps[-1] if timestamps else None)
+                        if t is None:
+                            dropped += 1
+                            continue
+                        out.write(raw)
+                        timestamps.append(t)
             # server closed or died; loop back into connect-retry
     finally:
         with out:

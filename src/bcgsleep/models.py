@@ -148,6 +148,13 @@ def _n_features(state: dict) -> int:
     return state["n_features"]
 
 
+def _keys(obj, keys, what: str) -> dict:
+    """obj, checked to be an object with exactly the given keys."""
+    _require(isinstance(obj, dict), f"{what} must be an object")
+    _require(set(obj) == set(keys), f"{what} keys are {sorted(obj)}, expected {sorted(keys)}")
+    return obj
+
+
 def _blob(a: np.ndarray) -> dict:
     """An array as its document entry, laid out like an .npy header: the
     dtype string, the shape, and base64 of the C-order little-endian bytes."""
@@ -161,8 +168,7 @@ def _array(entry, dtype: str, what: str) -> np.ndarray:
     checked: exactly the keys data, dtype and shape; the expected dtype string
     ("<f8" or "<i8"); a shape of non-negative integers (a bool is not one);
     strict base64 data of 8 bytes per value; no float that is not finite."""
-    _require(isinstance(entry, dict) and set(entry) == {"data", "dtype", "shape"},
-             f"{what} must be an object with exactly the keys data, dtype and shape")
+    _keys(entry, ("data", "dtype", "shape"), what)
     _require(entry["dtype"] == dtype, f"{what} dtype is {entry['dtype']!r}, expected {dtype!r}")
     shape = entry["shape"]
     _require(isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape),
@@ -182,9 +188,7 @@ def _array(entry, dtype: str, what: str) -> np.ndarray:
 def _params(doc: dict, types: dict) -> dict:
     """The document's params: exactly the keys of types, each value of one of
     its key's JSON types."""
-    p = doc["params"]
-    _require(set(p) == set(types),
-             f"{doc['kind']} params have keys {sorted(p)}, expected {sorted(types)}")
+    p = _keys(doc["params"], types, f"{doc['kind']} params")
     for name, kinds in types.items():
         _require(type(p[name]) in kinds, f"{doc['kind']} {name} has the wrong type")
     return p
@@ -233,11 +237,13 @@ class _FlatTree:
         return {name: _blob(getattr(self, name)) for name in self.__slots__}
 
     @classmethod
-    def from_state(cls, state: dict, n_features: int) -> "_FlatTree":
-        """A tree from its document state, checked so that every lookup
-        ends at a leaf within len(feature) steps: each split's feature is
-        below n_features and its children come after it; leaves (feature
-        -1) carry a stage code."""
+    def from_state(cls, state: dict, n_features: int, what: str) -> "_FlatTree":
+        """A tree from its document state (what names it), checked so that
+        it holds exactly the node arrays and every lookup ends at a leaf
+        within len(feature) steps: each split's feature is below n_features
+        and its children come after it; leaves (feature -1) carry a stage
+        code."""
+        _keys(state, cls.__slots__, what)
         tree = cls(*(_array(state[name], "<f8" if name == "threshold" else "<i8",
                             f"tree {name}") for name in cls.__slots__))
         n = tree.feature.size
@@ -381,8 +387,10 @@ class DecisionTree:
     @classmethod
     def from_document(cls, doc: dict) -> "DecisionTree":
         params = TreeParams(**_params(doc, {"max_depth": [int, type(None)]}))
-        n_features = _n_features(doc["state"])
-        return cls(params, n_features, _FlatTree.from_state(doc["state"]["tree"], n_features))
+        state = _keys(doc["state"], ("n_features", "tree"), "DecisionTree state")
+        n_features = _n_features(state)
+        return cls(params, n_features,
+                   _FlatTree.from_state(state["tree"], n_features, "DecisionTree tree"))
 
 
 def train_decision_tree(rows, labels, params: TreeParams = TreeParams()) -> DecisionTree:
@@ -441,9 +449,10 @@ class RandomForest:
         p = dict(_params(doc, {"n_trees": [int], "features_per_split": [int], "bootstrap": [bool],
                                "max_depth": [int, type(None)], "seed": [int]}))
         seed = p.pop("seed")
-        state = doc["state"]
+        state = _keys(doc["state"], ("n_features", "trees"), "RandomForest state")
         n_features = _n_features(state)
-        trees = [_FlatTree.from_state(s, n_features) for s in state["trees"]]
+        trees = [_FlatTree.from_state(s, n_features, f"RandomForest tree {i}")
+                 for i, s in enumerate(state["trees"])]
         _require(len(trees) == p["n_trees"], f"forest n_trees is not its {len(trees)} trees")
         return cls(ForestParams(**p), n_features, seed, trees)
 
@@ -594,7 +603,7 @@ class Knn:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Knn":
-        state = doc["state"]
+        state = _keys(doc["state"], ("mean", "std", "x", "y"), "Knn state")
         model = cls(
             _params(doc, {"k": [int]})["k"],
             *(_array(state[key], "<f8", f"knn {key}") for key in ("mean", "std", "x")),
@@ -659,7 +668,7 @@ class GaussianNB:
     @classmethod
     def from_document(cls, doc: dict) -> "GaussianNB":
         _params(doc, {})
-        state = doc["state"]
+        state = _keys(doc["state"], ("classes", "mean", "prior", "var"), "GaussianNB state")
         model = cls(
             _array(state["classes"], "<i8", "naive Bayes classes"),
             *(_array(state[k], "<f8", f"naive Bayes {k}") for k in ("prior", "mean", "var")),

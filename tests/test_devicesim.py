@@ -1,8 +1,10 @@
 """TCP replay server and recorder: dropouts, reconnects, crash consistency.
 
-Scripts here run with tick_interval=0 so a whole night replays in
-milliseconds; the scheduling logic is identical to paced operation because
-the server's cursor only ever advances on a successful send.
+Most scripts here run with tick_interval=0 so a whole night replays in
+milliseconds. At tick 0 the server sends each run of due lines in batches of
+up to BATCH_BYTES, where a paced script sends one line per tick; either way
+its cursor advances only on lines wholly handed to the socket, so what it
+counts as sent is what a recorder can receive.
 """
 
 import errno
@@ -10,6 +12,7 @@ import io
 import json
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -28,7 +31,7 @@ from bcgsleep.devicesim import (
     serve_stream,
 )
 from bcgsleep.errors import InitialConnectFailure
-from bcgsleep.ingest import load_night, sample_line
+from bcgsleep.ingest import load_night, sample_line, write_night
 
 from conftest import checkout_env, make_record, make_sample
 
@@ -154,6 +157,84 @@ class TestRecorderAgainstServer:
         srv2.stop()
         rec = load_night(res.path)
         assert len(rec.samples) == 12
+
+
+class TestBatchedStream:
+    def test_batches_and_disconnects_lose_nothing(self, tmp_path):
+        windows = (
+            DropoutWindow(400, 30, "disconnect"),
+            DropoutWindow(1500, 7, "disconnect"),
+            DropoutWindow(2990, 5, "disconnect"),
+        )
+        script = script_of(3000, windows=windows)
+        lines = [line + "\n" for t, line in zip(script.source.t.tolist(),
+                                                write_night(script.source, "ndjson"))
+                 if script.window_at(t) is None]
+        assert len("".join(lines)) > 2 * devicesim.BATCH_BYTES  # several flushes
+        srv = serve_stream(script, "127.0.0.1:0")
+        try:
+            res = record_stream(srv.endpoint, tmp_path / "out.ndjson", FAST)
+        finally:
+            srv.stop()
+        assert res.timestamps == tuple(srv.sent_timestamps) == script.expected_timestamps()
+        assert Path(res.path).read_bytes() == "".join(lines).encode("ascii")
+        assert res.gaps == ((400, 30), (1500, 7), (2990, 5)) and res.dropped_lines == 0
+
+    def test_client_reset_mid_batch_resumes_at_first_unsent_line(self, tmp_path):
+        n = 5000
+        script = script_of(n)
+        stream = "".join(line + "\n" for line in write_night(script.source, "ndjson"))
+        srv = devicesim.DeviceServer(script)
+        # small socket buffers (the accepted client inherits the listener's)
+        # keep the server blocked mid-batch while the first client reads
+        srv._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        srv.start()
+        try:
+            with socket.socket() as first:
+                first.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                first.connect(srv.address)
+                first.settimeout(5)
+                got = b""
+                while len(got) < 1000:
+                    chunk = first.recv(1000 - len(got))
+                    assert chunk, "first client lost service"
+                    got += chunk
+                first.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            res = record_stream(srv.endpoint, tmp_path / "out.ndjson", FAST)
+        finally:
+            srv.stop()
+        assert got == stream.encode("ascii")[:len(got)]
+        sent = srv.sent_timestamps
+        assert sent == list(range(n))  # strictly increasing: nothing sent twice or skipped
+        k = n - res.n_samples
+        assert got.count(b"\n") <= k < n
+        # only what fits in the two small socket buffers is credited to the
+        # first client; the rest of its batch is neither skipped nor credited
+        assert len(sample_line(make_sample(0))) * k < devicesim.BATCH_BYTES // 2
+        assert res.timestamps == tuple(range(k, n)) and res.dropped_lines == 0
+
+    def test_lines_before_a_disconnect_reach_the_client_attached_then(self):
+        script = script_of(100, windows=(DropoutWindow(50, 5, "disconnect"),))
+        srv = serve_stream(script, "127.0.0.1:0")
+        try:
+            with socket.create_connection(srv.address) as client:
+                client.settimeout(5)
+                got = b""
+                while chunk := client.recv(65536):
+                    got += chunk
+        finally:
+            srv.stop()
+        assert got == "".join(sample_line(make_sample(t)) + "\n" for t in range(50)).encode()
+
+    def test_paced_script_sends_one_line_per_tick(self):
+        srv = serve_stream(script_of(5, tick=0.05), "127.0.0.1:0")
+        try:
+            with socket.create_connection(srv.address) as client:
+                client.settimeout(5)
+                first = client.recv(65536)
+        finally:
+            srv.stop()
+        assert first == (sample_line(make_sample(0)) + "\n").encode("ascii")
 
 
 class TestSingleClientRule:

@@ -1140,6 +1140,35 @@ class TestSerialization:
                 with pytest.raises(SchemaMismatch):
                     model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("kind, where, edit", [
+        ("DecisionTree", "DecisionTree state", lambda st: st.update(junk=[1])),
+        ("DecisionTree", "DecisionTree state", lambda st: st.pop("n_features")),
+        ("DecisionTree", "DecisionTree tree", lambda st: st["tree"].update(
+            value=st["tree"]["label"])),
+        ("DecisionTree", "DecisionTree tree", lambda st: st["tree"].pop("right")),
+        ("RandomForest", "RandomForest state", lambda st: st.update(oob_score=0.9)),
+        ("RandomForest", "RandomForest state", lambda st: st.pop("n_features")),
+        ("RandomForest", "RandomForest tree 1", lambda st: st["trees"][1].update(
+            junk=st["trees"][1]["left"])),
+        ("RandomForest", "RandomForest tree 0", lambda st: st["trees"][0].pop("threshold")),
+        ("Knn", "Knn state", lambda st: st.update(n_features=99, junk=[1])),
+        ("Knn", "Knn state", lambda st: st.pop("std")),
+        ("GaussianNB", "GaussianNB state", lambda st: st.update(n_features=5)),
+        ("GaussianNB", "GaussianNB state", lambda st: st.pop("prior")),
+    ], ids=[
+        "tree-extra", "tree-missing", "tree-node-extra", "tree-node-missing",
+        "forest-extra", "forest-missing", "forest-node-extra", "forest-node-missing",
+        "knn-extra", "knn-missing", "nb-extra", "nb-missing",
+    ])
+    def test_state_keys_exact(self, kind, where, edit):
+        """A state, and each tree's node arrays, hold exactly the keys that
+        state_dict writes: an unknown, stale or missing key is refused with
+        the kind and the keys, as params are."""
+        doc = _document(kind)
+        edit(doc["state"])
+        with pytest.raises(SchemaMismatch, match=f"^schema mismatch: {where} keys are "):
+            model_from_json(json.dumps(doc))
+
 
 _FLOAT64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
