@@ -141,11 +141,9 @@ def _cmd_featurize(args) -> int:
 
 def _load_feature_files(paths) -> features.FeatureTable:
     """One table for all files; each file's rows take its stem as night id."""
-    tables = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            tables.append(features.parse_feature_csv(fh, night_id=_night_stem(path)))
-    windows = features.FeatureTable.concat(tables)
+    windows = features.FeatureTable.concat(
+        [features.load_feature_csv(path, night_id=_night_stem(path)) for path in paths]
+    )
     if not len(windows):
         raise AllMissing("the feature files hold no windows")
     return windows

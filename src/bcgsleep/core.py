@@ -53,6 +53,20 @@ def check_stage_codes(codes: np.ndarray, what: str, error=ValueError) -> np.ndar
     return codes
 
 
+def plain_number(text: str) -> str:
+    """text stripped of surrounding whitespace, for float() or int() to read.
+
+    Raises ValueError if what remains holds an underscore or a non-ASCII
+    character: float() and int() read "1_0" as 10 and Arabic-Indic digits
+    as digits, but numpy's text readers and JSON do not, so the CSV readers
+    refuse them and every reader shares one number grammar.
+    """
+    s = text.strip()
+    if "_" in s or not s.isascii():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return s
+
+
 VITAL_FIELDS = ("hr", "rr", "sv", "hrv", "b2b")
 
 # Per-second series span 0..last_t, so t is capped at one week of seconds.

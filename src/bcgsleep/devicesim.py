@@ -12,9 +12,13 @@ The server runs one thread, which owns both the listener and the client it
 is streaming to. It sends each run of due lines as one batch: a paced
 script (tick_interval > 0) still sends one line per tick, while at tick 0 a
 night goes out in a few large sends. The recorder runs in the caller's
-thread: it reads the socket in chunks, checks every complete line and
-appends it to the output with a single unbuffered write, so a kill at any
-moment leaves only complete, loadable lines behind.
+thread and reads the socket in chunks. A chunk whose complete lines are all
+canonical sample lines (ingest.SAMPLE_LINE) with t rising above the last
+kept t and finite, non-negative vitals is kept whole after a regex scan
+and a numpy conversion; any other chunk is checked line by line with the
+per-line parser, which decides every drop. The kept lines of a chunk are
+appended to the output with one unbuffered write, finished if it comes back
+short, so a kill at any moment leaves every line but the last complete.
 """
 
 from __future__ import annotations
@@ -31,9 +35,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import NightRecord, compute_gaps
+import numpy as np
+
+from .core import MAX_NIGHT_SECONDS, NightRecord, compute_gaps
 from .errors import InitialConnectFailure, MalformedRow
-from .ingest import parse_sample_line, write_night
+from .ingest import canonical_rows, parse_sample_line, write_night
 
 SILENCE = "silence"
 DISCONNECT = "disconnect"
@@ -312,6 +318,43 @@ def _kept_t(raw: bytes, last_t: Optional[int]) -> Optional[int]:
     return row[0]
 
 
+def _kept_lines(block: bytes, last_t: Optional[int]) -> tuple[bytes, list[int]]:
+    """The lines of block (complete lines, each ending in a newline) that
+    _kept_t keeps in turn after last_t, joined, and their t values.
+
+    A block of canonical lines whose t rise above last_t and whose vitals
+    are finite and non-negative is kept whole; any other block goes line by
+    line through _kept_t.
+    """
+    rows = canonical_rows(block)
+    if rows is not None:
+        t, vitals = rows[:, 0], rows[:, 1:]
+        if ((last_t is None or t[0] > last_t) and (np.diff(t) > 0).all()
+                and t[-1] < MAX_NIGHT_SECONDS and ((vitals >= 0) & (vitals < np.inf)).all()):
+            return block, t.astype(np.int64).tolist()
+    kept, stamps = [], []
+    for body in block.split(b"\n")[:-1]:
+        raw = body + b"\n"
+        t = _kept_t(raw, stamps[-1] if stamps else last_t)
+        if t is not None:
+            kept.append(raw)
+            stamps.append(t)
+    return b"".join(kept), stamps
+
+
+def _append(out, lines: bytes, stamps: list[int], timestamps: list[int]) -> None:
+    """Write lines to the unbuffered out, writing again after a short write,
+    and add the t of every line wholly written to timestamps, also when a
+    write fails."""
+    view = memoryview(lines)
+    done = 0
+    try:
+        while done < len(lines):
+            done += out.write(view[done:])
+    finally:
+        timestamps.extend(stamps[:lines.count(b"\n", 0, done)])
+
+
 def _write_sidecar(sidecar: str, timestamps: list[int], gaps, dropped: int):
     doc = {
         "n_samples": len(timestamps),
@@ -337,7 +380,9 @@ def record_stream(
     durable before this returns. Each line is checked before it is written:
     malformed lines, lines with a negative or non-finite vital and lines
     whose t is not above the last kept t are dropped and counted
-    (dropped_lines), so the file always loads. A drop triggers reconnects
+    (dropped_lines), so a run that returns leaves a file that loads. A kill,
+    or a write that fails, leaves every line but the last complete; the
+    sidecar counts only lines wholly written. A drop triggers reconnects
     every policy.retry_interval seconds; when an outage outlasts
     policy.deadline the recording ends (normally if anything was ever
     received, with InitialConnectFailure if the first connection never
@@ -378,20 +423,14 @@ def record_stream(
                         break  # a reset is just a less polite disconnect
                     if not chunk:
                         break  # closed; the partial tail of a mid-line drop is lost
-                    *lines, rest = chunk.split(b"\n")
-                    if lines:
-                        lines[0] = partial + lines[0]
-                        partial = rest
-                    else:
-                        partial += rest
-                    for body in lines:
-                        raw = body + b"\n"
-                        t = _kept_t(raw, timestamps[-1] if timestamps else None)
-                        if t is None:
-                            dropped += 1
-                            continue
-                        out.write(raw)
-                        timestamps.append(t)
+                    end = chunk.rfind(b"\n") + 1
+                    if not end:
+                        partial += chunk
+                        continue
+                    block, partial = partial + chunk[:end], chunk[end:]
+                    kept, stamps = _kept_lines(block, timestamps[-1] if timestamps else None)
+                    dropped += block.count(b"\n") - len(stamps)
+                    _append(out, kept, stamps, timestamps)
             # server closed or died; loop back into connect-retry
     finally:
         with out:

@@ -8,17 +8,23 @@ neither stage and are discarded.
 
 Percentiles are linear interpolation at rank p*(n-1) over the sorted values
 (numpy's default); std is the population standard deviation.
+
+Feature files are CSV: the header FEATURE_CSV_HEADER, then 30 statistics and
+a stage name per window. load_feature_csv reads a file in bulk;
+parse_feature_csv, the per-line parser, reads what the bulk read refuses and
+owns every diagnostic.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import STAGE_NAMES, VITAL_FIELDS, NightRecord, Stage
-from .errors import DegenerateMatrix, EmptyMatrix, MalformedRow
+from .core import STAGE_NAMES, VITAL_FIELDS, NightRecord, Stage, plain_number
+from .errors import DegenerateMatrix, EmptyMatrix, InvalidStageCode, MalformedRow
 
 SIGNAL_ORDER = ("hr", "rr", "sv", "b2b", "hrv")
 STAT_ORDER = ("mean", "median", "max", "min", "std", "p75")
@@ -29,6 +35,10 @@ N_FEATURES = len(FEATURE_NAMES)
 WINDOW_LEN = 10
 
 FEATURE_CSV_HEADER = ",".join(FEATURE_NAMES + ("label",))
+# One feature CSV row for np.loadtxt. The stage name is a Python str, since
+# a fixed-width numpy string would drop a trailing NUL that the per-line
+# parser rejects.
+_CSV_ROW = np.dtype([("x", np.float64, (N_FEATURES,)), ("label", object)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +226,7 @@ def parse_feature_csv(lines, night_id: str = "") -> FeatureTable:
         if len(parts) != N_FEATURES + 1:
             raise MalformedRow(i + 2, f"expected {N_FEATURES + 1} columns")
         try:
-            rows.append([float(p) for p in parts[:-1]])
+            rows.append([float(plain_number(p)) for p in parts[:-1]])
         except ValueError as exc:
             raise MalformedRow(i + 2, str(exc)) from exc
         codes.append(int(Stage.from_name(parts[-1])))
@@ -227,3 +237,41 @@ def parse_feature_csv(lines, night_id: str = "") -> FeatureTable:
         raise MalformedRow(line_nos[bad[0]], "feature values must be finite")
     y = np.array(codes, dtype=np.int64)
     return _table(x, y, np.arange(len(y), dtype=np.int64), night_id)
+
+
+def _bulk_feature_csv(fh, night_id: str):
+    """The table parse_feature_csv would read from fh, read with one
+    np.loadtxt after the header, or None if that read objects to anything
+    or finds a value parse_feature_csv would reject."""
+    try:
+        if fh.readline().strip() != FEATURE_CSV_HEADER:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's "no data"
+            rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None,
+                              encoding="utf-8", ndmin=1)
+        names, inverse = np.unique(rows["label"], return_inverse=True)
+        codes = np.array([Stage.from_name(name) for name in names.tolist()], dtype=np.int64)
+    except (ValueError, UserWarning, InvalidStageCode):
+        return None
+    x = np.ascontiguousarray(rows["x"])
+    if not np.isfinite(x).all():
+        return None
+    y = codes[inverse]
+    return _table(x, y, np.arange(len(y), dtype=np.int64), night_id)
+
+
+def load_feature_csv(path, night_id: str = "") -> FeatureTable:
+    """Read a feature CSV file as parse_feature_csv reads it, bit for bit.
+
+    The rows after the header are read in bulk. A file the bulk read
+    refuses (an empty body, a cell that is not a finite number, an unknown
+    stage name, a row of another width, text that is not UTF-8) is read
+    again by parse_feature_csv, which raises its diagnostic.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        table = _bulk_feature_csv(fh, night_id)
+        if table is None:
+            fh.seek(0)
+            table = parse_feature_csv(fh, night_id)
+    return table

@@ -7,7 +7,13 @@ Two on-disk sample formats share identical field names:
   - csv: header ``t,hr,rr,sv,hrv,b2b`` then one row per sample
 
 Floats are written as shortest round-trip decimal text, so a record survives
-write -> parse bit-exactly. Label files are a single JSON document:
+write -> parse bit-exactly. The canonical sample line is exactly what
+sample_line writes, ``{"t":INT,"hr":NUM,"rr":NUM,"sv":NUM,"hrv":NUM,"b2b":NUM}``
+with JSON numbers; SAMPLE_LINE matches it. load_night reads an NDJSON file of
+canonical lines in bulk, a regex scan and one numpy conversion per piece of
+the file, into the same record bit for bit; any other file goes through
+parse_night, the per-line parser, which owns every diagnostic. Label files
+are a single JSON document:
 ``{"night_id": "...", "levels": [{"level": "wake", "start_t": 0, "seconds": 300}, ...]}``.
 """
 
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -26,6 +33,7 @@ from .core import (
     NightRecord,
     Stage,
     StageInterval,
+    plain_number,
     stage_codes,
 )
 from .errors import MalformedRow, OverlappingIntervals, UnknownLevel
@@ -34,6 +42,24 @@ SAMPLE_FIELDS = ("t",) + VITAL_FIELDS
 CSV_HEADER = ",".join(SAMPLE_FIELDS)
 
 FORMATS = ("ndjson", "csv")
+
+# A vital in JSON's number grammar whose text float() reads as json does:
+# json reads an integer literal as an int and converts it, so the integer
+# -0 becomes +0.0 and one too long for a double is a MalformedRow, where
+# float() would give -0.0 and inf. Integer literals are therefore positive,
+# negative non-zero or 0, and at most 300 digits long.
+_VITAL = (rb"-?(?:0|[1-9]\d*)\.\d+(?:[eE][-+]?\d+)?"
+          rb"|-?(?:0|[1-9]\d*)[eE][-+]?\d+"
+          rb"|-?[1-9]\d{0,299}|0")
+# canonical_rows scans a file in pieces of about this many bytes
+_SCAN_BYTES = 64 * 1024
+# One canonical sample line as sample_line writes it, anchored per line
+# (re.M) and capturing the six numbers; t has at most six digits.
+SAMPLE_LINE = re.compile(
+    rb'^\{"t":(0|[1-9]\d{0,5}),"hr":(%s),"rr":(%s),"sv":(%s),"hrv":(%s),"b2b":(%s)\}$'
+    % ((_VITAL,) * len(VITAL_FIELDS)),
+    re.M,
+)
 
 
 def _check_format(fmt: str) -> str:
@@ -93,13 +119,13 @@ def _parse_csv_row(row: list[str], line_no: int) -> tuple:
     if len(row) != len(SAMPLE_FIELDS):
         raise MalformedRow(line_no, f"expected {len(SAMPLE_FIELDS)} columns, got {len(row)}")
     try:
-        t = int(row[0])
+        t = int(plain_number(row[0]))
     except ValueError as exc:
         raise MalformedRow(line_no, f"t must be an integer, got {row[0]!r}") from exc
     out = [_check_t(t, line_no)]
     for k, text in zip(VITAL_FIELDS, row[1:]):
         try:
-            out.append(float(text))
+            out.append(float(plain_number(text)))
         except ValueError as exc:
             raise MalformedRow(line_no, f"{k} is not a number: {text!r}") from exc
     return tuple(out)
@@ -159,11 +185,48 @@ def write_night(record: NightRecord, fmt: str) -> Iterator[str]:
         yield from map(sample_line, rows)
 
 
+def canonical_rows(data: bytes) -> Optional[np.ndarray]:
+    """The (n, 6) float64 rows (t, hr, rr, sv, hrv, b2b) of data if each of
+    its n lines is a canonical sample line (the last may lack its newline),
+    else None.
+
+    numpy converts the numbers' text, rounding as float() and json do. The
+    scan goes _SCAN_BYTES of whole lines at a time, so the matches held at
+    once stay small next to data. t is not checked against
+    MAX_NIGHT_SECONDS.
+    """
+    n_lines = data.count(b"\n") + (data[-1:] not in (b"", b"\n"))
+    rows = np.empty((n_lines, len(SAMPLE_FIELDS)))
+    done = start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _SCAN_BYTES) + 1 or len(data)
+        found = SAMPLE_LINE.findall(data, start, end)
+        if len(found) != data.count(b"\n", start, end) + (data[end - 1:end] != b"\n"):
+            return None
+        rows[done:done + len(found)] = found
+        done += len(found)
+        start = end
+    return rows
+
+
 def load_night(path, fmt: Optional[str] = None, night_id: str = "") -> NightRecord:
-    """Read a night file; format inferred from the extension unless given."""
+    """Read a night file; format inferred from the extension unless given.
+
+    An NDJSON file of canonical lines whose every t is below
+    MAX_NIGHT_SECONDS is read in bulk (canonical_rows); the record still
+    runs its own vital and timestamp checks. Any other file goes through
+    parse_night, which gives the same record bit for bit and owns every
+    diagnostic.
+    """
     path = str(path)
     if fmt is None:
         fmt = "csv" if path.endswith(".csv") else "ndjson"
+    if fmt == "ndjson":
+        with open(path, "rb") as fh:
+            rows = canonical_rows(fh.read())
+        if rows is not None and (rows[:, 0] < MAX_NIGHT_SECONDS).all():
+            return NightRecord(night_id, rows[:, 0].astype(np.int64),
+                               np.ascontiguousarray(rows[:, 1:]))
     with open(path, "r", encoding="utf-8") as fh:
         return parse_night(fh, fmt, night_id)
 

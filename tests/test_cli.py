@@ -6,10 +6,14 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcgsleep import features, models
 from bcgsleep.cli import _load_feature_files, main
+from bcgsleep.core import STAGE_NAMES
 from bcgsleep.ingest import load_night, save_night
 from bcgsleep.models import load_model, model_to_json
 
@@ -272,6 +276,139 @@ class TestFeaturizeCommand:
     def test_feature_file_night_id_is_its_stem(self, workdir):
         windows = _load_feature_files(feature_args(workdir, ("night00",)))
         assert set(windows.night_id.tolist()) == {"night00"}
+
+
+def _table_outcome(read):
+    """What read() gives: the table's columns bit for bit, or its error."""
+    try:
+        t = read()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return (t.x.shape, t.x.flags.c_contiguous, t.x.tobytes(), t.y.dtype, t.y.tolist(),
+            t.start_t.dtype, t.start_t.tolist(), t.night_id.dtype, t.night_id.tolist())
+
+
+def _set_cell(line, col, fn):
+    cells = line.split(",")
+    cells[col] = fn(cells[col])
+    return ",".join(cells)
+
+
+# one change to a row's text (or, for some, to the file) that the bulk read
+# refuses or must read exactly as parse_feature_csv does
+ROW_MUTATIONS = {
+    "none": lambda line: [line],
+    "blank line": lambda line: [line, ""],
+    "whitespace line": lambda line: [line, " \t "],
+    "spaces around cells": lambda line: [" " + line.replace(",", " , ", 3) + " "],
+    "unicode space": lambda line: [_set_cell(line, 2, lambda c: "\u2003" + c)],
+    "underscore": lambda line: [_set_cell(line, 4, lambda c: "1_0")],
+    "arabic-indic digits": lambda line: [_set_cell(line, 5, lambda c: "\u0661.\u0665")],
+    "nan": lambda line: [_set_cell(line, 6, lambda c: "nan")],
+    "inf": lambda line: [_set_cell(line, 6, lambda c: "-Infinity")],
+    "overflow": lambda line: [_set_cell(line, 6, lambda c: "1e400")],
+    "other spellings": lambda line: [_set_cell(_set_cell(line, 0, lambda c: "+.5"), 1,
+                                               lambda c: "5.")],
+    "hex": lambda line: [_set_cell(line, 3, lambda c: "0x1p3")],
+    "unknown label": lambda line: [_set_cell(line, -1, lambda c: "n3")],
+    "upper-case label": lambda line: [_set_cell(line, -1, str.upper)],
+    "label with NUL": lambda line: [line + "\x00"],
+    "label with space": lambda line: [line + " "],
+    "label led by space": lambda line: [_set_cell(line, -1, lambda c: " " + c)],
+    "missing cell": lambda line: [line.split(",", 1)[1]],
+    "extra cell": lambda line: [line + ","],
+    "empty label": lambda line: [line.rsplit(",", 1)[0] + ","],
+    "crlf": lambda line: [line + "\r"],
+    "nul in number": lambda line: [_set_cell(line, 0, lambda c: c + "\x00")],
+    "not utf-8": lambda line: [_set_cell(line, 0, lambda c: c + "\udcff")],
+}
+# a change to the header line
+HEADER_MUTATIONS = {
+    "none": lambda h: h,
+    "bom": lambda h: "\ufeff" + h,
+    "spaces": lambda h: " " + h + "  ",
+    "other": lambda h: h.replace("hr_mean", "hr_avg"),
+}
+feature_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e16, -2.5, 60]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def feature_files(draw):
+    """Feature CSV bytes: windows_to_csv-style rows, with one row and the
+    header possibly changed, maybe without the final newline or empty."""
+    if not draw(st.integers(0, 30)):
+        return b""
+    rows = draw(st.lists(st.tuples(st.tuples(*[feature_value] * features.N_FEATURES),
+                                   st.sampled_from(STAGE_NAMES)), max_size=6))
+    lines = [",".join(map(repr, x)) + "," + label for x, label in rows]
+    mutation = draw(st.one_of(st.just("none"), st.sampled_from(sorted(ROW_MUTATIONS))))
+    if lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = ROW_MUTATIONS[mutation](lines[i])
+    header = HEADER_MUTATIONS[draw(st.one_of(
+        st.just("none"), st.sampled_from(sorted(HEADER_MUTATIONS))))](features.FEATURE_CSV_HEADER)
+    text = "\n".join([header] + lines) + ("\n" if draw(st.integers(0, 4)) else "")
+    return text.encode("utf-8", "surrogateescape")
+
+
+class TestBulkFeatureRead:
+    """_load_feature_files reads each file in bulk; whatever the file holds,
+    it must give what the per-line parse_feature_csv gives, bit for bit or
+    the same error and message."""
+
+    @settings(max_examples=300)
+    @given(data=feature_files())
+    def test_bulk_equals_per_line(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("feats") / "night07.features.csv"
+        path.write_bytes(data)
+        bulk = _table_outcome(lambda: _load_feature_files([str(path)]))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(features, "_bulk_feature_csv", lambda fh, night_id: None)
+            assert bulk == _table_outcome(lambda: _load_feature_files([str(path)]))
+
+    @pytest.mark.parametrize("at", [0, 2])
+    @pytest.mark.parametrize("mutation", sorted(ROW_MUTATIONS))
+    def test_each_row_mutation_equals_per_line(self, tmp_path, mutation, at):
+        self.check(tmp_path, "none", mutation, at)
+
+    @pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
+    def test_each_header_mutation_equals_per_line(self, tmp_path, mutation):
+        self.check(tmp_path, mutation, "none", 0)
+
+    def check(self, tmp_path, header_mutation, row_mutation, at):
+        rows = [",".join(repr(0.5 * (i + j)) for j in range(features.N_FEATURES))
+                + "," + STAGE_NAMES[i % 4] for i in range(3)]
+        rows[at:at + 1] = ROW_MUTATIONS[row_mutation](rows[at])
+        header = HEADER_MUTATIONS[header_mutation](features.FEATURE_CSV_HEADER)
+        path = tmp_path / "night07.features.csv"
+        path.write_bytes("\n".join([header] + rows + [""]).encode("utf-8", "surrogateescape"))
+        bulk = _table_outcome(lambda: _load_feature_files([str(path)]))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(features, "_bulk_feature_csv", lambda fh, night_id: None)
+            assert bulk == _table_outcome(lambda: _load_feature_files([str(path)]))
+
+    def test_featurized_files_take_the_bulk_path(self, workdir, monkeypatch):
+        paths = feature_args(workdir)
+        with monkeypatch.context() as m:
+            m.setattr(features, "_bulk_feature_csv", lambda fh, night_id: None)
+            want = _table_outcome(lambda: _load_feature_files(paths))
+        monkeypatch.setattr(features, "parse_feature_csv", None)  # any fallback fails
+        assert _table_outcome(lambda: _load_feature_files(paths)) == want
+        assert len(want[4]) > 3000
+
+    def test_empty_body_falls_back_without_a_warning(self, tmp_path):
+        import warnings
+
+        path = tmp_path / "empty.features.csv"
+        path.write_text(features.FEATURE_CSV_HEADER + "\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = features.load_feature_csv(path, "empty")
+        assert len(table) == 0 and table.x.shape == (0, features.N_FEATURES)
+        assert np.array_equal(table.y, np.empty(0, dtype=np.int64))
 
 
 class TestTrainCommand:

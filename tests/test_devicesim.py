@@ -10,6 +10,7 @@ counts as sent is what a recorder can receive.
 import errno
 import io
 import json
+import re
 import signal
 import socket
 import struct
@@ -31,7 +32,7 @@ from bcgsleep.devicesim import (
     serve_stream,
 )
 from bcgsleep.errors import InitialConnectFailure
-from bcgsleep.ingest import load_night, sample_line, write_night
+from bcgsleep.ingest import load_night, parse_night, sample_line, write_night
 
 from conftest import checkout_env, make_record, make_sample
 
@@ -318,6 +319,56 @@ class TestLineValidation:
         assert res.timestamps == (0, 1)
         assert res.dropped_lines == 1
 
+    def test_bulk_and_per_line_checks_agree(self, tmp_path):
+        # over 64 KiB of canonical lines, one stretch of which mixes in a
+        # malformed line, a repeated t, a negative and two non-finite vitals
+        lines = [sample_line(make_sample(t, hr=50.0 + t % 13)) for t in range(3000)]
+        lines[1060] = sample_line(make_sample(1060, hr=-1.0))
+        lines[1070] = sample_line(make_sample(1070)).replace('"rr":14.0', '"rr":1e400')
+        lines[1080] = sample_line(make_sample(1080)).replace('"rr":14.0', '"rr":NaN')
+        lines.insert(1090, lines[1050])
+        lines.insert(1100, "not a sample")
+        assert len("\n".join(lines)) > 2 * devicesim.RECV_BYTES
+        kept_t, calls = devicesim._kept_t, []
+
+        def counted(raw, last_t):
+            calls.append(raw)
+            return kept_t(raw, last_t)
+
+        runs = []
+        for per_line in (False, True):
+            out = tmp_path / f"out{int(per_line)}.ndjson"
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(devicesim, "_kept_t", counted)
+                if per_line:
+                    m.setattr(devicesim, "canonical_rows", lambda block: None)
+                res = record_lines(lines, out)
+            runs.append((res.timestamps, res.dropped_lines, res.gaps, out.read_bytes(),
+                         Path(res.sidecar_path).read_text()))
+            if not per_line:
+                assert 0 < len(calls) < len(lines)  # some chunks were kept whole
+        assert runs[0] == runs[1]
+        assert runs[0][0] == tuple(t for t in range(3000) if t not in (1060, 1070, 1080))
+        assert runs[0][1] == 5
+
+    @pytest.mark.parametrize("last_t", [None, 2, 3, 9])
+    # none; a negative vital; an inf vital; t at the week limit; a t not
+    # above the one before; a malformed line
+    @pytest.mark.parametrize("change", [
+        None, (3, 'hr":-0.5'), (3, 'hr":1e400'), (0, 't":604800'), (6, 't":9'),
+        (4, 't":4,"x'),
+    ])
+    def test_chunk_check_equals_line_by_line(self, monkeypatch, change, last_t):
+        lines = [sample_line(make_sample(t)) for t in range(3, 10)]
+        if change is not None:
+            i, text = change
+            key = text.split('"')[0]
+            lines[i] = re.sub(f'{key}":[^,]*', text, lines[i], count=1)
+        block = "".join(line + "\n" for line in lines).encode()
+        whole = devicesim._kept_lines(block, last_t)
+        monkeypatch.setattr(devicesim, "canonical_rows", lambda block: None)
+        assert whole == devicesim._kept_lines(block, last_t)
+
     def test_sidecar_written_when_nothing_connects(self, tmp_path):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -364,10 +415,14 @@ class TestFailureModes:
 
     def test_disk_error_raised_not_taken_for_a_disconnect(self, tmp_path, monkeypatch):
         class FullDisk(io.FileIO):
+            """A disk with 200 bytes free: a write that would pass them is
+            cut short, and a write with none left fails."""
+
             def write(self, data):
-                if self.tell() >= 200:
+                room = 200 - self.tell()
+                if room <= 0:
                     raise OSError(errno.ENOSPC, "No space left on device")
-                return super().write(data)
+                return super().write(bytes(data[:room]))
 
         def open_full(path, mode="r", *args, **kwargs):
             if mode == "wb":
@@ -383,8 +438,33 @@ class TestFailureModes:
         finally:
             srv.stop()
         side = json.loads((tmp_path / "out.ndjson.gaps.json").read_text())
-        assert side["n_samples"] == 4  # the lines that reached the file
-        assert load_night(out).t.tolist() == [0, 1, 2, 3]
+        data = out.read_bytes()
+        stream = "".join(sample_line(make_sample(t)) + "\n" for t in range(40)).encode()
+        assert data == stream[:200]  # three whole lines and the start of a fourth
+        assert side["n_samples"] == 3  # the lines wholly written
+        complete = data.decode("ascii").split("\n")[:-1]
+        assert parse_night(complete, "ndjson").t.tolist() == [0, 1, 2]
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        class ShortWrites(io.FileIO):
+            def write(self, data):
+                return super().write(bytes(data[:7]))
+
+        def open_short(path, mode="r", *args, **kwargs):
+            if mode == "wb":
+                return ShortWrites(path, mode)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(devicesim, "open", open_short, raising=False)
+        script = script_of(2000)
+        srv = serve_stream(script, "127.0.0.1:0")
+        try:
+            res = record_stream(srv.endpoint, tmp_path / "out.ndjson", FAST)
+        finally:
+            srv.stop()
+        stream = "".join(line + "\n" for line in write_night(script.source, "ndjson"))
+        assert Path(res.path).read_bytes() == stream.encode("ascii")
+        assert res.timestamps == tuple(range(2000))
 
     def test_reconnect_deadline_ends_run_after_server_stops(self, tmp_path):
         srv = serve_stream(script_of(10), "127.0.0.1:0")

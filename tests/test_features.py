@@ -284,6 +284,17 @@ class TestCsvRoundTrip:
             parse_feature_csv([FEATURE_CSV_HEADER, good, "", good, bad, good])
         assert exc.value.line_no == 5
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661.\u0665", "\uff11"])
+    def test_python_only_number_spellings_rejected_at_their_line(self, cell):
+        # float() reads these as 10, 1.5 and 1; numpy's loadtxt and JSON do not
+        from bcgsleep.errors import MalformedRow
+
+        good = ",".join(["1.0"] * N_FEATURES) + ",wake"
+        bad = ",".join(["1.0"] * 7 + [cell] + ["1.0"] * (N_FEATURES - 8)) + ",wake"
+        with pytest.raises(MalformedRow, match="not a plain ASCII number") as exc:
+            parse_feature_csv([FEATURE_CSV_HEADER, good, bad, good])
+        assert exc.value.line_no == 3
+
     def test_unknown_stage_rejected(self):
         from bcgsleep.errors import InvalidStageCode
 

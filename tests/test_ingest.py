@@ -1,11 +1,14 @@
 """Sample/label file formats: round trips, malformed input, label alignment."""
 
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from bcgsleep import ingest, synth
 
 from bcgsleep.core import Stage, StageInterval, VitalsSample
 from bcgsleep.errors import (
@@ -19,6 +22,7 @@ from bcgsleep.ingest import (
     CSV_HEADER,
     MAX_NIGHT_SECONDS,
     align_labels,
+    canonical_rows,
     load_labels,
     load_night,
     parse_labels,
@@ -169,10 +173,147 @@ class TestMalformedInput:
         with pytest.raises(MalformedRow):
             parse_night([line], "ndjson")
 
+    @pytest.mark.parametrize("text", ["1_0", "\u0661", "\u0661.\u0665", "\uff11"])
+    def test_python_only_number_spellings_rejected(self, text):
+        # float() and int() read these as numbers; JSON and numpy do not
+        for row in (f"{text},1.0,1.0,1.0,1.0,1.0", f"1,1.0,{text},1.0,1.0,1.0"):
+            with pytest.raises(MalformedRow) as exc:
+                parse_night([CSV_HEADER, "0,1.0,1.0,1.0,1.0,1.0", row], "csv")
+            assert exc.value.line_no == 3
+
     def test_blank_lines_skipped(self):
         lines = [sample_line(make_sample(0)), "", sample_line(make_sample(1)), "  "]
         rec = parse_night(lines, "ndjson")
         assert [s.t for s in rec.samples] == [0, 1]
+
+
+def _outcome(read):
+    """What read() gives: the record's columns bit for bit, or its error."""
+    try:
+        rec = read()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return (rec.night_id, rec.t.dtype, rec.t.tolist(), rec.vitals.dtype,
+            rec.vitals.shape, rec.vitals.flags.c_contiguous, rec.vitals.tobytes())
+
+
+def _per_line(path, night_id=""):
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_night(fh, "ndjson", night_id)
+
+
+# vitals whose text or rounding is easy to get wrong: signed zero, the
+# subnormals, the largest double, exponent spellings, integers beyond 2**53
+# and at the bulk reader's 300-digit cap
+EDGE_VITALS = [
+    0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1e16, 1e-7, 123456789.0, 60, 0, 2**53 + 1, 10**25 + 1,
+    10**299,
+]
+vital_value = st.one_of(
+    st.sampled_from(EDGE_VITALS),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.integers(0, 10**20),
+)
+
+
+def _set_hr(line, text):
+    return re.sub(r'"hr":[^,]*', lambda m: f'"hr":{text}', line, count=1)
+
+
+def _set_t(line, t):
+    return re.sub(r'"t":[^,]*', lambda m: f'"t":{t}', line, count=1)
+
+
+# one change to the text of a line (or, for some, of the file) that the
+# canonical pattern does not cover, each owned by parse_night's diagnostics
+LINE_MUTATIONS = {
+    "none": lambda line: [line],
+    "space": lambda line: [line.replace(":", ": ", 1)],
+    "key order": lambda line: ['{"hr"' + line.split(',"hr"', 1)[1][:-1] + ","
+                               + line[1:].split(",", 1)[0] + "}"],
+    "extra key": lambda line: [line[:-1] + ',"spo2":97.0}'],
+    "crlf": lambda line: [line + "\r"],
+    "blank line": lambda line: [line, ""],
+    "bom": lambda line: ["\ufeff" + line],
+    "nan": lambda line: [_set_hr(line, "NaN")],
+    "infinity": lambda line: [_set_hr(line, "Infinity")],
+    "t at the limit": lambda line: [_set_t(line, MAX_NIGHT_SECONDS)],
+    "301-digit vital": lambda line: [_set_hr(line, str(10**300))],
+    "vital past float range": lambda line: [_set_hr(line, str(2**1024))],
+    "400-digit vital": lambda line: [_set_hr(line, "1" + "0" * 400)],
+    "negative integer vital": lambda line: [_set_hr(line, "-7")],
+    "negative float vital": lambda line: [_set_hr(line, "-1.5e-3")],
+    "integer -0": lambda line: [_set_hr(line, "-0")],
+    "upper-case exponent": lambda line: [_set_hr(line, "2.5E+3")],
+    "float overflow": lambda line: [_set_hr(line, "1e400")],
+    "not utf-8": lambda line: [line[:-1] + "\udcff}"],
+}
+
+
+@st.composite
+def night_files(draw):
+    """NDJSON night file bytes: sample_line rows, one line possibly changed
+    by a LINE_MUTATIONS entry, maybe without the final newline."""
+    ts = draw(st.lists(st.integers(0, MAX_NIGHT_SECONDS - 1), max_size=12))
+    if draw(st.integers(0, 4)):
+        ts = sorted(set(ts))
+    lines = [sample_line((t, *draw(st.tuples(*[vital_value] * 5)))) for t in ts]
+    mutation = draw(st.one_of(st.just("none"), st.sampled_from(sorted(LINE_MUTATIONS))))
+    if lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = LINE_MUTATIONS[mutation](lines[i])
+    text = "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+    return text.encode("utf-8", "surrogateescape")
+
+
+class TestBulkLoad:
+    """load_night reads a file of canonical lines in bulk; whatever the file
+    holds, it must give what parse_night gives, bit for bit or the same
+    error and message."""
+
+    @settings(max_examples=300)
+    @given(data=night_files())
+    def test_bulk_equals_per_line(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("bulk") / "night.ndjson"
+        path.write_bytes(data)
+        assert _outcome(lambda: load_night(path, night_id="n")) == _outcome(
+            lambda: _per_line(path, "n"))
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("at", [0, 600, 1199])
+    @pytest.mark.parametrize("mutation", sorted(LINE_MUTATIONS))
+    def test_each_mutation_equals_per_line(self, tmp_path, mutation, at, final_newline):
+        # enough lines for the bulk scan to read them in several pieces
+        n = len(EDGE_VITALS)
+        lines = [sample_line((t, *(EDGE_VITALS[(t + k) % n] for k in range(5))))
+                 for t in range(1200)]
+        lines[at:at + 1] = LINE_MUTATIONS[mutation](lines[at])
+        path = tmp_path / "night.ndjson"
+        path.write_bytes(("\n".join(lines) + "\n" * final_newline)
+                         .encode("utf-8", "surrogateescape"))
+        assert _outcome(lambda: load_night(path)) == _outcome(lambda: _per_line(path))
+
+    def test_synth_nights_take_the_bulk_path(self, tmp_path, monkeypatch):
+        for item in synth.generate_cohort(3, seed=5, duration_s=3600):
+            path = tmp_path / f"{item.record.night_id}.ndjson"
+            save_night(item.record, path)
+            want = _outcome(lambda: _per_line(path, "n"))
+            with monkeypatch.context() as m:
+                m.setattr(ingest, "parse_night", None)  # any fallback fails
+                assert _outcome(lambda: load_night(path, night_id="n")) == want
+            assert want[2] == item.record.t.tolist()
+
+    def test_canonical_rows(self):
+        line = sample_line((7, 62.5, 0, -0.0, 5e-324, 1e16))
+        rows = canonical_rows((line + "\n" + line).encode())
+        assert rows.shape == (2, 6)
+        assert rows[0].tolist() == [7.0, 62.5, 0.0, -0.0, 5e-324, 1e16]
+        assert np.signbit(rows[:, 3]).all()
+        assert canonical_rows(b"").shape == (0, 6)
+        for bad in (line + "\n\n", line + "\r\n", " " + line, line.replace("7", "-0", 1)):
+            assert canonical_rows(bad.encode()) is None
 
 
 class TestLabels:
