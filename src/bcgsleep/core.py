@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -134,17 +134,9 @@ class NightRecord:
         vitals.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "vitals", vitals)
-        # the first negative or non-finite vital in row-major order
-        bad = ~(vitals >= 0) | np.isinf(vitals)
-        if bad.any():
-            row, col = divmod(int(np.argmax(bad)), len(VITAL_FIELDS))
-            raise NegativeVital(VITAL_FIELDS[col], t=int(t[row]), value=float(vitals[row, col]))
-        at = np.flatnonzero(np.diff(t) <= 0)
-        if at.size:
-            raise NonMonotonicTimestamp(int(t[at[0] + 1]))
-        if t.size and not (t[0] >= 0 and t[-1] < MAX_NIGHT_SECONDS):
-            raise ValueError(f"sample timestamps {t[0]}..{t[-1]} are not all in "
-                             f"[0, {MAX_NIGHT_SECONDS}), the maximum night length")
+        fault = night_fault(t, vitals)
+        if fault is not None:
+            raise fault
 
     @property
     def samples(self) -> tuple[VitalsSample, ...]:
@@ -161,6 +153,29 @@ class NightRecord:
     @property
     def last_t(self) -> int:
         return int(self.t[-1]) if self.t.size else -1
+
+
+def night_fault(t: np.ndarray, vitals: np.ndarray, after: Optional[int] = None) -> Optional[Exception]:
+    """The error that int64 columns t[n] and float64 vitals[n, 5] break
+    first as a night, or None if they are sound: a negative or non-finite
+    vital, the first in row-major order (NegativeVital); a t not above the
+    one before, or not above after when given (NonMonotonicTimestamp); a t
+    outside [0, MAX_NIGHT_SECONDS) (ValueError). NightRecord raises it; the
+    recorder keeps a chunk whole only when it is None.
+    """
+    bad = ~((vitals >= 0) & (vitals < np.inf))
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(VITAL_FIELDS))
+        return NegativeVital(VITAL_FIELDS[col], t=int(t[row]), value=float(vitals[row, col]))
+    if t.size and after is not None and t[0] <= after:
+        return NonMonotonicTimestamp(int(t[0]))
+    at = np.flatnonzero(np.diff(t) <= 0)
+    if at.size:
+        return NonMonotonicTimestamp(int(t[at[0] + 1]))
+    if t.size and not (t[0] >= 0 and t[-1] < MAX_NIGHT_SECONDS):
+        return ValueError(f"sample timestamps {t[0]}..{t[-1]} are not all in "
+                          f"[0, {MAX_NIGHT_SECONDS}), the maximum night length")
+    return None
 
 
 def compute_gaps(timestamps: Sequence[int]) -> tuple[tuple[int, int], ...]:

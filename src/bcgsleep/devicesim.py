@@ -13,12 +13,13 @@ is streaming to. It sends each run of due lines as one batch: a paced
 script (tick_interval > 0) still sends one line per tick, while at tick 0 a
 night goes out in a few large sends. The recorder runs in the caller's
 thread and reads the socket in chunks. A chunk whose complete lines are all
-canonical sample lines (ingest.SAMPLE_LINE) with t rising above the last
-kept t and finite, non-negative vitals is kept whole after a regex scan
-and a numpy conversion; any other chunk is checked line by line with the
-per-line parser, which decides every drop. The kept lines of a chunk are
-appended to the output with one unbuffered write, finished if it comes back
-short, so a kill at any moment leaves every line but the last complete.
+canonical sample lines (ingest.SAMPLE_LINE) that core.night_fault finds
+sound after the last kept t is kept whole after a regex scan and a numpy
+conversion; any other chunk is checked line by line with the per-line
+parser, which decides every drop. The kept lines of a chunk are appended to
+the output with one unbuffered write, finished if it comes back short and
+cut back to the last whole line if it fails, so a kill at any moment leaves
+every line but the last complete.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MAX_NIGHT_SECONDS, NightRecord, compute_gaps
+from .core import NightRecord, compute_gaps, night_fault
 from .errors import InitialConnectFailure, MalformedRow
 from .ingest import canonical_rows, parse_sample_line, write_night
 
@@ -328,10 +329,9 @@ def _kept_lines(block: bytes, last_t: Optional[int]) -> tuple[bytes, list[int]]:
     """
     rows = canonical_rows(block)
     if rows is not None:
-        t, vitals = rows[:, 0], rows[:, 1:]
-        if ((last_t is None or t[0] > last_t) and (np.diff(t) > 0).all()
-                and t[-1] < MAX_NIGHT_SECONDS and ((vitals >= 0) & (vitals < np.inf)).all()):
-            return block, t.astype(np.int64).tolist()
+        t = rows[:, 0].astype(np.int64)
+        if night_fault(t, rows[:, 1:], after=last_t) is None:
+            return block, t.tolist()
     kept, stamps = [], []
     for body in block.split(b"\n")[:-1]:
         raw = body + b"\n"
@@ -344,13 +344,19 @@ def _kept_lines(block: bytes, last_t: Optional[int]) -> tuple[bytes, list[int]]:
 
 def _append(out, lines: bytes, stamps: list[int], timestamps: list[int]) -> None:
     """Write lines to the unbuffered out, writing again after a short write,
-    and add the t of every line wholly written to timestamps, also when a
-    write fails."""
+    and add the t of every line wholly written to timestamps. When a write
+    fails, the file is first cut back to the end of its last whole line."""
     view = memoryview(lines)
     done = 0
     try:
         while done < len(lines):
             done += out.write(view[done:])
+    except BaseException:
+        # cut a partly written line off, so the file still loads
+        keep = lines.rfind(b"\n", 0, done) + 1
+        if keep < done:
+            out.truncate(out.tell() - (done - keep))
+        raise
     finally:
         timestamps.extend(stamps[:lines.count(b"\n", 0, done)])
 
@@ -380,9 +386,10 @@ def record_stream(
     durable before this returns. Each line is checked before it is written:
     malformed lines, lines with a negative or non-finite vital and lines
     whose t is not above the last kept t are dropped and counted
-    (dropped_lines), so a run that returns leaves a file that loads. A kill,
-    or a write that fails, leaves every line but the last complete; the
-    sidecar counts only lines wholly written. A drop triggers reconnects
+    (dropped_lines), so the file always loads, also after a write fails,
+    which first cuts the file back to its last whole line. Only a kill can
+    leave a cut last line; every line before it is complete. The sidecar
+    counts only lines wholly written. A drop triggers reconnects
     every policy.retry_interval seconds; when an outage outlasts
     policy.deadline the recording ends (normally if anything was ever
     received, with InitialConnectFailure if the first connection never
