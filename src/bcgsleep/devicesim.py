@@ -8,18 +8,21 @@ server's clock keeps running through a dropout, and outside dropouts it
 advances on each line wholly handed to the socket, so whatever the script
 says is lost is exactly what the recorder's gap log ends up showing.
 
-The server runs one thread, which owns both the listener and the client it
-is streaming to. It sends each run of due lines as one batch: a paced
-script (tick_interval > 0) still sends one line per tick, while at tick 0 a
-night goes out in a few large sends. The recorder runs in the caller's
-thread and reads the socket in chunks. A chunk whose complete lines are all
-canonical sample lines (ingest.SAMPLE_LINE) that core.night_fault finds
-sound after the last kept t is kept whole after a regex scan and a numpy
-conversion; any other chunk is checked line by line with the per-line
-parser, which decides every drop. The kept lines of a chunk are appended to
-the output with one unbuffered write, finished if it comes back short and
-cut back to the last whole line if it fails, so a kill at any moment leaves
-every line but the last complete.
+The server runs one thread, whose serving loop owns the listener, the
+client it is streaming to and the batch of due lines not yet sent. It sends
+the batch before it sleeps, before a dropout window and once it reaches
+BATCH_BYTES: a paced script (tick_interval > 0) still sends one line per
+tick, while at tick 0 a night goes out in a few large sends. The recorder
+runs in the caller's thread, and one helper owns its outage rule: connect
+every retry_interval until the deadline has passed. It reads the socket in
+chunks. A chunk whose complete lines are all canonical sample lines
+(ingest.SAMPLE_LINE) that core.night_fault finds sound after the last kept
+t is kept whole after a regex scan and a numpy conversion; any other chunk
+is checked line by line with the per-line parser, which decides every drop.
+The kept lines of a chunk are appended to the output with one unbuffered
+write, finished if it comes back short and cut back to the last whole line
+if it fails, so a kill at any moment leaves every line but the last
+complete.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .ingest import canonical_rows, parse_sample_line, write_night
 SILENCE = "silence"
 DISCONNECT = "disconnect"
 
-# the server sends pending lines once they reach this many bytes
+# the server sends its batch of due lines once it reaches this many bytes
 BATCH_BYTES = 64 * 1024
 # the recorder reads the socket in chunks of at most this many bytes
 RECV_BYTES = 64 * 1024
@@ -75,12 +78,6 @@ class DropoutWindow:
         return self.start_t <= t < self.end_t
 
 
-def _coerce_window(w) -> DropoutWindow:
-    if isinstance(w, DropoutWindow):
-        return w
-    return DropoutWindow(*w)
-
-
 @dataclass(frozen=True)
 class StreamScript:
     """What the simulated sensor will send, and when it will fail."""
@@ -91,7 +88,8 @@ class StreamScript:
 
     def __post_init__(self):
         windows = tuple(sorted(
-            (_coerce_window(w) for w in self.dropout_windows),
+            (w if isinstance(w, DropoutWindow) else DropoutWindow(*w)
+             for w in self.dropout_windows),
             key=lambda w: w.start_t,
         ))
         object.__setattr__(self, "dropout_windows", windows)
@@ -134,13 +132,13 @@ def _split_endpoint(endpoint: str) -> tuple[str, int]:
 class DeviceServer:
     """Streams a script to one client at a time; extra connects are closed.
 
-    One thread owns the listener, the client and the script cursor. It
-    renders due lines into a pending batch and sends the batch before it
-    sleeps, before a dropout window and whenever the batch reaches
-    BATCH_BYTES. It blocks while no client is attached (except inside
-    dropout windows, where time passes regardless), resends nothing, skips
-    nothing it was not told to skip, and closes the listener when the script
-    is exhausted.
+    One thread runs the serving loop, which owns the listener, the client,
+    the script cursor and the batch of due lines not yet sent. It sends the
+    batch before it sleeps, before a dropout window and whenever the batch
+    reaches BATCH_BYTES. It blocks while no client is attached (except
+    inside dropout windows, where time passes regardless), resends nothing,
+    skips nothing it was not told to skip, and closes the listener when the
+    script is exhausted. stop() also cuts short the sleep of a paced script.
     """
 
     def __init__(self, script: StreamScript, host: str = "127.0.0.1", port: int = 0):
@@ -154,12 +152,7 @@ class DeviceServer:
         self._stop = threading.Event()
         self.finished = threading.Event()
         self._sent: list[int] = []
-        # the serving thread's own state: the client, and the lines rendered
-        # but not yet sent with their t values and their size in bytes
-        self._conn: Optional[socket.socket] = None
-        self._pending: list[str] = []
-        self._pending_t: list[int] = []
-        self._pending_bytes = 0
+        self._conn: Optional[socket.socket] = None  # the serving thread's client
         self._serve_thread = threading.Thread(target=self._serve_loop, daemon=True)
 
     @property
@@ -184,11 +177,6 @@ class DeviceServer:
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self.finished.wait(timeout)
 
-    def _tick(self):
-        if self.script.tick_interval > 0:
-            self._flush()
-            time.sleep(self.script.tick_interval)
-
     def _close_extras(self):
         # one client at a time: whoever connects while one is attached is cut
         while select.select([self._listener], [], [], 0)[0]:
@@ -211,17 +199,15 @@ class DeviceServer:
             self._conn.close()
             self._conn = None
 
-    def _flush(self):
-        """Send the pending lines, waiting for a client if none is attached.
+    def _send(self, lines: list[str], stamps: list[int]):
+        """Send lines (each ending in a newline, with their t values in
+        stamps), waiting for a client if none is attached.
 
         A line counts as sent once it is wholly handed to the socket. If the
         client fails, the next one gets the stream from the first line not
         wholly sent; the part of it already sent is a partial tail that the
-        recorder discards. Returns early, dropping the batch, on stop().
+        recorder discards. Returns early, leaving the rest unsent, on stop().
         """
-        lines, self._pending = self._pending, []
-        stamps, self._pending_t = self._pending_t, []
-        self._pending_bytes = 0
         data = memoryview("".join(lines).encode("ascii"))
         ends = list(itertools.accumulate(map(len, lines)))
         done = sent = 0  # bytes handed to the socket; lines wholly among them
@@ -242,30 +228,38 @@ class DeviceServer:
             sent = now
 
     def _serve_loop(self):
+        tick = self.script.tick_interval
+        # the batch: due lines not yet sent, their t values and their bytes
+        lines: list[str] = []
+        stamps: list[int] = []
+        size = 0
         try:
             source = self.script.source
             for t, line in zip(source.t.tolist(), write_night(source, "ndjson")):
                 if self._stop.is_set():
                     return
                 window = self.script.window_at(t)
-                if window is not None:
-                    self._flush()
-                    if window.mode == DISCONNECT:
+                if window is None:
+                    lines.append(line + "\n")
+                    stamps.append(t)
+                    size += len(line) + 1
+                # before a dropout window, before a paced sleep, or when full
+                if window is not None or tick > 0 or size >= BATCH_BYTES:
+                    self._send(lines, stamps)
+                    lines, stamps, size = [], [], 0
+                    if window is not None and window.mode == DISCONNECT:
                         self._drop_client()
-                else:
-                    self._pending.append(line + "\n")
-                    self._pending_t.append(t)
-                    self._pending_bytes += len(line) + 1
-                    if self._pending_bytes >= BATCH_BYTES:
-                        self._flush()
-                self._tick()
-            self._flush()
+                if tick > 0:
+                    self._stop.wait(tick)
+            self._send(lines, stamps)
         finally:
-            self._drop_client()
-            # Closing the listener resets any connection still in its
-            # backlog, so a reconnect that raced the end of the script sees
-            # the stream end instead of blocking on read forever.
+            # The listener closes before the client is dropped, so a client
+            # that sees the stream end and reconnects is refused; one whose
+            # handshake the close cut short could get no reset and block on
+            # read forever. The close also resets any connection still in
+            # the backlog.
             self._listener.close()
+            self._drop_client()
             self.finished.set()
 
 
@@ -297,11 +291,19 @@ class RecordingResult:
     dropped_lines: int = 0
 
 
-def _try_connect(host: str, port: int, timeout: float) -> Optional[socket.socket]:
-    try:
-        return socket.create_connection((host, port), timeout=timeout)
-    except OSError:
-        return None
+def _connect(host: str, port: int, policy: RetryPolicy) -> Optional[socket.socket]:
+    """The outage rule: a connection to host:port, tried every
+    policy.retry_interval until policy.deadline has passed since the first
+    try, or None if none was made by then."""
+    start = time.monotonic()
+    while True:
+        try:
+            return socket.create_connection(
+                (host, port), timeout=max(policy.retry_interval, 0.05))
+        except OSError:
+            if time.monotonic() - start >= policy.deadline:
+                return None
+        time.sleep(policy.retry_interval)
 
 
 def _kept_t(raw: bytes, last_t: Optional[int]) -> Optional[int]:
@@ -389,13 +391,14 @@ def record_stream(
     (dropped_lines), so the file always loads, also after a write fails,
     which first cuts the file back to its last whole line. Only a kill can
     leave a cut last line; every line before it is complete. The sidecar
-    counts only lines wholly written. A drop triggers reconnects
-    every policy.retry_interval seconds; when an outage outlasts
-    policy.deadline the recording ends (normally if anything was ever
-    received, with InitialConnectFailure if the first connection never
-    happened). The end of the script looks like a final outage, so every
-    run ends that way. Once the output is open, the sidecar is written
-    however the run ends.
+    counts only lines wholly written. Every connect goes through one outage
+    rule (_connect): try every policy.retry_interval until policy.deadline
+    has passed. If the first connect fails that way, InitialConnectFailure
+    is raised; after that, each drop is followed by a reconnect, and the
+    recording ends normally at the first outage that outlasts the deadline.
+    The end of the script looks like a final outage, so every run ends that
+    way. Once the output is open, the sidecar is written however the run
+    ends.
     """
     host, port = _split_endpoint(endpoint)
     path = str(output_path)
@@ -403,23 +406,11 @@ def record_stream(
     out = open(path, "wb", buffering=0)
     timestamps: list[int] = []
     dropped = 0
-    connected_once = False
     try:
-        while True:
-            outage_start = time.monotonic()
-            sock = None
-            while sock is None:
-                sock = _try_connect(host, port, timeout=max(policy.retry_interval, 0.05))
-                if sock is not None:
-                    break
-                if time.monotonic() - outage_start >= policy.deadline:
-                    break
-                time.sleep(policy.retry_interval)
-            if sock is None:
-                if not connected_once:
-                    raise InitialConnectFailure(f"{host}:{port}", policy.deadline)
-                break
-            connected_once = True
+        sock = _connect(host, port, policy)
+        if sock is None:
+            raise InitialConnectFailure(f"{host}:{port}", policy.deadline)
+        while sock is not None:
             sock.settimeout(None)
             with sock:
                 partial = b""  # a line's start, carried to the next chunk
@@ -438,7 +429,7 @@ def record_stream(
                     kept, stamps = _kept_lines(block, timestamps[-1] if timestamps else None)
                     dropped += block.count(b"\n") - len(stamps)
                     _append(out, kept, stamps, timestamps)
-            # server closed or died; loop back into connect-retry
+            sock = _connect(host, port, policy)  # the server closed or died
     finally:
         with out:
             os.fsync(out.fileno())

@@ -209,8 +209,13 @@ def canonical_rows(data: bytes) -> Optional[np.ndarray]:
     return rows
 
 
-def load_night(path, fmt: Optional[str] = None, night_id: str = "") -> NightRecord:
-    """Read a night file; format inferred from the extension unless given.
+def _format_of(path: str) -> str:
+    """The night format a path names by its extension."""
+    return "csv" if path.endswith(".csv") else "ndjson"
+
+
+def load_night(path, night_id: str = "") -> NightRecord:
+    """Read a night file in the format its extension names.
 
     An NDJSON file of canonical lines whose every t is below
     MAX_NIGHT_SECONDS is read in bulk (canonical_rows); the record still
@@ -219,8 +224,7 @@ def load_night(path, fmt: Optional[str] = None, night_id: str = "") -> NightReco
     diagnostic.
     """
     path = str(path)
-    if fmt is None:
-        fmt = "csv" if path.endswith(".csv") else "ndjson"
+    fmt = _format_of(path)
     if fmt == "ndjson":
         with open(path, "rb") as fh:
             rows = canonical_rows(fh.read())
@@ -231,12 +235,11 @@ def load_night(path, fmt: Optional[str] = None, night_id: str = "") -> NightReco
         return parse_night(fh, fmt, night_id)
 
 
-def save_night(record: NightRecord, path, fmt: Optional[str] = None) -> None:
+def save_night(record: NightRecord, path) -> None:
+    """Write a night file in the format its extension names."""
     path = str(path)
-    if fmt is None:
-        fmt = "csv" if path.endswith(".csv") else "ndjson"
     with open(path, "w", encoding="utf-8") as fh:
-        for line in write_night(record, fmt):
+        for line in write_night(record, _format_of(path)):
             fh.write(line)
             fh.write("\n")
 

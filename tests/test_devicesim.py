@@ -1,10 +1,13 @@
 """TCP replay server and recorder: dropouts, reconnects, crash consistency.
 
 Most scripts here run with tick_interval=0 so a whole night replays in
-milliseconds. At tick 0 the server sends each run of due lines in batches of
-up to BATCH_BYTES, where a paced script sends one line per tick; either way
-its cursor advances only on lines wholly handed to the socket, so what it
-counts as sent is what a recorder can receive.
+milliseconds. At tick 0 the server's loop sends each run of due lines in
+batches of up to BATCH_BYTES, where a paced script sends one line per tick;
+either way its cursor advances only on lines wholly handed to the socket, so
+what it counts as sent is what a recorder can receive. The recorder's one
+outage rule (retry every retry_interval until the deadline has passed) is
+checked from both sides: no run ends before the deadline, and none long
+after it.
 """
 
 import errno
@@ -37,6 +40,7 @@ from bcgsleep.ingest import load_night, sample_line, write_night
 from conftest import checkout_env, make_record, make_sample
 
 FAST = RetryPolicy(retry_interval=0.02, deadline=0.7)
+ONCE = RetryPolicy(retry_interval=0.02, deadline=0.3)  # record_lines' policy
 
 
 def script_of(n, windows=(), tick=0.0):
@@ -227,6 +231,21 @@ class TestBatchedStream:
             srv.stop()
         assert got == "".join(sample_line(make_sample(t)) + "\n" for t in range(50)).encode()
 
+    def test_stop_cuts_a_paced_sleep_short(self):
+        srv = serve_stream(script_of(5, tick=5.0), "127.0.0.1:0")
+        try:
+            with socket.create_connection(srv.address) as client:
+                client.settimeout(5)
+                assert client.recv(65536)  # the first line; the server now sleeps
+                t0 = time.monotonic()
+                srv.stop()
+                assert time.monotonic() - t0 < 1.0
+        finally:
+            srv.stop()
+        assert srv.finished.is_set()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(srv.address, timeout=1).close()
+
     def test_paced_script_sends_one_line_per_tick(self):
         srv = serve_stream(script_of(5, tick=0.05), "127.0.0.1:0")
         try:
@@ -260,8 +279,9 @@ class TestSingleClientRule:
             srv.stop()
 
 
-def record_lines(lines, out):
-    """Serve the lines once from a loopback listener, record them to out."""
+def record_lines(lines, out, ended=None):
+    """Serve the lines once from a loopback listener, record them to out;
+    the time the stream ended is appended to ended if given."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def send():
@@ -269,12 +289,13 @@ def record_lines(lines, out):
         listener.close()  # reconnects are refused, so the recording ends
         with conn:
             conn.sendall("".join(line + "\n" for line in lines).encode())
+            if ended is not None:
+                ended.append(time.monotonic())  # just before the link closes
 
     sender = threading.Thread(target=send, daemon=True)
     sender.start()
     try:
-        return record_stream(f"127.0.0.1:{listener.getsockname()[1]}", out,
-                             RetryPolicy(retry_interval=0.02, deadline=0.3))
+        return record_stream(f"127.0.0.1:{listener.getsockname()[1]}", out, ONCE)
     finally:
         sender.join(timeout=5)
 
@@ -396,8 +417,10 @@ class TestFailureModes:
         port = probe.getsockname()[1]
         probe.close()
         policy = RetryPolicy(retry_interval=0.03, deadline=0.2)
+        t0 = time.monotonic()
         with pytest.raises(InitialConnectFailure) as exc:
             record_stream(f"127.0.0.1:{port}", tmp_path / "never.ndjson", policy)
+        assert time.monotonic() - t0 >= policy.deadline  # not given up early
         assert exc.value.deadline == 0.2
 
     def test_unopenable_output_fails_before_connecting(self, tmp_path):
@@ -473,6 +496,41 @@ class TestFailureModes:
         srv.stop()
         assert res.n_samples == 10
         assert time.time() - t0 < 5.0
+
+    def test_reconnect_after_the_stream_ends_is_refused(self):
+        class SlowClose:
+            """The listener, with its close slowed to widen the window in
+            which a reconnect could reach it after the stream ended."""
+
+            def __init__(self, sock):
+                self.sock = sock
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+            def close(self):
+                time.sleep(0.3)
+                self.sock.close()
+
+        srv = devicesim.DeviceServer(script_of(5))
+        srv._listener = SlowClose(srv._listener)
+        srv.start()
+        try:
+            with socket.create_connection(srv.address) as client:
+                client.settimeout(5)
+                while client.recv(65536):
+                    pass
+                with pytest.raises(ConnectionRefusedError):
+                    socket.create_connection(srv.address, timeout=1).close()
+        finally:
+            srv.stop()
+
+    def test_run_ends_no_sooner_than_deadline_after_the_stream_ends(self, tmp_path):
+        ended = []
+        res = record_lines([sample_line(make_sample(t)) for t in range(10)],
+                           tmp_path / "out.ndjson", ended)
+        assert res.n_samples == 10
+        assert ONCE.deadline <= time.monotonic() - ended[0] < 5.0
 
     def test_kill_mid_run_leaves_parseable_file(self, tmp_path):
         script = script_of(200, tick=0.03)
