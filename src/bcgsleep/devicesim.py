@@ -15,10 +15,10 @@ BATCH_BYTES: a paced script (tick_interval > 0) still sends one line per
 tick, while at tick 0 a night goes out in a few large sends. The recorder
 runs in the caller's thread, and one helper owns its outage rule: connect
 every retry_interval until the deadline has passed. It reads the socket in
-chunks. A chunk whose complete lines are all canonical sample lines
-(ingest.SAMPLE_LINE) that core.night_fault finds sound after the last kept
-t is kept whole after a regex scan and a numpy conversion; any other chunk
-is checked line by line with the per-line parser, which decides every drop.
+chunks into one buffer and cuts the whole lines off it. Lines whose columns
+ingest.canonical_rows reads and core.night_fault finds sound after the last
+kept t are kept whole after a regex scan and a numpy conversion; any others
+are checked line by line with the per-line parser, which decides every drop.
 The kept lines of a chunk are appended to the output with one unbuffered
 write, finished if it comes back short and cut back to the last whole line
 if it fails, so a kill at any moment leaves every line but the last
@@ -38,8 +38,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .core import NightRecord, compute_gaps, night_fault
 from .errors import InitialConnectFailure, MalformedRow
@@ -93,8 +91,8 @@ class StreamScript:
             key=lambda w: w.start_t,
         ))
         object.__setattr__(self, "dropout_windows", windows)
-        if self.tick_interval < 0:
-            raise ValueError("tick_interval must be >= 0")
+        if not (self.tick_interval >= 0 and math.isfinite(self.tick_interval)):
+            raise ValueError(f"tick_interval must be finite and >= 0, got {self.tick_interval}")
         last_t = self.source.last_t
         for a, b in zip(windows, windows[1:]):
             if b.start_t < a.end_t:
@@ -277,8 +275,9 @@ class RetryPolicy:
     deadline: float = 30.0
 
     def __post_init__(self):
-        if self.retry_interval <= 0 or self.deadline <= 0:
-            raise ValueError("retry policy values must be positive")
+        for value in (self.retry_interval, self.deadline):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"retry policy values must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -325,15 +324,13 @@ def _kept_lines(block: bytes, last_t: Optional[int]) -> tuple[bytes, list[int]]:
     """The lines of block (complete lines, each ending in a newline) that
     _kept_t keeps in turn after last_t, joined, and their t values.
 
-    A block of canonical lines whose t rise above last_t and whose vitals
-    are finite and non-negative is kept whole; any other block goes line by
-    line through _kept_t.
+    A block whose columns canonical_rows reads and night_fault finds sound
+    after last_t is kept whole; any other block goes line by line through
+    _kept_t.
     """
-    rows = canonical_rows(block)
-    if rows is not None:
-        t = rows[:, 0].astype(np.int64)
-        if night_fault(t, rows[:, 1:], after=last_t) is None:
-            return block, t.tolist()
+    columns = canonical_rows(block)
+    if columns is not None and night_fault(*columns, after=last_t) is None:
+        return block, columns[0].tolist()
     kept, stamps = [], []
     for body in block.split(b"\n")[:-1]:
         raw = body + b"\n"
@@ -413,7 +410,7 @@ def record_stream(
         while sock is not None:
             sock.settimeout(None)
             with sock:
-                partial = b""  # a line's start, carried to the next chunk
+                buffer = b""  # received bytes after the last whole line
                 while True:
                     try:
                         chunk = sock.recv(RECV_BYTES)
@@ -421,11 +418,9 @@ def record_stream(
                         break  # a reset is just a less polite disconnect
                     if not chunk:
                         break  # closed; the partial tail of a mid-line drop is lost
-                    end = chunk.rfind(b"\n") + 1
-                    if not end:
-                        partial += chunk
-                        continue
-                    block, partial = partial + chunk[:end], chunk[end:]
+                    buffer += chunk
+                    end = buffer.rfind(b"\n") + 1
+                    block, buffer = buffer[:end], buffer[end:]
                     kept, stamps = _kept_lines(block, timestamps[-1] if timestamps else None)
                     dropped += block.count(b"\n") - len(stamps)
                     _append(out, kept, stamps, timestamps)

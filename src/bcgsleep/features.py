@@ -126,13 +126,18 @@ def kept_starts(codes: np.ndarray) -> np.ndarray:
 
 
 def window_rows(record: NightRecord, starts: np.ndarray) -> np.ndarray:
-    """(len(starts), 30) statistics of the windows of a cleaned record (one
-    sample per second) that begin at each start."""
+    """(len(starts), 30) statistics, in FEATURE_NAMES order, of the windows
+    of a cleaned record (one sample per second) that begin at each start;
+    each signal's windows are views of its column of record.vitals."""
     if not len(starts):
         return np.empty((0, N_FEATURES))
     if len(record.t) != record.last_t + 1:
         raise ValueError("record has holes; clean_for_features it first")
-    return feature_matrix_for_starts(record.vitals[:, SIGNAL_COLUMNS], starts)
+    blocks = []
+    for col in SIGNAL_COLUMNS:
+        windows = np.lib.stride_tricks.sliding_window_view(record.vitals[:, col], WINDOW_LEN)
+        blocks.append(_window_stats(windows[starts]))
+    return np.hstack(blocks)
 
 
 def window_night(record: NightRecord, labels) -> FeatureTable:
@@ -147,15 +152,6 @@ def window_night(record: NightRecord, labels) -> FeatureTable:
         raise ValueError(f"need one label per second: {len(codes)} != {n}")
     starts = kept_starts(codes)
     return _table(window_rows(record, starts), codes[starts], starts, record.night_id)
-
-
-def feature_matrix_for_starts(matrix: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """(len(starts), 30) statistics for the windows beginning at each start."""
-    blocks = []
-    for col in range(matrix.shape[1]):
-        windows = np.lib.stride_tricks.sliding_window_view(matrix[:, col], WINDOW_LEN)
-        blocks.append(_window_stats(windows[starts]))
-    return np.hstack(blocks)
 
 
 def windows_to_matrix(windows: FeatureTable) -> tuple[np.ndarray, np.ndarray]:

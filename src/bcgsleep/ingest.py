@@ -185,15 +185,14 @@ def write_night(record: NightRecord, fmt: str) -> Iterator[str]:
         yield from map(sample_line, rows)
 
 
-def canonical_rows(data: bytes) -> Optional[np.ndarray]:
-    """The (n, 6) float64 rows (t, hr, rr, sv, hrv, b2b) of data if each of
-    its n lines is a canonical sample line (the last may lack its newline),
-    else None.
+def canonical_rows(data: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The columns (t, vitals) of data, t int64[n] and vitals a C-contiguous
+    float64[n, 5], if each of its n lines is a canonical sample line (the
+    last may lack its newline) whose t is below MAX_NIGHT_SECONDS, else None.
 
     numpy converts the numbers' text, rounding as float() and json do. The
     scan goes _SCAN_BYTES of whole lines at a time, so the matches held at
-    once stay small next to data. t is not checked against
-    MAX_NIGHT_SECONDS.
+    once stay small next to data.
     """
     n_lines = data.count(b"\n") + (data[-1:] not in (b"", b"\n"))
     rows = np.empty((n_lines, len(SAMPLE_FIELDS)))
@@ -206,7 +205,9 @@ def canonical_rows(data: bytes) -> Optional[np.ndarray]:
         rows[done:done + len(found)] = found
         done += len(found)
         start = end
-    return rows
+    if not (rows[:, 0] < MAX_NIGHT_SECONDS).all():
+        return None
+    return rows[:, 0].astype(np.int64), np.ascontiguousarray(rows[:, 1:])
 
 
 def _format_of(path: str) -> str:
@@ -217,20 +218,18 @@ def _format_of(path: str) -> str:
 def load_night(path, night_id: str = "") -> NightRecord:
     """Read a night file in the format its extension names.
 
-    An NDJSON file of canonical lines whose every t is below
-    MAX_NIGHT_SECONDS is read in bulk (canonical_rows); the record still
-    runs its own vital and timestamp checks. Any other file goes through
-    parse_night, which gives the same record bit for bit and owns every
-    diagnostic.
+    An NDJSON file that canonical_rows reads is built from its columns; the
+    record still runs its own vital and timestamp checks. Any other file
+    goes through parse_night, which gives the same record bit for bit and
+    owns every diagnostic.
     """
     path = str(path)
     fmt = _format_of(path)
     if fmt == "ndjson":
         with open(path, "rb") as fh:
-            rows = canonical_rows(fh.read())
-        if rows is not None and (rows[:, 0] < MAX_NIGHT_SECONDS).all():
-            return NightRecord(night_id, rows[:, 0].astype(np.int64),
-                               np.ascontiguousarray(rows[:, 1:]))
+            columns = canonical_rows(fh.read())
+        if columns is not None:
+            return NightRecord(night_id, *columns)
     with open(path, "r", encoding="utf-8") as fh:
         return parse_night(fh, fmt, night_id)
 

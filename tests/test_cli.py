@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import select
+import socket
 import subprocess
 import sys
 import time
@@ -174,6 +176,14 @@ class TestDataErrors:
                      "--out-dir", str(tmp_path)])
         assert code == 1
         assert "ValueError" in capsys.readouterr().err
+
+    def test_kfold_without_model_kind_exits_1(self, workdir, tmp_path, capsys):
+        out_dir = tmp_path / "ek"
+        code = main(["evaluate", "--features", *feature_args(workdir), "--kfold", "3",
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "ValueError: --kfold needs --model-kind\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("folds", ["-3", "1"])
     def test_kfold_below_two_exits_1(self, workdir, tmp_path, capsys, folds):
@@ -817,6 +827,26 @@ class TestServeRecordCommands:
         err = capsys.readouterr().err
         assert err.startswith("ValueError: ") and "0..65535" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("record", "--deadline", "nan"), ("record", "--retry-interval", "inf"),
+        ("serve", "--tick", "inf"), ("serve", "--tick", "nan"),
+    ])
+    def test_non_finite_timing_exits_1_before_connect_or_bind(
+            self, workdir, tmp_path, capsys, command, flag, value):
+        night = workdir / "nights" / "night00.ndjson"
+        out = tmp_path / "recorded.ndjson"
+        args = {"record": ["--out", str(out), "--retry-interval", "0.05", "--deadline", "0.2"],
+                "serve": ["--in", str(night)]}[command]
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            endpoint = f"127.0.0.1:{listener.getsockname()[1]}"
+            # serve binding this taken endpoint would fail with OSError instead
+            assert main([command, "--endpoint", endpoint, *args, flag, value]) == 1
+            assert not select.select([listener], [], [], 0)[0]  # no connect came
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and "finite" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_record_port_out_of_range_exits_1_without_files(self, tmp_path, capsys):
         out = tmp_path / "recorded.ndjson"

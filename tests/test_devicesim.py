@@ -13,6 +13,7 @@ after it.
 import errno
 import io
 import json
+import math
 import re
 import signal
 import socket
@@ -68,6 +69,11 @@ class TestStreamScript:
         with pytest.raises(ValueError):
             script_of(20, tick=-1.0)
 
+    @pytest.mark.parametrize("tick", [math.nan, math.inf])
+    def test_non_finite_tick_rejected(self, tick):
+        with pytest.raises(ValueError, match="finite"):
+            script_of(20, tick=tick)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             DropoutWindow(0, 5, "brownout")
@@ -89,6 +95,12 @@ class TestRetryPolicy:
             RetryPolicy(retry_interval=0.0)
         with pytest.raises(ValueError):
             RetryPolicy(deadline=-1.0)
+
+    @pytest.mark.parametrize("field", ["retry_interval", "deadline"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            RetryPolicy(**{field: value})
 
 
 class TestRecorderAgainstServer:
@@ -279,18 +291,16 @@ class TestSingleClientRule:
             srv.stop()
 
 
-def record_lines(lines, out, ended=None):
-    """Serve the lines once from a loopback listener, record them to out;
-    the time the stream ended is appended to ended if given."""
+def record_talk(talk, out):
+    """Accept one client on a loopback listener and run talk(conn) on it in
+    a thread while recording to out; the link closes when talk returns."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def send():
         conn, _ = listener.accept()
         listener.close()  # reconnects are refused, so the recording ends
         with conn:
-            conn.sendall("".join(line + "\n" for line in lines).encode())
-            if ended is not None:
-                ended.append(time.monotonic())  # just before the link closes
+            talk(conn)
 
     sender = threading.Thread(target=send, daemon=True)
     sender.start()
@@ -298,6 +308,53 @@ def record_lines(lines, out, ended=None):
         return record_stream(f"127.0.0.1:{listener.getsockname()[1]}", out, ONCE)
     finally:
         sender.join(timeout=5)
+
+
+def record_lines(lines, out, ended=None):
+    """Serve the lines once from a loopback listener, record them to out;
+    the time the stream ended is appended to ended if given."""
+
+    def talk(conn):
+        conn.sendall("".join(line + "\n" for line in lines).encode())
+        if ended is not None:
+            ended.append(time.monotonic())  # just before the link closes
+
+    return record_talk(talk, out)
+
+
+class TestReceive:
+    def test_line_split_over_two_sends(self, tmp_path):
+        line = (sample_line(make_sample(0)) + "\n").encode()
+        assert b"\n" not in line[:20]
+
+        def talk(conn):
+            conn.sendall(line[:20])
+            time.sleep(0.1)  # the recorder reads the first part on its own
+            conn.sendall(line[20:])
+
+        res = record_talk(talk, tmp_path / "out.ndjson")
+        assert res.timestamps == (0,) and res.dropped_lines == 0
+        assert Path(res.path).read_bytes() == line
+
+    def test_reset_mid_line_keeps_the_whole_lines(self, tmp_path):
+        whole = "".join(sample_line(make_sample(t)) + "\n" for t in range(3)).encode()
+        out = tmp_path / "out.ndjson"
+        reset = []
+
+        def talk(conn):
+            conn.sendall(whole + sample_line(make_sample(3)).encode()[:25])
+            stop = time.monotonic() + 5
+            while out.stat().st_size < len(whole) and time.monotonic() < stop:
+                time.sleep(0.01)
+            # closing with a zero linger sends a reset, not a FIN
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            reset.append(time.monotonic())
+
+        res = record_talk(talk, out)
+        assert ONCE.deadline <= time.monotonic() - reset[0] < 5.0
+        assert res.timestamps == (0, 1, 2) and res.dropped_lines == 0
+        assert out.read_bytes() == whole
+        assert load_night(out).t.tolist() == [0, 1, 2]
 
 
 class TestLineValidation:

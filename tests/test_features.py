@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bcgsleep.core import Stage, StageInterval
+from bcgsleep.core import NightRecord, Stage, StageInterval
 from bcgsleep.errors import DegenerateMatrix, EmptyMatrix
 from bcgsleep.ingest import align_labels
 from bcgsleep.features import (
@@ -19,13 +19,13 @@ from bcgsleep.features import (
     FeatureTable,
     candidate_starts,
     compute_stats,
-    feature_matrix_for_starts,
     kept_starts,
     parse_feature_csv,
     pca_explained_variance,
     standardize_apply,
     standardize_fit,
     window_night,
+    window_rows,
     windows_to_csv,
     windows_to_matrix,
 )
@@ -159,16 +159,16 @@ class TestWindowing:
         for g, e in zip(row, expected):
             assert g == pytest.approx(e, abs=1e-10)
 
-    def test_feature_matrix_for_starts_matches_loop(self):
+    def test_window_rows_matches_loop(self):
         rng = np.random.default_rng(3)
-        matrix = rng.uniform(1.0, 99.0, size=(30, 5))
+        vitals = rng.uniform(1.0, 99.0, size=(30, 5))
         starts = np.array([0, 4, 20])
-        got = feature_matrix_for_starts(matrix, starts)
+        got = window_rows(NightRecord("n", np.arange(30), vitals), starts)
         assert got.shape == (3, N_FEATURES)
         for row, s in zip(got, starts):
             expected = []
-            for col in range(5):
-                expected.extend(_stats_oracle(matrix[s : s + WINDOW_LEN, col]))
+            for col in (0, 1, 2, 4, 3):  # hr, rr, sv, b2b, hrv
+                expected.extend(_stats_oracle(vitals[s : s + WINDOW_LEN, col]))
             np.testing.assert_allclose(row, expected, atol=1e-10)
 
     def test_feature_name_layout_is_signal_major(self):

@@ -27,6 +27,7 @@ from bcgsleep.ingest import (
     load_night,
     parse_labels,
     parse_night,
+    parse_sample_line,
     sample_line,
     save_night,
     write_labels,
@@ -119,6 +120,10 @@ class TestMalformedInput:
         line = '{"t":1.5,"hr":1.0,"rr":1.0,"sv":1.0,"hrv":1.0,"b2b":1.0}'
         with pytest.raises(MalformedRow):
             parse_night([line], "ndjson")
+
+    def test_non_object_line(self):
+        with pytest.raises(MalformedRow, match="expected a JSON object"):
+            parse_sample_line("[1, 2]", 1)
 
     def test_csv_header_required(self):
         with pytest.raises(MalformedRow, match="header"):
@@ -307,12 +312,15 @@ class TestBulkLoad:
 
     def test_canonical_rows(self):
         line = sample_line((7, 62.5, 0, -0.0, 5e-324, 1e16))
-        rows = canonical_rows((line + "\n" + line).encode())
-        assert rows.shape == (2, 6)
-        assert rows[0].tolist() == [7.0, 62.5, 0.0, -0.0, 5e-324, 1e16]
-        assert np.signbit(rows[:, 3]).all()
-        assert canonical_rows(b"").shape == (0, 6)
-        for bad in (line + "\n\n", line + "\r\n", " " + line, line.replace("7", "-0", 1)):
+        t, vitals = canonical_rows((line + "\n" + line).encode())
+        assert t.dtype == np.int64 and t.tolist() == [7, 7]
+        assert vitals.shape == (2, 5) and vitals.flags.c_contiguous
+        assert vitals[0].tolist() == [62.5, 0.0, -0.0, 5e-324, 1e16]
+        assert np.signbit(vitals[:, 2]).all()
+        t, vitals = canonical_rows(b"")
+        assert t.shape == (0,) and vitals.shape == (0, 5)
+        for bad in (line + "\n\n", line + "\r\n", " " + line, line.replace("7", "-0", 1),
+                    line.replace("7", "604800", 1)):
             assert canonical_rows(bad.encode()) is None
 
 
@@ -382,6 +390,16 @@ class TestLabels:
     def test_not_an_object(self):
         with pytest.raises(MalformedRow):
             parse_labels(json.dumps([1, 2, 3]))
+
+    @pytest.mark.parametrize("entry, words", [
+        (["wake", 0, 10], "level entry must be an object"),
+        ({"level": "wake", "start_t": 1.5, "seconds": 10}, "start_t must be an integer"),
+    ])
+    def test_bad_entry_reports_its_index(self, entry, words):
+        levels = [{"level": "wake", "start_t": 0, "seconds": 10}, entry]
+        with pytest.raises(MalformedRow, match=words) as exc:
+            parse_labels(json.dumps({"night_id": "n", "levels": levels}))
+        assert exc.value.line_no == 1
 
 
 @st.composite

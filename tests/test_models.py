@@ -957,6 +957,13 @@ class TestSerialization:
         with pytest.raises(SchemaMismatch, match="Perceptron"):
             model_from_json('{"schema":3,"kind":"Perceptron"}')
 
+    def test_forest_without_trees_rejected(self):
+        doc = _document("RandomForest")
+        doc["params"]["n_trees"] = 0
+        doc["state"]["trees"] = []
+        with pytest.raises(SchemaMismatch, match="ill-typed: need at least one tree"):
+            model_from_json(json.dumps(doc))
+
     def test_schema_1_document_rejected(self):
         """A schema-1 file (top-level seed, criterion and min_samples_split
         in params) is refused by its schema number, with no second path."""
