@@ -191,13 +191,15 @@ def _metric_block(true_stages, predicted) -> dict:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.kfold and not args.model_kind:
+        raise ValueError("--kfold needs --model-kind")
+    if not args.kfold and not args.model:
+        raise ValueError("need --model (or --kfold with --model-kind)")
     windows = _load_feature_files(args.features)
     doc: dict = {}
     outputs = {}
 
     if args.kfold:
-        if not args.model_kind:
-            raise ValueError("--kfold needs --model-kind")
         x, y = windows.x, windows.y
         group, n_groups = models.split_groups(windows, args.grouping)
         fold_blocks = []
@@ -215,8 +217,6 @@ def _cmd_evaluate(args) -> int:
         }
         summary = doc["kfold"]["mean"]
     else:
-        if not args.model:
-            raise ValueError("need --model (or --kfold with --model-kind)")
         model = models.load_model(args.model)
         train, test = _split(windows, args)
         block = _metric_block(test.y, models.predict(model, test.x))

@@ -12,8 +12,9 @@ to the nearest neighbor whose class is among the winners.
 Both costly loops use every usable CPU, with no setting: the forest grows
 its trees in forked worker processes, each bootstrap tree on the distinct
 rows of its draw weighted by their multiplicities, and kNN answers its
-queries in 256-row chunks, one contiguous block of chunks per thread, each
-thread holding at most two 256 x n buffers. Neither changes a result.
+queries in chunks of at most 256 rows, one contiguous block of chunks per
+thread, each thread holding two chunk x n buffers of at most 8 MiB each.
+Neither changes a result.
 
 Models serialize to a versioned JSON document whose fitted arrays are typed
 base64 blobs of their little-endian bytes, so they round-trip exactly.
@@ -54,6 +55,9 @@ GROUP_UNITS = {WINDOW_GROUPING: "windows", NIGHT_GROUPING: "nights"}
 MIN_GAIN = 1e-12
 
 _SEED_MASK = (1 << 64) - 1
+
+# Bytes of one kNN scratch buffer (chunk x n float64), each thread holding two.
+_KNN_BUFFER_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -540,11 +544,14 @@ class Knn:
     def neighbors(self, rows) -> np.ndarray:
         """(n, k) training-row indices by increasing distance, ties by index.
 
-        Queries go in chunks of 256 rows. Each of min(usable CPUs, chunks)
-        threads takes a contiguous block of chunks and writes them through
-        two 256 x n buffers of its own: numpy releases the interpreter lock
-        in the matmul, the ufuncs and the partition, and each chunk fills its
-        own rows of the result.
+        Queries go in chunks of at most 256 rows, as many as fit one n-wide
+        float64 buffer in _KNN_BUFFER_BYTES, so the scratch memory does not
+        grow with the training set. Each of min(usable CPUs, chunks) threads
+        takes a contiguous block of chunks and writes them through two such
+        buffers of its own: numpy releases the interpreter lock in the
+        matmul, the ufuncs and the partition, and each chunk fills its own
+        rows of the result. A row's distances come from the same operations
+        whatever the chunk height, so the neighbors do not depend on it.
         """
         k = self.k
         q = _as_matrix(rows)
@@ -554,7 +561,7 @@ class Knn:
         x_std = self.x_std
         tt = (x_std * x_std).sum(axis=1)
         out = np.empty((q.shape[0], k), dtype=np.int64)
-        chunk = 256
+        chunk = min(256, max(1, _KNN_BUFFER_BYTES // (8 * tt.size)))
         starts = range(0, q.shape[0], chunk)
 
         def fill(block):

@@ -185,6 +185,21 @@ class TestDataErrors:
         assert capsys.readouterr().err == "ValueError: --kfold needs --model-kind\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--kfold", "3"], "--kfold needs --model-kind"),
+        (["--kfold", "3", "--model", "m.json"], "--kfold needs --model-kind"),
+        ([], "need --model (or --kfold with --model-kind)"),
+        (["--kfold", "0", "--model-kind", "nb"], "need --model (or --kfold with --model-kind)"),
+    ], ids=["kfold-no-kind", "kfold-model-no-kind", "no-model", "kfold-zero-no-model"])
+    def test_missing_flag_named_before_any_input_is_read(self, tmp_path, capsys,
+                                                         flags, message):
+        out_dir = tmp_path / "ek"
+        code = main(["evaluate", "--features", str(tmp_path / "missing.features.csv"),
+                     *flags, "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"ValueError: {message}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("folds", ["-3", "1"])
     def test_kfold_below_two_exits_1(self, workdir, tmp_path, capsys, folds):
         out_dir = tmp_path / "ek"

@@ -639,22 +639,29 @@ def _block_case(n_queries):
     return train_knn(x, y, k=5), queries, nbrs, preds
 
 
+def _pool_sizes(monkeypatch):
+    """The max_workers of every thread pool kNN opens from now on."""
+    pools = []
+
+    class Pool(models.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(models, "ThreadPoolExecutor", Pool)
+    return pools
+
+
 class TestThreadedKnn:
-    """Each thread answers a contiguous block of 256-row query chunks; the
-    CPUs are claimed so that the pool size does not depend on the host."""
+    """Each thread answers a contiguous block of query chunks, 256 rows high
+    at the default budget on these training sets; the CPUs are claimed so
+    that the pool size does not depend on the host."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_queries", [1, 255, 257, 600, 1025])
     def test_blocks_match_quadratic_scan(self, monkeypatch, cpus, n_queries):
         _cpus(monkeypatch, cpus)
-        pools = []
-
-        class Pool(models.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(models, "ThreadPoolExecutor", Pool)
+        pools = _pool_sizes(monkeypatch)
         model, queries, want_nbrs, want_preds = _block_case(n_queries)
         got = model.neighbors(queries)
         assert pools == [min(cpus, -(-n_queries // 256))]
@@ -662,11 +669,32 @@ class TestThreadedKnn:
         assert got.tolist() == want_nbrs.tolist()
         assert predict(model, queries).tolist() == want_preds.tolist()
 
+    # 400 training rows take 3200 bytes a buffer row: a budget below one row
+    # still gives 1-row chunks, and one byte short of 8 rows gives 7; the
+    # default budget's 256-row chunks are the test above
+    @pytest.mark.parametrize("budget, chunk", [(1, 1), (8 * 3200 - 1, 7)])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_queries", [1, 255, 257, 600, 1025])
+    def test_chunk_height_never_changes_a_neighbor(self, monkeypatch, cpus, n_queries,
+                                                   budget, chunk):
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(models, "_KNN_BUFFER_BYTES", budget)
+        pools = _pool_sizes(monkeypatch)
+        model, queries, want_nbrs, want_preds = _block_case(n_queries)
+        assert model.x_std.shape[0] * 8 == 3200
+        got = model.neighbors(queries)
+        assert pools == [min(cpus, -(-n_queries // chunk))]
+        assert got.tolist() == want_nbrs.tolist()
+        assert predict(model, queries).tolist() == want_preds.tolist()
+
     def test_memory_is_two_buffers_per_thread(self, monkeypatch):
-        # five chunks on two threads: each thread may hold two 256 x n
-        # buffers; one more (256, n) array per chunk or thread breaks the bound
+        # a 1 MiB budget makes 43-row chunks of 3000 training rows, 24 of them
+        # on two threads: each thread may hold two buffers of the budget; one
+        # more buffer per thread breaks the bound
         threads = 2
+        budget = 1 << 20
         _cpus(monkeypatch, threads)
+        monkeypatch.setattr(models, "_KNN_BUFFER_BYTES", budget)
         rng = np.random.default_rng(14)
         x, y = random_dataset(rng, n=3000, d=6)
         model = train_knn(x, y, k=5)
@@ -677,8 +705,8 @@ class TestThreadedKnn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        buffer = 256 * x.shape[0] * 8
-        assert peak < (2 * threads + 1) * buffer + 2 * queries.nbytes
+        assert budget // (8 * x.shape[0]) < 256
+        assert peak < (2 * threads + 1) * budget + 2 * queries.nbytes
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("k", [1, 5, 6])
