@@ -149,30 +149,33 @@ def _load_feature_files(paths) -> features.FeatureTable:
     return windows
 
 
-def _train_kind(kind: str, x, y, seed: int, args):
+def _trainer(kind: str, args):
+    """fit(x, y) for a model kind, its flags checked now, before any input
+    is read."""
     if kind == "tree":
-        return models.train_decision_tree(
-            x, y, models.TreeParams(max_depth=args.max_depth)
-        )
+        params = models.TreeParams(max_depth=args.max_depth)
+        return lambda x, y: models.train_decision_tree(x, y, params)
     if kind == "forest":
         params = models.ForestParams(n_trees=args.n_trees, max_depth=args.max_depth)
-        return models.train_random_forest(x, y, params, seed=seed)
+        return lambda x, y: models.train_random_forest(x, y, params, seed=args.seed)
     if kind == "knn":
-        return models.train_knn(x, y, k=args.k)
-    return models.train_gaussian_nb(x, y)
+        k = models.check_knn_k(args.k)
+        return lambda x, y: models.train_knn(x, y, k=k)
+    return models.train_gaussian_nb
 
 
-def _split(windows, args):
-    spec = models.SplitSpec(
+def _split_spec(args) -> models.SplitSpec:
+    return models.SplitSpec(
         train_fraction=args.train_fraction, seed=args.seed, grouping=args.grouping
     )
-    return models.split_train_test(windows, spec)
 
 
 def _cmd_train(args) -> int:
+    spec = _split_spec(args)
+    fit = _trainer(args.model, args)
     windows = _load_feature_files(args.features)
-    train, test = _split(windows, args)
-    model = _train_kind(args.model, train.x, train.y, args.seed, args)
+    train, test = models.split_train_test(windows, spec)
+    model = fit(train.x, train.y)
     models.save_model(model, args.out)
     print(f"trained {model.kind} on {len(train)} windows "
           f"({len(test)} held out) -> {args.out}")
@@ -195,6 +198,11 @@ def _cmd_evaluate(args) -> int:
         raise ValueError("--kfold needs --model-kind")
     if not args.kfold and not args.model:
         raise ValueError("need --model (or --kfold with --model-kind)")
+    if args.kfold:
+        models.check_folds(args.kfold)
+        fit = _trainer(args.model_kind, args)
+    else:
+        spec = _split_spec(args)
     windows = _load_feature_files(args.features)
     doc: dict = {}
     outputs = {}
@@ -206,7 +214,7 @@ def _cmd_evaluate(args) -> int:
         unit = models.GROUP_UNITS[args.grouping]
         for fold in models.kfold_indices(n_groups, args.kfold, seed=args.seed, unit=unit):
             test = np.isin(group, fold)
-            model = _train_kind(args.model_kind, x[~test], y[~test], args.seed, args)
+            model = fit(x[~test], y[~test])
             fold_blocks.append(_metric_block(y[test], models.predict(model, x[test])))
         doc["kfold"] = {
             "folds": fold_blocks,
@@ -218,7 +226,7 @@ def _cmd_evaluate(args) -> int:
         summary = doc["kfold"]["mean"]
     else:
         model = models.load_model(args.model)
-        train, test = _split(windows, args)
+        train, test = models.split_train_test(windows, spec)
         block = _metric_block(test.y, models.predict(model, test.x))
         doc.update(block)
         doc["kind"] = model.kind

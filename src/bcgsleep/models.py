@@ -16,6 +16,10 @@ queries in chunks of at most 256 rows, one contiguous block of chunks per
 thread, each thread holding two chunk x n buffers of at most 8 MiB each.
 Neither changes a result.
 
+A decision tree is a forest of one tree: both keep all their nodes in one
+NodeTable, the trees stacked in index order, and share one vote, one state
+layout and one checked loader.
+
 Models serialize to a versioned JSON document whose fitted arrays are typed
 base64 blobs of their little-endian bytes, so they round-trip exactly.
 """
@@ -30,7 +34,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from .features import (
     window_rows,
 )
 
-MODEL_SCHEMA = 3
+MODEL_SCHEMA = 4
 WINDOW_GROUPING = "window-level"
 NIGHT_GROUPING = "night-level"
 # What one group of each grouping is, as a count's unit.
@@ -107,12 +111,18 @@ def split_train_test(
     return windows[train], windows[~train]
 
 
+def check_folds(folds: int) -> int:
+    """folds, checked: a fold count below 2 is a ValueError."""
+    if folds < 2:
+        raise ValueError(f"k-fold needs at least 2 folds, got {folds}")
+    return folds
+
+
 def kfold_indices(n: int, folds: int = 5, seed: int = 0,
                   unit: str = "windows") -> list[np.ndarray]:
     """Shuffled partition of range(n) into `folds` test folds, sizes within 1;
     n counts `unit`. A fold count below 2 is a ValueError."""
-    if folds < 2:
-        raise ValueError(f"k-fold needs at least 2 folds, got {folds}")
+    check_folds(folds)
     if n < folds:
         raise TooFewItems(n, folds, unit)
     perm = np.random.default_rng(seed & _SEED_MASK).permutation(n)
@@ -211,58 +221,25 @@ class TreeParams:
     max_depth: Optional[int] = 20
 
 
-class _FlatTree:
-    """Parallel-array binary tree; leaves self-loop so lookup can vectorize."""
+class NodeTable(NamedTuple):
+    """Trees as one table of nodes, the trees in index order, roots holding
+    each tree's first row. A split's children are rows after it in its tree;
+    a leaf has feature -1, its stage code in label, and points at itself."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "label")
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+    roots: np.ndarray
 
-    def __init__(self, feature, threshold, left, right, label):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.label = np.asarray(label, dtype=np.int64)
 
-    def predict_codes(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        pos = np.zeros(n, dtype=np.int64)
-        rows = np.arange(n)
-        for _ in range(len(self.feature)):
-            feat = self.feature[pos]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            vals = x[rows, np.where(internal, feat, 0)]
-            step = np.where(vals <= self.threshold[pos], self.left[pos], self.right[pos])
-            pos = np.where(internal, step, pos)
-        return self.label[pos]
-
-    def to_state(self) -> dict:
-        return {name: _blob(getattr(self, name)) for name in self.__slots__}
-
-    @classmethod
-    def from_state(cls, state: dict, n_features: int, what: str) -> "_FlatTree":
-        """A tree from its document state (what names it), checked so that
-        it holds exactly the node arrays and every lookup ends at a leaf
-        within len(feature) steps: each split's feature is below n_features
-        and its children come after it; leaves (feature -1) carry a stage
-        code."""
-        _keys(state, cls.__slots__, what)
-        tree = cls(*(_array(state[name], "<f8" if name == "threshold" else "<i8",
-                            f"tree {name}") for name in cls.__slots__))
-        n = tree.feature.size
-        _require(n > 0, "tree has no nodes")
-        for name in cls.__slots__:
-            _check_shape(getattr(tree, name), (n,), f"tree {name}")
-        split = tree.feature >= 0
-        node = np.arange(n)
-        _require(((tree.feature >= -1) & (tree.feature < n_features)).all(),
-                 f"tree feature outside -1..{n_features - 1}")
-        for child in (tree.left, tree.right):
-            _require(((child > node) & (child < n))[split].all(),
-                     "tree child index not after its parent or past the last node")
-        check_stage_codes(tree.label[~split], "tree leaf label", SchemaMismatch)
-        return tree
+def _stack(tables) -> NodeTable:
+    """The tables' trees in order as one table, each table's positions shifted."""
+    offsets = np.cumsum([0] + [t.feature.size for t in tables[:-1]])
+    return NodeTable(*map(np.concatenate, zip(*(
+        t._replace(left=t.left + o, right=t.right + o, roots=t.roots + o)
+        for t, o in zip(tables, offsets)))))
 
 
 def _gini(counts: np.ndarray, total: int) -> float:
@@ -326,8 +303,9 @@ def _best_split(x, y, w, idx, feats):
     return best
 
 
-def _grow_tree(x, y, w, max_depth, mtry, rng) -> _FlatTree:
-    """CART on rows x with codes y, row i counted w[i] times (int64, >= 1)."""
+def _grow_tree(x, y, w, max_depth, mtry, rng) -> NodeTable:
+    """CART on rows x with codes y, row i counted w[i] times (int64, >= 1),
+    as a table of one tree."""
     n_features = x.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
@@ -368,33 +346,80 @@ def _grow_tree(x, y, w, max_depth, mtry, rng) -> _FlatTree:
         return i
 
     build(np.arange(x.shape[0], dtype=np.int64), 0)
-    return _FlatTree(feature, threshold, left, right, label)
+    i8 = np.int64
+    return NodeTable(np.array(feature, i8), np.array(threshold, float), np.array(left, i8),
+                     np.array(right, i8), np.array(label, i8), np.zeros(1, i8))
 
 
-class DecisionTree:
-    kind = "DecisionTree"
+class _TreeVote:
+    """Trees in one node table, predicting by vote: per row, the stage code
+    most counted among the trees' leaves, a tie going to the lowest code. A
+    decision tree is the vote of one tree, which is its leaf's label."""
 
-    def __init__(self, params: TreeParams, n_features: int, tree: _FlatTree):
+    def __init__(self, params, n_features: int, nodes: NodeTable):
         self.params = params
         self.n_features = n_features
-        self._tree = tree
+        self.nodes = nodes
 
     def predict_codes(self, x: np.ndarray) -> np.ndarray:
-        return self._tree.predict_codes(x)
+        t = self.nodes
+        rows = np.arange(x.shape[0])
+        votes = np.zeros((x.shape[0], N_STAGES), dtype=np.int64)
+        for root in t.roots:
+            pos = np.full(x.shape[0], root)
+            for _ in range(t.feature.size):
+                feat = t.feature[pos]
+                internal = feat >= 0
+                if not internal.any():
+                    break
+                vals = x[rows, np.where(internal, feat, 0)]
+                step = np.where(vals <= t.threshold[pos], t.left[pos], t.right[pos])
+                pos = np.where(internal, step, pos)
+            votes[rows, t.label[pos]] += 1
+        return np.argmax(votes, axis=1)
+
+    def state_dict(self) -> dict:
+        return {"n_features": self.n_features,
+                **{name: _blob(col) for name, col in self.nodes._asdict().items()}}
+
+    @classmethod
+    def _state(cls, doc: dict, n_trees: int) -> tuple[int, NodeTable]:
+        """(n_features, node table) of the document's state, checked to hold
+        exactly those keys, n_trees roots rising from 0, split features below
+        n_features, each split's children after it in its own tree (so every
+        lookup ends at a leaf) and a stage code at every leaf."""
+        state = _keys(doc["state"], ("n_features", *NodeTable._fields), f"{cls.kind} state")
+        n_features = _n_features(state)
+        t = NodeTable(*(_array(state[name], "<f8" if name == "threshold" else "<i8",
+                               f"{cls.kind} {name}") for name in NodeTable._fields))
+        n = t.feature.size
+        for name, col in t._asdict().items():
+            _check_shape(col, (n_trees,) if name == "roots" else (n,), f"{cls.kind} {name}")
+        _require(t.roots[0] == 0 and (np.diff(t.roots) > 0).all() and t.roots[-1] < n,
+                 "tree roots must start at 0 and rise below the node count")
+        _require(((t.feature >= -1) & (t.feature < n_features)).all(),
+                 f"tree feature outside -1..{n_features - 1}")
+        node = np.arange(n)
+        # the first row past each node's tree
+        end = np.append(t.roots[1:], n)[np.searchsorted(t.roots, node, side="right") - 1]
+        split = t.feature >= 0
+        for child in (t.left, t.right):
+            _require(((child > node) & (child < end))[split].all(),
+                     "tree child index not after its parent or past its tree's last node")
+        check_stage_codes(t.label[~split], "tree leaf label", SchemaMismatch)
+        return n_features, t
+
+
+class DecisionTree(_TreeVote):
+    kind = "DecisionTree"
 
     def params_dict(self) -> dict:
         return asdict(self.params)
 
-    def state_dict(self) -> dict:
-        return {"n_features": self.n_features, "tree": self._tree.to_state()}
-
     @classmethod
     def from_document(cls, doc: dict) -> "DecisionTree":
         params = TreeParams(**_params(doc, {"max_depth": [int, type(None)]}))
-        state = _keys(doc["state"], ("n_features", "tree"), "DecisionTree state")
-        n_features = _n_features(state)
-        return cls(params, n_features,
-                   _FlatTree.from_state(state["tree"], n_features, "DecisionTree tree"))
+        return cls(params, *cls._state(doc, 1))
 
 
 def train_decision_tree(rows, labels, params: TreeParams = TreeParams()) -> DecisionTree:
@@ -426,39 +451,23 @@ def _tree_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed & _SEED_MASK, index]))
 
 
-class RandomForest:
+class RandomForest(_TreeVote):
     kind = "RandomForest"
 
-    def __init__(self, params: ForestParams, n_features: int, seed: int, trees):
-        self.params = params
-        self.n_features = n_features
+    def __init__(self, params: ForestParams, n_features: int, nodes: NodeTable, seed: int):
+        super().__init__(params, n_features, nodes)
         self.seed = seed
-        self._trees = list(trees)
-
-    def predict_codes(self, x: np.ndarray) -> np.ndarray:
-        votes = np.zeros((x.shape[0], 4), dtype=np.int64)
-        rows = np.arange(x.shape[0])
-        for tree in self._trees:
-            votes[rows, tree.predict_codes(x)] += 1
-        return np.argmax(votes, axis=1)
 
     def params_dict(self) -> dict:
         return {**asdict(self.params), "seed": self.seed}
-
-    def state_dict(self) -> dict:
-        return {"n_features": self.n_features, "trees": [t.to_state() for t in self._trees]}
 
     @classmethod
     def from_document(cls, doc: dict) -> "RandomForest":
         p = dict(_params(doc, {"n_trees": [int], "features_per_split": [int], "bootstrap": [bool],
                                "max_depth": [int, type(None)], "seed": [int]}))
         seed = p.pop("seed")
-        state = _keys(doc["state"], ("n_features", "trees"), "RandomForest state")
-        n_features = _n_features(state)
-        trees = [_FlatTree.from_state(s, n_features, f"RandomForest tree {i}")
-                 for i, s in enumerate(state["trees"])]
-        _require(len(trees) == p["n_trees"], f"forest n_trees is not its {len(trees)} trees")
-        return cls(ForestParams(**p), n_features, seed, trees)
+        params = ForestParams(**p)
+        return cls(params, *cls._state(doc, params.n_trees), seed)
 
 
 def _usable_cpus() -> int:
@@ -468,7 +477,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _forest_tree(job: tuple, i: int) -> _FlatTree:
+def _forest_tree(job: tuple, i: int) -> NodeTable:
     """Tree i of the forest job (x, y, params, mtry, seed), from its own generator.
 
     A bootstrap tree grows on the distinct rows of its draw (about 63% of the
@@ -494,7 +503,7 @@ def _init_forest_worker(*job):
     _worker_job = job
 
 
-def _worker_tree(i: int) -> _FlatTree:
+def _worker_tree(i: int) -> NodeTable:
     return _forest_tree(_worker_job, i)
 
 
@@ -520,7 +529,7 @@ def train_random_forest(
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers, initializer=_init_forest_worker, initargs=job) as pool:
             trees = pool.map(_worker_tree, tree_ids, chunksize=1)
-    return RandomForest(params, x.shape[1], int(seed), trees)
+    return RandomForest(params, x.shape[1], _stack(trees), int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +635,16 @@ class Knn:
         return model
 
 
-def train_knn(rows, labels, k: int = 5) -> Knn:
-    """Store the standardized training set; all work happens at query time."""
+def check_knn_k(k: int) -> int:
+    """k, checked: a kNN vote of fewer than one neighbor is a ValueError."""
     if k < 1:
         raise ValueError(f"knn k must be at least 1, got {k}")
-    x, y = _training_set(rows, labels, "knn", min_rows=k)
+    return k
+
+
+def train_knn(rows, labels, k: int = 5) -> Knn:
+    """Store the standardized training set; all work happens at query time."""
+    x, y = _training_set(rows, labels, "knn", min_rows=check_knn_k(k))
     mean, std = standardize_fit(x)
     return Knn(k, mean, std, standardize_apply(x, (mean, std)), y)
 

@@ -136,10 +136,10 @@ class TestDataErrors:
             reencode(doc["state"]["y"], lambda a: a.astype("<u8") + 2**63))),
         ("knn", lambda doc: doc["state"]["y"].update(
             reencode(doc["state"]["y"], lambda a: a + 0.7))),
-        ("tree", lambda doc: doc["state"]["tree"]["feature"].update(
-            reencode(doc["state"]["tree"]["feature"], lambda a: a + 0.9))),
-        ("tree", lambda doc: doc["state"]["tree"]["label"].update(
-            reencode(doc["state"]["tree"]["label"], lambda a: a + 0.5))),
+        ("tree", lambda doc: doc["state"]["feature"].update(
+            reencode(doc["state"]["feature"], lambda a: a + 0.9))),
+        ("tree", lambda doc: doc["state"]["label"].update(
+            reencode(doc["state"]["label"], lambda a: a + 0.5))),
         ("forest", lambda doc: doc["params"].update(seed=2.7)),
         ("forest", lambda doc: doc["params"].update(n_trees=10)),
     ], ids=["knn-y-past-int64", "knn-y-fraction", "tree-feature-fraction",
@@ -185,20 +185,41 @@ class TestDataErrors:
         assert capsys.readouterr().err == "ValueError: --kfold needs --model-kind\n"
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--kfold", "3"], "--kfold needs --model-kind"),
-        (["--kfold", "3", "--model", "m.json"], "--kfold needs --model-kind"),
-        ([], "need --model (or --kfold with --model-kind)"),
-        (["--kfold", "0", "--model-kind", "nb"], "need --model (or --kfold with --model-kind)"),
-    ], ids=["kfold-no-kind", "kfold-model-no-kind", "no-model", "kfold-zero-no-model"])
-    def test_missing_flag_named_before_any_input_is_read(self, tmp_path, capsys,
-                                                         flags, message):
-        out_dir = tmp_path / "ek"
-        code = main(["evaluate", "--features", str(tmp_path / "missing.features.csv"),
-                     *flags, "--out-dir", str(out_dir)])
-        assert code == 1
-        assert capsys.readouterr().err == f"ValueError: {message}\n"
-        assert not out_dir.exists()
+    @pytest.mark.parametrize("command, flags, message", [
+        ("evaluate", ["--kfold", "3"], "--kfold needs --model-kind"),
+        ("evaluate", ["--kfold", "3", "--model", "m.json"], "--kfold needs --model-kind"),
+        ("evaluate", [], "need --model (or --kfold with --model-kind)"),
+        ("evaluate", ["--kfold", "0", "--model-kind", "nb"],
+         "need --model (or --kfold with --model-kind)"),
+        ("evaluate", ["--kfold", "1", "--model-kind", "nb"], "k-fold needs at least 2 folds, got 1"),
+        ("evaluate", ["--kfold", "3", "--model-kind", "forest", "--n-trees", "0"],
+         "need at least one tree"),
+        ("evaluate", ["--kfold", "3", "--model-kind", "knn", "--k", "0"],
+         "knn k must be at least 1, got 0"),
+        ("evaluate", ["--model", "m.json", "--train-fraction", "1.5"],
+         "train_fraction out of (0, 1): 1.5"),
+        ("train", ["--model", "knn", "--k", "0"], "knn k must be at least 1, got 0"),
+        ("train", ["--model", "forest", "--n-trees", "0"], "need at least one tree"),
+        ("train", ["--model", "nb", "--train-fraction", "1.5"],
+         "train_fraction out of (0, 1): 1.5"),
+        ("train", ["--model", "knn", "--k", "0", "--train-fraction", "0"],
+         "train_fraction out of (0, 1): 0.0"),
+    ], ids=["kfold-no-kind", "kfold-model-no-kind", "no-model", "kfold-zero-no-model",
+            "kfold-one", "kfold-forest-no-trees", "kfold-knn-k-zero",
+            "evaluate-fraction-above-one", "train-knn-k-zero", "train-forest-no-trees",
+            "train-fraction-above-one", "train-fraction-zero-before-k"])
+    def test_missing_flag_named_before_any_input_is_read(self, workdir, tmp_path, capsys,
+                                                         command, flags, message):
+        """A bad flag value ends the command before it reads any feature
+        file: with a missing file, as with present ones, the one line names
+        the flag's rule, and no output is written."""
+        out = tmp_path / "out"
+        out_flag = "--out-dir" if command == "evaluate" else "--out"
+        for feats in ([str(tmp_path / "missing.features.csv")], feature_args(workdir)):
+            code = main([command, "--features", *feats, *flags, out_flag, str(out)])
+            assert code == 1
+            assert capsys.readouterr().err == f"ValueError: {message}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("folds", ["-3", "1"])
     def test_kfold_below_two_exits_1(self, workdir, tmp_path, capsys, folds):
@@ -612,7 +633,10 @@ def _sha256(path) -> str:
 # Artifacts of the workdir cohort (synth seed 11) as produced before feature
 # windows, night records and per-second series became columnar; a refactor
 # must reproduce them byte for byte. The four model digests are those of
-# model schema 3; their arrays are bit-equal to the lists of schemas 1 and 2.
+# model schema 4. The kNN and naive Bayes files differ from schema 3's only in
+# the schema number; the tree and forest node tables are schema 3's per-tree
+# arrays, concatenated with their row offsets, and all arrays are bit-equal to
+# the lists of schemas 1 and 2.
 GOLDEN_SHA256 = {
     "nights/night00.ndjson": "c9a52144c1926b0a58614f21c52e1d59f22ca83b386d32356a603a66245a1abb",
     "nights/night00.labels.json": "c1d697ab0330ecae9b2e4cdc12df1d9ed7c90d8ee8c13d35036c16eb2820aa22",
@@ -623,10 +647,10 @@ GOLDEN_SHA256 = {
     "features/night00.features.csv": "893a92137de425cc3da786db6fdefe55d8a2ec4ef126d65d1b549b451de463ee",
     "features/night01.features.csv": "d298929664027b6ff77bd7e933ea1130e60e89f9d7812321b5274aec152a341f",
     "features/night02.features.csv": "53e6e6195b7a5625d6ec3fa68d00c00334478c0733e79991d9c2adeec63db2d0",
-    "tree.json": "86ed92b10be4204fadfbe677ba3462b16dc081ddad8a97582f5e6e2ae7758393",
-    "forest.json": "8519a50dd7a4d515804dce499c97822e86e3f0da589f0393dd1c31c8fd0dd501",
-    "knn.json": "50a9d867a1f12264396e53759ea06f5b6730bc5932ac7d172e5e2dc7a71d9b0f",
-    "nb.json": "31589aa453fce60f6e59886dc24f581094037adbb4e5b77068f94343cc874ddd",
+    "tree.json": "6a913c67cc2ad395557ca5aa654a1f9f7de1a0664699191eec8e17d9441d3082",
+    "forest.json": "9a1913b39e92094d2bb12bac1dc34d0c0888109d51af03cbe2943d791826bda0",
+    "knn.json": "dbb47b0ef60faea013c36f72b82b50b04ddc5a7fbbd86747da476e3ef292be66",
+    "nb.json": "335ab2009212d2cbb0e00464f5b694fd996c3518593d5c9dc589d3170b3e47c4",
     "eval-tree/metrics.json": "149823729821bfea0a378b958af8a0b94e7edbad40036ed336ff7d876bc2cb17",
     "eval-tree/confusion.csv": "25c66261954b51c59085183af3337e3de6e5b6a58b699b6f1124c28d4b4d2076",
     "eval-forest/metrics.json": "1be705670f4d1d412f25de3c8a6f950512f749f5fa01e1e511279a7d62e78c9d",
@@ -641,6 +665,8 @@ GOLDEN_SHA256 = {
     "report-tree/threshold_trace.svg": "75805d568d51cadb26e3dc2ab6bcecd8edea55f5c51cc9d4241fbcfbf5067c35",
     "report-tree/hypnogram_pair.svg": "feb2aade1cd8ee3d41679028ee26c0afb51cba8c8f383d465d8ab3b07e55f04e",
     "report-tree/confusion_heatmap.svg": "5c762731b341c34435198e02822435fd18965bc2b635a025bb43ca9422b07933",
+    "report-forest/metrics.json": "ab6fafe6ce117a8e761d5458a56010a1799fc717ce517fe94087ce1d497e52f8",
+    "report-forest/hypnogram_pair.svg": "2d30158dd4c09023a3c4e4e6d2f05d44d15cecc93985607c0fc45049df0a891a",
     "report-cohort/metrics.json": "be20dfd5983595fb2d797450dc2ea2d8921ea169c518acb369195145e3fd66ac",
     "report-cohort/efficiency_box.svg": "0aa0dbe46c0bdc1d94e7c4198cbe1d7999f584dc93f265b7ac54196995370cc0",
     "sleepwake-night00.csv": "f12b7f2c892ee643c724eb2151ba67b448ff5f0ea0099ce8680033f782dff9ba",
@@ -667,6 +693,10 @@ class TestGoldenArtifacts:
                      "--labels", str(nights / "night01.labels.json"),
                      "--model", str(tmp_path / "tree.json"),
                      "--out-dir", str(tmp_path / "report-tree")]) == 0
+        assert main(["report", "--night", str(nights / "night01.ndjson"),
+                     "--labels", str(nights / "night01.labels.json"),
+                     "--model", str(tmp_path / "forest.json"),
+                     "--out-dir", str(tmp_path / "report-forest")]) == 0
         assert main(["report", "--cohort-dir", str(nights),
                      "--out-dir", str(tmp_path / "report-cohort")]) == 0
         for stem in ("night00", "night01", "night02"):

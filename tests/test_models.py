@@ -451,8 +451,11 @@ class TestRandomForest:
             x, [Stage.REM, Stage.REM],
             ForestParams(n_trees=1, bootstrap=False, features_per_split=1), seed=0,
         )
-        merged = fa
-        merged._trees = fa._trees + fb._trees
+        a, b = fa.nodes, fb.nodes
+        n = a.feature.size  # the second tree's rows follow the first's
+        b = b._replace(left=b.left + n, right=b.right + n, roots=b.roots + n)
+        merged = models.RandomForest(ForestParams(n_trees=2, bootstrap=False, features_per_split=1),
+                                     1, models.NodeTable(*map(np.concatenate, zip(a, b))), 0)
         got = predict(merged, x)
         assert got.tolist() == [Stage.REM, Stage.REM]  # code 1 beats code 3 on a 1-1 tie
 
@@ -460,15 +463,22 @@ class TestRandomForest:
 def _plain_loop_forest_json(x, y, params, seed):
     """The forest as one loop over the per-tree generators grows it, each tree
     on its whole sample, duplicated bootstrap rows included, with weights of
-    one: the algorithm as it stood before trees grew on distinct rows."""
+    one: the algorithm as it stood before trees grew on distinct rows. The
+    trees' tables are appended one by one, each tree's child and root rows
+    shifted by the nodes before it."""
     n = x.shape[0]
     mtry = min(params.features_per_split, x.shape[1])
-    trees = []
+    columns = {name: [] for name in models.NodeTable._fields}
+    nodes = 0
     for i in range(params.n_trees):
         rng = models._tree_rng(seed, i)
         idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        trees.append(models._grow_tree(x[idx], y[idx], _ones(x), params.max_depth, mtry, rng))
-    return model_to_json(models.RandomForest(params, x.shape[1], seed, trees))
+        tree = models._grow_tree(x[idx], y[idx], _ones(x), params.max_depth, mtry, rng)
+        for name, col in tree._asdict().items():
+            columns[name].append(col + nodes if name in ("left", "right", "roots") else col)
+        nodes += tree.feature.size
+    table = models.NodeTable(*(np.concatenate(cols) for cols in columns.values()))
+    return model_to_json(models.RandomForest(params, x.shape[1], table, seed))
 
 
 def _cpus(monkeypatch, n):
@@ -867,6 +877,34 @@ class TestPredictContract:
             predict_hypnogram(self.model(), rec)
 
 
+# A one-split tree and a forest of two such trees on x = [[0], [1]], y = [0, 2]
+# (no bootstrap, one feature per split), as model schema 3 wrote them.
+_SCHEMA_3_TREE = (
+    '{"kind":"DecisionTree","params":{"max_depth":20},"schema":3,"state":{"n_features":1,'
+    '"tree":{"feature":{"data":"AAAAAAAAAAD/////////////////////","dtype":"<i8",'
+    '"shape":[3]},"label":{"data":"//////////8AAAAAAAAAAAIAAAAAAAAA","dtype":"<i8",'
+    '"shape":[3]},"left":{"data":"AQAAAAAAAAABAAAAAAAAAAIAAAAAAAAA","dtype":"<i8",'
+    '"shape":[3]},"right":{"data":"AgAAAAAAAAABAAAAAAAAAAIAAAAAAAAA","dtype":"<i8",'
+    '"shape":[3]},"threshold":{"data":"AAAAAAAA4D8AAAAAAAAAAAAAAAAAAAAA","dtype":"<f8",'
+    '"shape":[3]}}}}'
+)
+_SCHEMA_3_FOREST = (
+    '{"kind":"RandomForest","params":{"bootstrap":false,"features_per_split":1,'
+    '"max_depth":20,"n_trees":2,"seed":0},"schema":3,"state":{"n_features":1,'
+    '"trees":[{"feature":{"data":"AAAAAAAAAAD/////////////////////","dtype":"<i8",'
+    '"shape":[3]},"label":{"data":"//////////8AAAAAAAAAAAIAAAAAAAAA","dtype":"<i8",'
+    '"shape":[3]},"left":{"data":"AQAAAAAAAAABAAAAAAAAAAIAAAAAAAAA","dtype":"<i8",'
+    '"shape":[3]},"right":{"data":"AgAAAAAAAAABAAAAAAAAAAIAAAAAAAAA","dtype":"<i8",'
+    '"shape":[3]},"threshold":{"data":"AAAAAAAA4D8AAAAAAAAAAAAAAAAAAAAA","dtype":"<f8",'
+    '"shape":[3]}},{"feature":{"data":"AAAAAAAAAAD/////////////////////","dtype":"<i8",'
+    '"shape":[3]},"label":{"data":"//////////8AAAAAAAAAAAIAAAAAAAAA","dtype":"<i8",'
+    '"shape":[3]},"left":{"data":"AQAAAAAAAAABAAAAAAAAAAIAAAAAAAAA","dtype":"<i8",'
+    '"shape":[3]},"right":{"data":"AgAAAAAAAAABAAAAAAAAAAIAAAAAAAAA","dtype":"<i8",'
+    '"shape":[3]},"threshold":{"data":"AAAAAAAA4D8AAAAAAAAAAAAAAAAAAAAA","dtype":"<f8",'
+    '"shape":[3]}}]}}'
+)
+
+
 def _document(kind):
     """A small trained model of kind as a parsed model document."""
     rng = np.random.default_rng(32)
@@ -880,11 +918,16 @@ def _document(kind):
     return json.loads(model_to_json(model))
 
 
+def _last_split(state, tree):
+    """The last split row of a tree in a decoded tree or forest state."""
+    rows = range(state["roots"][tree], (state["roots"] + [len(state["feature"])])[tree + 1])
+    return max(i for i in rows if state["feature"][i] >= 0)
+
+
 def _fitted_arrays(model):
     """Every fitted array of a model, in a fixed order."""
     if model.kind in ("DecisionTree", "RandomForest"):
-        trees = [model._tree] if model.kind == "DecisionTree" else model._trees
-        return [getattr(t, name) for t in trees for name in t.__slots__]
+        return list(model.nodes)
     if model.kind == "Knn":
         return [model.mean, model.std, model.x_std, model.y]
     return [model.classes, model.prior, model.mean, model.var]
@@ -959,15 +1002,16 @@ class TestSerialization:
             "Knn": {"k": 5},
             "GaussianNB": {},
         }
+        nodes = {"n_features", "feature", "threshold", "left", "right", "label", "roots"}
         state_keys = {
-            "DecisionTree": {"n_features", "tree"},
-            "RandomForest": {"n_features", "trees"},
+            "DecisionTree": nodes,
+            "RandomForest": nodes,
             "Knn": {"mean", "std", "x", "y"},
             "GaussianNB": {"classes", "mean", "prior", "var"},
         }
         for model in self.all_models():
             doc = json.loads(model_to_json(model))
-            assert doc["schema"] == 3
+            assert doc["schema"] == 4
             assert set(doc) == {"schema", "kind", "params", "state"}
             assert doc["params"] == want[doc["kind"]]
             assert set(doc["state"]) == state_keys[doc["kind"]]
@@ -980,15 +1024,17 @@ class TestSerialization:
     def test_bad_documents_rejected(self):
         with pytest.raises(SchemaMismatch):
             model_from_json("not json at all {")
-        with pytest.raises(SchemaMismatch, match="schema 4"):
-            model_from_json('{"schema":4,"kind":"DecisionTree"}')
+        with pytest.raises(SchemaMismatch, match="schema 5"):
+            model_from_json('{"schema":5,"kind":"DecisionTree"}')
         with pytest.raises(SchemaMismatch, match="Perceptron"):
-            model_from_json('{"schema":3,"kind":"Perceptron"}')
+            model_from_json('{"schema":4,"kind":"Perceptron"}')
 
     def test_forest_without_trees_rejected(self):
         doc = _document("RandomForest")
         doc["params"]["n_trees"] = 0
-        doc["state"]["trees"] = []
+        _decoded(lambda st, p: st.update(
+            feature=[], threshold=[], left=[], right=[], label=[], roots=[]))(
+                doc["state"], doc["params"])
         with pytest.raises(SchemaMismatch, match="ill-typed: need at least one tree"):
             model_from_json(json.dumps(doc))
 
@@ -1003,20 +1049,24 @@ class TestSerialization:
         with pytest.raises(SchemaMismatch, match="schema 1"):
             model_from_json(text)
         for model in self.all_models():
-            current = model_to_json(model).replace('"schema":3', '"schema":1')
+            current = model_to_json(model).replace('"schema":4', '"schema":1')
             with pytest.raises(SchemaMismatch, match="schema 1"):
                 model_from_json(current)
 
-    @pytest.mark.parametrize("text", [
-        '{"kind":"DecisionTree","params":{"max_depth":20},"schema":2,"state":{"n_features":1,'
-        '"tree":{"feature":[-1],"label":[0],"left":[0],"right":[0],"threshold":[0.0]}}}',
-        '{"kind":"Knn","params":{"k":1},"schema":2,"state":{"mean":[0.0],"n_features":1,'
-        '"std":[1.0],"x":[[0.0]],"y":[0]}}',
-    ], ids=["tree", "knn"])
-    def test_schema_2_document_rejected(self, text):
-        """A schema-2 file (arrays as JSON number lists) names its schema and
-        asks for a retrain; there is no second decode path."""
-        with pytest.raises(SchemaMismatch, match="schema 2.*retrain"):
+    @pytest.mark.parametrize("schema, text", [
+        (2, '{"kind":"DecisionTree","params":{"max_depth":20},"schema":2,"state":{"n_features":1,'
+            '"tree":{"feature":[-1],"label":[0],"left":[0],"right":[0],"threshold":[0.0]}}}'),
+        (2, '{"kind":"Knn","params":{"k":1},"schema":2,"state":{"mean":[0.0],"n_features":1,'
+            '"std":[1.0],"x":[[0.0]],"y":[0]}}'),
+        (3, _SCHEMA_3_TREE),
+        (3, _SCHEMA_3_FOREST),
+    ], ids=["tree", "knn", "schema-3-tree", "schema-3-forest"])
+    def test_schema_2_document_rejected(self, schema, text):
+        """A file of an older schema names its schema and asks for a retrain:
+        schema 2 (arrays as JSON number lists) and schema 3 (one state object
+        of node arrays per tree), both as written by their own versions.
+        There is no second decode path."""
+        with pytest.raises(SchemaMismatch, match=f"schema {schema}.*retrain"):
             model_from_json(text)
 
     @pytest.mark.parametrize("text", [
@@ -1024,6 +1074,7 @@ class TestSerialization:
         '{"schema":1,"kind":["Knn"]}',
         '{"schema":2,"kind":["Knn"]}',
         '{"schema":3,"kind":["Knn"]}',
+        '{"schema":4,"kind":["Knn"]}',
     ])
     def test_non_object_documents_rejected(self, text):
         with pytest.raises(SchemaMismatch):
@@ -1037,15 +1088,15 @@ class TestSerialization:
         ("Knn", _decoded(lambda st, p: st["y"].__setitem__(3, 7))),
         ("Knn", lambda st, p: p.update(k=50)),
         ("Knn", lambda st, p: p.update(k=0)),
-        ("DecisionTree", _decoded(lambda st, p: st["tree"]["left"].__setitem__(0, 999))),
-        ("DecisionTree", _decoded(lambda st, p: st["tree"]["right"].__setitem__(0, 0))),
-        ("DecisionTree", _decoded(lambda st, p: st["tree"]["feature"].__setitem__(0, 5))),
-        ("DecisionTree", _decoded(lambda st, p: st["tree"]["feature"].__setitem__(0, -2))),
-        ("DecisionTree", _decoded(lambda st, p: st["tree"]["label"].__setitem__(-1, 7))),
-        ("DecisionTree", _decoded(lambda st, p: st["tree"]["threshold"].pop())),
-        ("DecisionTree", _decoded(lambda st, p: st["tree"].update(
+        ("DecisionTree", _decoded(lambda st, p: st["left"].__setitem__(0, 999))),
+        ("DecisionTree", _decoded(lambda st, p: st["right"].__setitem__(0, 0))),
+        ("DecisionTree", _decoded(lambda st, p: st["feature"].__setitem__(0, 5))),
+        ("DecisionTree", _decoded(lambda st, p: st["feature"].__setitem__(0, -2))),
+        ("DecisionTree", _decoded(lambda st, p: st["label"].__setitem__(-1, 7))),
+        ("DecisionTree", _decoded(lambda st, p: st["threshold"].pop())),
+        ("DecisionTree", _decoded(lambda st, p: st.update(
             feature=[], threshold=[], left=[], right=[], label=[]))),
-        ("RandomForest", _decoded(lambda st, p: st["trees"][1]["right"].__setitem__(0, -1))),
+        ("RandomForest", _decoded(lambda st, p: st["right"].__setitem__(st["roots"][1], -1))),
         ("GaussianNB", _decoded(lambda st, p: st.update(mean=[row[:-1] for row in st["mean"]]))),
         ("GaussianNB", _decoded(lambda st, p: st.update(prior=st["prior"][:-1]))),
         ("GaussianNB", _decoded(lambda st, p: st.update(classes=st["classes"][:-1]))),
@@ -1066,11 +1117,11 @@ class TestSerialization:
         ("Knn", lambda st, p: st["mean"].update(data="0.5,0.25,0.125")),
         ("Knn", lambda st, p: p.update(k=True)),
         ("Knn", lambda st, p: st["x"]["shape"].__setitem__(1, 5.0)),
-        ("DecisionTree", lambda st, p: st["tree"]["feature"].update(
-            reencode(st["tree"]["feature"], lambda a: a + 0.9))),
-        ("DecisionTree", lambda st, p: st["tree"]["label"].update(
-            reencode(st["tree"]["label"], lambda a: a + 0.5))),
-        ("DecisionTree", _decoded(lambda st, p: st["tree"]["threshold"].__setitem__(
+        ("DecisionTree", lambda st, p: st["feature"].update(
+            reencode(st["feature"], lambda a: a + 0.9))),
+        ("DecisionTree", lambda st, p: st["label"].update(
+            reencode(st["label"], lambda a: a + 0.5))),
+        ("DecisionTree", _decoded(lambda st, p: st["threshold"].__setitem__(
             0, float("inf")))),
         ("DecisionTree", lambda st, p: p.update(max_depth=2.5)),
         ("DecisionTree", lambda st, p: p.update(max_depth="20")),
@@ -1083,6 +1134,19 @@ class TestSerialization:
         ("GaussianNB", lambda st, p: st["var"].update(data=None)),
         ("DecisionTree", lambda st, p: st.update(n_features=5.0)),
         ("RandomForest", lambda st, p: st.update(n_features=True)),
+        ("RandomForest", _decoded(lambda st, p: st["left"].__setitem__(
+            _last_split(st, 0), st["roots"][1]))),
+        ("RandomForest", _decoded(lambda st, p: st["right"].__setitem__(
+            _last_split(st, 0), st["roots"][1] + 1))),
+        ("DecisionTree", _decoded(lambda st, p: st.update(roots=[1]))),
+        ("RandomForest", _decoded(lambda st, p: st["roots"].__setitem__(0, 1))),
+        ("RandomForest", _decoded(lambda st, p: st["roots"].__setitem__(1, 0))),
+        ("RandomForest", _decoded(lambda st, p: st["roots"].reverse())),
+        ("RandomForest", _decoded(lambda st, p: st["roots"].__setitem__(1, len(st["feature"])))),
+        ("DecisionTree", _decoded(lambda st, p: st["roots"].append(1))),
+        ("DecisionTree", _decoded(lambda st, p: st.update(roots=[]))),
+        ("RandomForest", _decoded(lambda st, p: st["roots"].pop())),
+        ("RandomForest", _decoded(lambda st, p: st["roots"].append(st["roots"][1] + 1))),
     ], ids=[
         "knn-mean", "knn-std", "knn-x", "knn-y", "knn-code", "knn-k-above-rows",
         "knn-k-zero", "tree-child-past-end", "tree-child-loops-back",
@@ -1098,15 +1162,19 @@ class TestSerialization:
         "tree-max-depth-fraction", "tree-max-depth-text", "forest-seed-fraction",
         "forest-n-trees-not-stored", "forest-bootstrap-int", "forest-mtry-bool",
         "nb-class-float", "nb-var-null", "tree-n-features-float",
-        "forest-n-features-bool",
+        "forest-n-features-bool", "forest-child-is-next-root", "forest-child-in-next-tree",
+        "tree-roots-not-at-zero", "forest-roots-not-at-zero", "forest-roots-not-rising",
+        "forest-roots-falling", "forest-root-past-end", "tree-two-roots", "tree-no-roots",
+        "forest-one-root", "forest-three-roots",
     ])
     def test_inconsistent_state_rejected(self, kind, edit):
         """Shapes against each other, k against the stored rows, stage codes
-        in 0..3, tree links, the exact params keys, n_trees against the
-        stored trees and the type of every value are checked at load, not
-        met at predict or truncated. A value that used to be ill-typed JSON
-        (past int64, a fraction, a bool, text, null) can now only arrive as
-        an array entry of the wrong dtype, shape or data."""
+        in 0..3, tree links within their own tree, roots rising from 0, the
+        exact params keys, the root count against the kind (one for a tree,
+        n_trees for a forest) and the type of every value are checked at
+        load, not met at predict or truncated. A value that used to be
+        ill-typed JSON (past int64, a fraction, a bool, text, null) can now
+        only arrive as an array entry of the wrong dtype, shape or data."""
         doc = _document(kind)
         edit(doc["state"], doc["params"])
         with pytest.raises(SchemaMismatch):
@@ -1178,14 +1246,16 @@ class TestSerialization:
     @pytest.mark.parametrize("kind, where, edit", [
         ("DecisionTree", "DecisionTree state", lambda st: st.update(junk=[1])),
         ("DecisionTree", "DecisionTree state", lambda st: st.pop("n_features")),
-        ("DecisionTree", "DecisionTree tree", lambda st: st["tree"].update(
-            value=st["tree"]["label"])),
-        ("DecisionTree", "DecisionTree tree", lambda st: st["tree"].pop("right")),
+        ("DecisionTree", "DecisionTree state", lambda st: st.update(value=st["label"])),
+        ("DecisionTree", "DecisionTree state", lambda st: st.pop("right")),
         ("RandomForest", "RandomForest state", lambda st: st.update(oob_score=0.9)),
         ("RandomForest", "RandomForest state", lambda st: st.pop("n_features")),
-        ("RandomForest", "RandomForest tree 1", lambda st: st["trees"][1].update(
-            junk=st["trees"][1]["left"])),
-        ("RandomForest", "RandomForest tree 0", lambda st: st["trees"][0].pop("threshold")),
+        ("RandomForest", "RandomForest state", lambda st: st.update(junk=st["left"])),
+        ("RandomForest", "RandomForest state", lambda st: st.pop("threshold")),
+        ("DecisionTree", "DecisionTree state", lambda st: st.pop("roots")),
+        ("RandomForest", "RandomForest state", lambda st: st.pop("roots")),
+        ("DecisionTree", "DecisionTree state", lambda st: st.update(tree={})),
+        ("RandomForest", "RandomForest state", lambda st: st.update(trees=[])),
         ("Knn", "Knn state", lambda st: st.update(n_features=99, junk=[1])),
         ("Knn", "Knn state", lambda st: st.pop("std")),
         ("GaussianNB", "GaussianNB state", lambda st: st.update(n_features=5)),
@@ -1193,12 +1263,13 @@ class TestSerialization:
     ], ids=[
         "tree-extra", "tree-missing", "tree-node-extra", "tree-node-missing",
         "forest-extra", "forest-missing", "forest-node-extra", "forest-node-missing",
-        "knn-extra", "knn-missing", "nb-extra", "nb-missing",
+        "tree-roots-missing", "forest-roots-missing", "tree-schema-3-key",
+        "forest-schema-3-key", "knn-extra", "knn-missing", "nb-extra", "nb-missing",
     ])
     def test_state_keys_exact(self, kind, where, edit):
-        """A state, and each tree's node arrays, hold exactly the keys that
-        state_dict writes: an unknown, stale or missing key is refused with
-        the kind and the keys, as params are."""
+        """A state holds exactly the keys that state_dict writes, the same
+        node columns for a tree and a forest: an unknown, stale or missing key
+        is refused with the kind and the keys, as params are."""
         doc = _document(kind)
         edit(doc["state"])
         with pytest.raises(SchemaMismatch, match=f"^schema mismatch: {where} keys are "):
