@@ -5,6 +5,10 @@ Conventions shared by every subcommand: all randomness flows from an
 explicit --seed (never the clock), a JSON --config file can pre-set any
 flag (command-line values win), usage problems exit 2, and data problems
 exit 1 with a single diagnostic line naming the error.
+
+featurize, train, evaluate and report --cohort-dir spread their per-night
+work over every usable CPU in forked workers (core.fork_map), with no
+setting; what they write is the same as a serial run's.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from . import devicesim, evaluation, features, ingest, models, preprocess, report
 from . import sleepwake, synth
+from .core import fork_map
 from .errors import AllMissing, BcgSleepError
 
 MODEL_KINDS = ("tree", "forest", "knn", "nb")
@@ -139,11 +144,16 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
+def _load_feature_file(job, path) -> features.FeatureTable:
+    return features.load_feature_csv(path, night_id=_night_stem(path))
+
+
 def _load_feature_files(paths) -> features.FeatureTable:
-    """One table for all files; each file's rows take its stem as night id."""
-    windows = features.FeatureTable.concat(
-        [features.load_feature_csv(path, night_id=_night_stem(path)) for path in paths]
-    )
+    """One table for all files, in the order given; each file's rows take
+    its stem as night id. The files are read in forked workers, one file
+    per task (core.fork_map); a bad file raises what reading it alone
+    raises, the first bad one in order if several are."""
+    windows = features.FeatureTable.concat(fork_map(_load_feature_file, paths))
     if not len(windows):
         raise AllMissing("the feature files hold no windows")
     return windows
@@ -252,6 +262,15 @@ def _fill_codes(aligned: np.ndarray) -> np.ndarray:
     return aligned[np.maximum.accumulate(source)]
 
 
+def _cohort_night(job, night_path) -> tuple[str, float, float]:
+    """(night id, the algorithm's sleep efficiency, the scripted one) of a
+    cohort night file and its labels beside it."""
+    rec = ingest.load_night(night_path, night_id=_night_stem(night_path))
+    intervals = ingest.load_labels(night_path.with_name(rec.night_id + ".labels.json"))
+    algo = sleepwake.sleep_efficiency(sleepwake.run_night(rec))
+    return rec.night_id, algo, synth.scripted_efficiency(intervals)
+
+
 def _cmd_report(args) -> int:
     doc: dict = {}
     outputs = {}
@@ -290,14 +309,7 @@ def _cmd_report(args) -> int:
         cohort = sorted(Path(args.cohort_dir).glob("*.ndjson"))
         if not cohort:
             raise AllMissing(f"no night files (*.ndjson) in {args.cohort_dir}")
-        ids, algo, ref = [], [], []
-        for night_path in cohort:
-            rec = ingest.load_night(night_path, night_id=_night_stem(night_path))
-            labels_path = night_path.with_name(_night_stem(night_path) + ".labels.json")
-            intervals = ingest.load_labels(labels_path)
-            ids.append(rec.night_id)
-            algo.append(sleepwake.sleep_efficiency(sleepwake.run_night(rec)))
-            ref.append(synth.scripted_efficiency(intervals))
+        ids, algo, ref = zip(*fork_map(_cohort_night, cohort))
         summary = evaluation.efficiency_comparison(algo, ref, ids)
         doc["efficiency"] = summary
         outputs["efficiency_box.svg"] = report.efficiency_box_svg(summary)

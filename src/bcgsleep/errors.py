@@ -4,9 +4,21 @@ Every error carries enough context to print a one-line diagnostic; the CLI
 maps each class name to a nonzero exit.
 """
 
+import copyreg
+
 
 class BcgSleepError(Exception):
-    """Base class for all pipeline errors."""
+    """Base class for all pipeline errors.
+
+    An error pickles as its class, message and attributes, without calling
+    __init__ again: a subclass builds its message from other arguments, so
+    Exception's pickling, which passes the message back to __init__, would
+    double it or fail. Errors raised in a forked worker (core.fork_map)
+    reach the caller this way.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class TooFewItems(BcgSleepError):

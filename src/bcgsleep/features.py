@@ -10,9 +10,10 @@ Percentiles are linear interpolation at rank p*(n-1) over the sorted values
 (numpy's default); std is the population standard deviation.
 
 Feature files are CSV: the header FEATURE_CSV_HEADER, then 30 statistics and
-a stage name per window. load_feature_csv reads a file in bulk;
-parse_feature_csv, the per-line parser, reads what the bulk read refuses and
-owns every diagnostic.
+a stage name per window. windows_to_csv formats a large table in
+contiguous blocks, one per usable CPU, in forked workers. load_feature_csv
+reads a file in bulk; parse_feature_csv, the per-line parser, reads what the
+bulk read refuses and owns every diagnostic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import STAGE_NAMES, VITAL_FIELDS, NightRecord, Stage, plain_number
+from .core import (
+    STAGE_NAMES,
+    VITAL_FIELDS,
+    NightRecord,
+    Stage,
+    fork_map,
+    plain_number,
+    usable_cpus,
+)
 from .errors import DegenerateMatrix, EmptyMatrix, InvalidStageCode, MalformedRow
 
 SIGNAL_ORDER = ("hr", "rr", "sv", "b2b", "hrv")
@@ -39,6 +48,9 @@ FEATURE_CSV_HEADER = ",".join(FEATURE_NAMES + ("label",))
 # a fixed-width numpy string would drop a trailing NUL that the per-line
 # parser rejects.
 _CSV_ROW = np.dtype([("x", np.float64, (N_FEATURES,)), ("label", object)])
+# windows_to_csv formats no block of fewer rows in a worker: below this a
+# fork and the pickled text cost more than the second CPU saves
+_MIN_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +208,34 @@ def pca_explained_variance(matrix: np.ndarray) -> list[float]:
     return [float(r) for r in sorted(ratios, reverse=True)]
 
 
+def _csv_block(windows: FeatureTable, rows: tuple[int, int]) -> str:
+    """CSV lines of the windows rows[0]:rows[1], joined by newlines."""
+    lo, hi = rows
+    return "\n".join(
+        ",".join(map(repr, stats)) + "," + STAGE_NAMES[code]
+        for stats, code in zip(windows.x[lo:hi].tolist(), windows.y[lo:hi].tolist())
+    )
+
+
 def windows_to_csv(windows: FeatureTable):
-    """Feature windows as CSV lines: 30 statistics then the stage name."""
+    """Feature windows as CSV lines: the header, then per window its 30
+    statistics and its stage name.
+
+    Formatting the floats is most of the cost, so a table of at least
+    2 * _MIN_CSV_BLOCK_ROWS windows is cut into contiguous blocks, one per
+    usable CPU and none shorter than that, formatted in forked workers
+    (core.fork_map). The lines are the same whoever formats them.
+    """
     yield FEATURE_CSV_HEADER
-    for stats, code in zip(windows.x.tolist(), windows.y.tolist()):
-        yield ",".join(map(repr, stats)) + "," + STAGE_NAMES[code]
+    n = len(windows)
+    if not n:
+        return
+    blocks = max(1, min(usable_cpus(), n // _MIN_CSV_BLOCK_ROWS))
+    bounds = [(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
+    texts = fork_map(_csv_block, bounds, windows)
+    texts.reverse()
+    while texts:  # each block's text is freed once split into its lines
+        yield from texts.pop().split("\n")
 
 
 def parse_feature_csv(lines, night_id: str = "") -> FeatureTable:

@@ -10,11 +10,11 @@ posterior goes to the lowest stage code (wake first); a tied kNN vote goes
 to the nearest neighbor whose class is among the winners.
 
 Both costly loops use every usable CPU, with no setting: the forest grows
-its trees in forked worker processes, each bootstrap tree on the distinct
-rows of its draw weighted by their multiplicities, and kNN answers its
-queries in chunks of at most 256 rows, one contiguous block of chunks per
-thread, each thread holding two chunk x n buffers of at most 8 MiB each.
-Neither changes a result.
+its trees in forked worker processes (core.fork_map), each bootstrap tree
+on the distinct rows of its draw weighted by their multiplicities, and kNN
+answers its queries in chunks of at most 256 rows, one contiguous block of
+chunks per thread, each thread holding two chunk x n buffers of at most
+8 MiB each. Neither changes a result.
 
 A decision tree is a forest of one tree: both keep all their nodes in one
 NodeTable, the trees stacked in index order, and share one vote, one state
@@ -29,8 +29,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import multiprocessing
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -38,7 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import N_STAGES, check_stage_codes
+from .core import N_STAGES, check_stage_codes, fork_map, usable_cpus
 from .errors import EmptyTrainingSet, RecordTooShort, SchemaMismatch, TooFewItems
 from .features import (
     WINDOW_LEN,
@@ -470,13 +468,6 @@ class RandomForest(_TreeVote):
         return cls(params, *cls._state(doc, params.n_trees), seed)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _forest_tree(job: tuple, i: int) -> NodeTable:
     """Tree i of the forest job (x, y, params, mtry, seed), from its own generator.
 
@@ -494,41 +485,21 @@ def _forest_tree(job: tuple, i: int) -> NodeTable:
     return _grow_tree(x[rows], y[rows], w[rows], params.max_depth, mtry, rng)
 
 
-# The job of a forked forest worker; only the pool's initializer sets it, in the worker.
-_worker_job: tuple = ()
-
-
-def _init_forest_worker(*job):
-    global _worker_job
-    _worker_job = job
-
-
-def _worker_tree(i: int) -> NodeTable:
-    return _forest_tree(_worker_job, i)
-
-
 def train_random_forest(
     rows, labels, params: ForestParams = ForestParams(), seed: int = 0
 ) -> RandomForest:
-    """Bagged CART ensemble, grown in one forked worker per usable CPU.
+    """Bagged CART ensemble, its trees grown in forked workers.
 
     Tree i draws its bootstrap and its split features from _tree_rng(seed, i)
-    alone, so the trees are independent: min(n_trees, usable CPUs) workers
-    each inherit x and y once through fork, grow one tree per task, and the
-    trees come back in index order. With one worker, or where the platform
-    cannot fork, the same trees are grown in a plain loop. Either way the
-    forest is byte-identical for a given seed.
+    alone, so the trees are independent: core.fork_map grows one tree per
+    task in min(n_trees, usable CPUs) workers, which inherit x and y through
+    fork, and gives the trees back in index order. With one worker, or where
+    the platform cannot fork, the same trees are grown in a plain loop.
+    Either way the forest is byte-identical for a given seed.
     """
     x, y = _training_set(rows, labels, "random forest")
     job = (x, y, params, min(params.features_per_split, x.shape[1]), seed)
-    workers = min(params.n_trees, _usable_cpus())
-    tree_ids = range(params.n_trees)
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        trees = [_forest_tree(job, i) for i in tree_ids]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_forest_worker, initargs=job) as pool:
-            trees = pool.map(_worker_tree, tree_ids, chunksize=1)
+    trees = fork_map(_forest_tree, range(params.n_trees), job)
     return RandomForest(params, x.shape[1], _stack(trees), int(seed))
 
 
@@ -595,7 +566,7 @@ class Knn:
                     order = np.lexsort((cand, row[cand]))
                     out[lo + i] = cand[order[:k]]
 
-        threads = min(_usable_cpus(), len(starts))
+        threads = min(usable_cpus(), len(starts))
         # leaving the block joins every thread, so a later fork copies none
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(fill, np.array_split(starts, threads)))

@@ -22,6 +22,26 @@ def checkout_env():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
+def claim_cpus(monkeypatch, n):
+    """Make core.usable_cpus() report n CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def record_forks(monkeypatch):
+    """A list that collects the pid of every child os.fork starts from now on."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
 def reencode(blob, fn):
     """A model document array entry {data, dtype, shape} for fn(its decoded
     array), laid out the same way but with the new array's own dtype string,

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from bcgsleep import features, models
 from bcgsleep.cli import _load_feature_files, main
 from bcgsleep.core import STAGE_NAMES
+from bcgsleep.errors import MalformedRow
 from bcgsleep.ingest import load_night, save_night
 from bcgsleep.models import load_model, model_to_json
 
-from conftest import checkout_env, reencode
+from conftest import checkout_env, claim_cpus, record_forks, reencode
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +323,58 @@ class TestFeaturizeCommand:
     def test_feature_file_night_id_is_its_stem(self, workdir):
         windows = _load_feature_files(feature_args(workdir, ("night00",)))
         assert set(windows.night_id.tolist()) == {"night00"}
+
+    def test_full_night_same_bytes_on_one_and_two_cpus(self, tmp_path, monkeypatch):
+        """A full 8 h night is formatted in two forked blocks on two CPUs,
+        and in process on one; the file is the same."""
+        assert main(["synth", "--out", str(tmp_path), "--nights", "1", "--seed", "4"]) == 0
+        written = []
+        for cpus in (1, 2):
+            claim_cpus(monkeypatch, cpus)
+            with monkeypatch.context() as m:
+                forks = record_forks(m)
+                out = tmp_path / f"cpus{cpus}.features.csv"
+                assert main(["featurize", "--in", str(tmp_path / "night00.ndjson"),
+                             "--labels", str(tmp_path / "night00.labels.json"),
+                             "--out", str(out)]) == 0
+            assert len(forks) == (0 if cpus == 1 else 2)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+
+class TestFeatureFileReads:
+    """_load_feature_files reads one file per forked task: the table, or
+    the first bad file's error, is the plain loop's."""
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_same_table_as_in_process(self, workdir, monkeypatch, cpus):
+        paths = feature_args(workdir) + feature_args(workdir, ("night00",))
+        claim_cpus(monkeypatch, 1)
+        want = _table_outcome(lambda: _load_feature_files(paths))
+        claim_cpus(monkeypatch, cpus)
+        assert _table_outcome(lambda: _load_feature_files(paths)) == want
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_first_bad_file_in_order_is_raised(self, workdir, tmp_path, monkeypatch, cpus):
+        # the 2nd file has a bad cell at line 41, the 4th an extra cell at line 3
+        paths = []
+        for i, stem in enumerate(("night00", "night01", "night02", "night00")):
+            lines = (workdir / "features" / f"{stem}.features.csv").read_text().split("\n")
+            if i == 1:
+                lines[40] = _set_cell(lines[40], 3, lambda c: "x")
+            if i == 3:
+                lines[2] = lines[2] + ","
+            paths.append(tmp_path / f"file{i}.features.csv")
+            paths[-1].write_text("\n".join(lines))
+        claim_cpus(monkeypatch, 1)
+        with pytest.raises(MalformedRow) as serial:
+            _load_feature_files(paths)
+        assert serial.value.line_no == 41
+        claim_cpus(monkeypatch, cpus)
+        with pytest.raises(MalformedRow) as forked:
+            _load_feature_files(paths)
+        assert forked.value.line_no == 41
+        assert str(forked.value) == str(serial.value)
 
 
 def _table_outcome(read):
@@ -765,6 +818,21 @@ class TestReportCommand:
         doc = json.loads((out_dir / "metrics.json").read_text())
         assert len(doc["efficiency"]["nights"]) == 3
         assert (out_dir / "efficiency_box.svg").exists()
+
+    def test_cohort_report_same_bytes_on_one_and_two_cpus(self, workdir, tmp_path,
+                                                          monkeypatch):
+        outputs = []
+        for cpus in (1, 2):
+            claim_cpus(monkeypatch, cpus)
+            with monkeypatch.context() as m:
+                forks = record_forks(m)
+                out_dir = tmp_path / f"cpus{cpus}"
+                assert main(["report", "--cohort-dir", str(workdir / "nights"),
+                             "--out-dir", str(out_dir)]) == 0
+            assert len(forks) == (0 if cpus == 1 else 2)
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("metrics.json", "efficiency_box.svg")])
+        assert outputs[0] == outputs[1]
 
     def test_report_without_inputs_fails(self, tmp_path, capsys):
         code = main(["report", "--out-dir", str(tmp_path / "r")])

@@ -1,13 +1,18 @@
-"""Domain types: stage codes, vital validation, record invariants, gap runs."""
+"""Domain types: stage codes, vital validation, record invariants, gap
+runs; fork_map, and the errors its workers send back."""
 
 import dataclasses
 import math
+import os
+import pickle
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bcgsleep import errors
 from bcgsleep.core import (
     MAX_NIGHT_SECONDS,
     VITAL_FIELDS,
@@ -16,11 +21,12 @@ from bcgsleep.core import (
     StageInterval,
     VitalsSample,
     compute_gaps,
+    fork_map,
 )
 from bcgsleep.errors import InvalidStageCode, NegativeVital, NonMonotonicTimestamp
 from bcgsleep.ingest import parse_night, sample_line
 
-from conftest import make_record, make_sample
+from conftest import claim_cpus, make_record, make_sample, record_forks
 
 
 class TestStage:
@@ -202,3 +208,122 @@ class TestComputeGaps:
     def test_matches_second_by_second_scan(self, ts):
         ts = sorted(ts)
         assert compute_gaps(ts) == _gaps_oracle(ts)
+
+
+# constructor arguments of each error class in errors.py
+ERROR_ARGS = {
+    "BcgSleepError": ("any pipeline error",),
+    "TooFewItems": (2, 3, "nights"),
+    "InvalidStageCode": ("n3",),
+    "MalformedRow": (5, "expected 31 columns"),
+    "NonMonotonicTimestamp": (7,),
+    "NegativeVital": ("hr", 12, -1.0),
+    "UnknownLevel": ("n3",),
+    "OverlappingIntervals": (1, 2),
+    "AllMissing": ("the feature files hold no windows",),
+    "RecordTooShort": (10, 300),
+    "NoEpochs": (),
+    "EmptyMatrix": (),
+    "DegenerateMatrix": (),
+    "EmptyTrainingSet": ("random forest",),
+    "SchemaMismatch": ("no nodes",),
+    "LengthMismatch": (3, 4),
+    "ConstantInput": ("reference",),
+    "DurationTooShort": (60, 600),
+    "InitialConnectFailure": ("127.0.0.1:9", 2.5),
+}
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.BcgSleepError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_survives_pickling(cls):
+    err = cls(*ERROR_ARGS[cls.__name__])
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert (str(back), back.args, vars(back)) == (str(err), err.args, vars(err))
+
+
+class TaskFailure(Exception):
+    pass
+
+
+def _square(job, t):
+    return job * t * t, os.getpid()
+
+
+def _fail_tasks_one_and_two(job, t):
+    """Task 1 fails late, task 2 at once: the later task fails first in time."""
+    if t == 1:
+        time.sleep(0.3)
+        raise TaskFailure(t)
+    if t == 2:
+        raise TaskFailure(t)
+    return t
+
+
+def _exit_on_task_one(job, t):
+    if t == 1:
+        os._exit(3)
+    return t
+
+
+class TestForkMap:
+    """fork_map against the plain loop, with every child and pipe checked
+    gone after each call."""
+
+    @pytest.fixture
+    def tracked(self, monkeypatch):
+        """The children and pipe ends made during the test, checked at its end."""
+        pipes = []
+        pipe = os.pipe
+
+        def recording_pipe():
+            fds = pipe()
+            pipes.extend(fds)
+            return fds
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        forks = record_forks(monkeypatch)
+        yield forks
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    @pytest.mark.parametrize("n_tasks", [0, 1, 3, 7])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_results_in_task_order(self, monkeypatch, tracked, cpus, n_tasks):
+        claim_cpus(monkeypatch, cpus)
+        got = fork_map(_square, range(n_tasks), 3)
+        assert [v for v, _ in got] == [3 * t * t for t in range(n_tasks)]
+        workers = min(cpus, n_tasks)
+        assert len(tracked) == (workers if workers > 1 else 0)
+        # worker w ran tasks w, w + W, ...
+        assert [pid for _, pid in got] == [
+            (tracked[t % workers] if workers > 1 else os.getpid()) for t in range(n_tasks)]
+
+    def test_without_fork_runs_in_process(self, monkeypatch):
+        claim_cpus(monkeypatch, 4)
+        monkeypatch.delattr(os, "fork")
+        assert fork_map(_square, range(5), 1) == [(t * t, os.getpid()) for t in range(5)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_failed_task_in_order_wins(self, monkeypatch, tracked, cpus):
+        claim_cpus(monkeypatch, cpus)
+        with pytest.raises(TaskFailure) as err:
+            fork_map(_fail_tasks_one_and_two, range(5))
+        assert err.value.args == (1,)
+
+    def test_dead_worker_is_one_clear_error(self, monkeypatch, tracked):
+        claim_cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="worker 1 ended by exit status 3"):
+            fork_map(_exit_on_task_one, range(4))
+        assert len(tracked) == 2
+
+    def test_unpicklable_result_is_named(self, monkeypatch, tracked):
+        claim_cpus(monkeypatch, 2)
+        with pytest.raises(TypeError, match="worker 1 cannot pickle"):
+            fork_map(lambda job, t: (lambda: t) if t == 1 else t, range(2))

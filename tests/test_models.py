@@ -8,7 +8,6 @@ against the memorization property of unlimited-depth CART.
 
 import json
 import math
-import multiprocessing
 import os
 import threading
 import tracemalloc
@@ -48,7 +47,7 @@ from bcgsleep.models import (
     train_random_forest,
 )
 
-from conftest import make_record, make_sample, reencode
+from conftest import claim_cpus, make_record, make_sample, record_forks, reencode
 
 
 def random_dataset(rng, n=80, d=6, n_classes=4, spread=4.0):
@@ -481,10 +480,6 @@ def _plain_loop_forest_json(x, y, params, seed):
     return model_to_json(models.RandomForest(params, x.shape[1], table, seed))
 
 
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 class TreeFailure(Exception):
     pass
 
@@ -497,7 +492,7 @@ class TestParallelForest:
     @pytest.mark.parametrize("bootstrap", [True, False])
     @pytest.mark.parametrize("n_trees", [1, 2, 3, 7])
     def test_bytes_equal_plain_loop(self, monkeypatch, n_trees, bootstrap, seed):
-        _cpus(monkeypatch, 4)
+        claim_cpus(monkeypatch, 4)
         x, y = random_dataset(np.random.default_rng(seed), n=120, d=8, spread=1.5)
         params = ForestParams(n_trees=n_trees, features_per_split=3, bootstrap=bootstrap)
         got = model_to_json(train_random_forest(x, y, params, seed=seed))
@@ -506,7 +501,7 @@ class TestParallelForest:
     @pytest.mark.parametrize("max_depth", [None, 3])
     def test_bytes_equal_plain_loop_on_repeated_values(self, monkeypatch, max_depth):
         # values rounded to 0.1, so most thresholds fall between repeated values
-        _cpus(monkeypatch, 2)
+        claim_cpus(monkeypatch, 2)
         x, y = random_dataset(np.random.default_rng(21), n=3000, d=8, spread=1.0)
         x = np.round(x, 1)
         params = ForestParams(n_trees=4, features_per_split=3, max_depth=max_depth)
@@ -517,7 +512,7 @@ class TestParallelForest:
         x, y = random_dataset(np.random.default_rng(8), n=120, d=8, spread=1.5)
         params = ForestParams(n_trees=5, features_per_split=3)
         want = _plain_loop_forest_json(x, y, params, 8)
-        _cpus(monkeypatch, 1)
+        claim_cpus(monkeypatch, 1)
 
         def no_fork():
             raise AssertionError("a child process was started")
@@ -526,7 +521,8 @@ class TestParallelForest:
         assert model_to_json(train_random_forest(x, y, params, seed=8)) == want
 
     def test_worker_error_reaches_caller(self, monkeypatch):
-        _cpus(monkeypatch, 2)
+        claim_cpus(monkeypatch, 2)
+        forks = record_forks(monkeypatch)
         parent = os.getpid()
         grow = models._grow_tree
 
@@ -540,7 +536,10 @@ class TestParallelForest:
         with pytest.raises(TreeFailure) as err:
             train_random_forest(x, y, ForestParams(n_trees=6), seed=1)
         assert err.value.args[0] != parent
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 2
+        for pid in forks:  # every worker was reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 def _knn_oracle(x_train, y_train, queries, k):
@@ -670,7 +669,7 @@ class TestThreadedKnn:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_queries", [1, 255, 257, 600, 1025])
     def test_blocks_match_quadratic_scan(self, monkeypatch, cpus, n_queries):
-        _cpus(monkeypatch, cpus)
+        claim_cpus(monkeypatch, cpus)
         pools = _pool_sizes(monkeypatch)
         model, queries, want_nbrs, want_preds = _block_case(n_queries)
         got = model.neighbors(queries)
@@ -687,7 +686,7 @@ class TestThreadedKnn:
     @pytest.mark.parametrize("n_queries", [1, 255, 257, 600, 1025])
     def test_chunk_height_never_changes_a_neighbor(self, monkeypatch, cpus, n_queries,
                                                    budget, chunk):
-        _cpus(monkeypatch, cpus)
+        claim_cpus(monkeypatch, cpus)
         monkeypatch.setattr(models, "_KNN_BUFFER_BYTES", budget)
         pools = _pool_sizes(monkeypatch)
         model, queries, want_nbrs, want_preds = _block_case(n_queries)
@@ -703,7 +702,7 @@ class TestThreadedKnn:
         # more buffer per thread breaks the bound
         threads = 2
         budget = 1 << 20
-        _cpus(monkeypatch, threads)
+        claim_cpus(monkeypatch, threads)
         monkeypatch.setattr(models, "_KNN_BUFFER_BYTES", budget)
         rng = np.random.default_rng(14)
         x, y = random_dataset(rng, n=3000, d=6)
@@ -721,7 +720,7 @@ class TestThreadedKnn:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("k", [1, 5, 6])
     def test_chunks_match_quadratic_scan(self, monkeypatch, cpus, k):
-        _cpus(monkeypatch, cpus)
+        claim_cpus(monkeypatch, cpus)
         x, y, queries = _tied_knn_case(k)
         model = train_knn(x, y, k=k)
         want_nbrs, want_preds = _knn_oracle(x, y, queries, k)
@@ -741,7 +740,7 @@ class TestThreadedKnn:
         assert got.dtype == np.int64 and got.shape == (0, 4)
 
     def test_no_thread_outlives_the_query(self, monkeypatch):
-        _cpus(monkeypatch, 4)
+        claim_cpus(monkeypatch, 4)
         x, y, queries = _tied_knn_case(9)
         model = train_knn(x, y)
         before = threading.active_count()
@@ -749,7 +748,7 @@ class TestThreadedKnn:
         assert threading.active_count() == before
 
     def test_forest_after_query_equals_plain_loop(self, monkeypatch):
-        _cpus(monkeypatch, 2)
+        claim_cpus(monkeypatch, 2)
         x, y, queries = _tied_knn_case(10)
         train_knn(x, y).neighbors(queries)
         params = ForestParams(n_trees=3, features_per_split=2)
