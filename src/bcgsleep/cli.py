@@ -22,7 +22,7 @@ import numpy as np
 
 from . import devicesim, evaluation, features, ingest, models, preprocess, report
 from . import sleepwake, synth
-from .core import fork_map
+from .core import fork_map, write_files
 from .errors import AllMissing, BcgSleepError
 
 MODEL_KINDS = ("tree", "forest", "knn", "nb")
@@ -36,11 +36,6 @@ def _night_stem(path) -> str:
     return Path(path).stem
 
 
-def _write_text(path, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -50,13 +45,19 @@ def _confusion_csv(confusion) -> str:
 
 
 def _write_outputs(out_dir, outputs: dict[str, str]):
-    """Create out_dir and write each named text into it. Commands call this
-    only once every output is computed, so a run that fails its checks
-    leaves no directory and no partial set of files behind."""
+    """Create out_dir and write each named text into it in one write_files
+    call. Commands call this only once every output is computed, and a
+    failed write removes the directories it created, so a failed run leaves
+    no new directory and no partial set of files behind."""
     out_dir = Path(out_dir)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in outputs.items():
-        _write_text(out_dir / name, text)
+    try:
+        write_files({out_dir / name: text for name, text in outputs.items()})
+    except BaseException:
+        for d in made:  # deepest first; each is empty again
+            d.rmdir()
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +76,8 @@ def _cmd_synth(args) -> int:
     for item in nights:
         rec = item.record
         ingest.save_night(rec, out / f"{rec.night_id}.ndjson")
-        _write_text(
-            out / f"{rec.night_id}.labels.json",
-            ingest.write_labels(rec.night_id, item.intervals),
-        )
+        write_files({out / f"{rec.night_id}.labels.json":
+                     ingest.write_labels(rec.night_id, item.intervals)})
         print(f"{rec.night_id}: {len(rec.t)} samples, "
               f"scripted efficiency {item.scripted_efficiency:.4f}")
     return 0
@@ -93,13 +92,12 @@ def _parse_dropout(text: str) -> devicesim.DropoutWindow:
 
 
 def _cmd_serve(args) -> int:
+    dropouts = tuple(_parse_dropout(d) for d in args.dropout or ())
+    host, port = devicesim.split_endpoint(args.endpoint)
+    tick = devicesim.check_tick(args.tick)
     record = ingest.load_night(args.infile, night_id=_night_stem(args.infile))
-    script = devicesim.StreamScript(
-        source=record,
-        dropout_windows=tuple(_parse_dropout(d) for d in args.dropout or ()),
-        tick_interval=args.tick,
-    )
-    server = devicesim.serve_stream(script, args.endpoint)
+    script = devicesim.StreamScript(record, dropouts, tick)
+    server = devicesim.DeviceServer(script, host, port).start()
     print(f"serving {len(record.t)} samples on {server.endpoint}", flush=True)
     try:
         while not server.wait(timeout=0.5):
@@ -124,7 +122,7 @@ def _cmd_record(args) -> int:
 def _cmd_sleepwake(args) -> int:
     record = ingest.load_night(args.infile, night_id=_night_stem(args.infile))
     epochs = sleepwake.run_night(record)
-    _write_text(args.out, "\n".join(sleepwake.epochs_to_csv(epochs)) + "\n")
+    write_files({args.out: "\n".join(sleepwake.epochs_to_csv(epochs)) + "\n"})
     onset = sleepwake.sleep_onset_latency(epochs)
     print(f"epochs={len(epochs)} efficiency={sleepwake.sleep_efficiency(epochs):.4f} "
           f"onset_s={onset if onset is not None else 'none'} "
@@ -138,7 +136,7 @@ def _cmd_featurize(args) -> int:
     cleaned = preprocess.clean_for_features(record)
     aligned = ingest.align_labels(cleaned, intervals)
     windows = features.window_night(cleaned, aligned)
-    _write_text(args.out, "\n".join(features.windows_to_csv(windows)) + "\n")
+    write_files({args.out: "\n".join(features.windows_to_csv(windows)) + "\n"})
     candidates = len(features.candidate_starts(cleaned))
     print(f"kept {len(windows)} of {candidates} windows -> {args.out}")
     return 0
@@ -427,7 +425,10 @@ def _extract_config(argv: list[str], parser) -> tuple[list[str], dict]:
             if path is None:
                 parser.error("argument --config: expected one argument")
             with open(path, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
+                try:
+                    config = json.load(fh)
+                except RecursionError as exc:
+                    raise ValueError(f"config file: {exc}") from None
         else:
             out.append(arg)
     if not isinstance(config, dict):

@@ -1,5 +1,6 @@
-"""Shared domain types: stages, per-second vitals, night records; and
-fork_map, the one place where the pipeline forks worker processes.
+"""Shared domain types: stages, per-second vitals, night records;
+fork_map, the one place where the pipeline forks worker processes; and
+write_files, which writes every artifact but the recorder's appended NDJSON.
 
 All types are immutable values after construction and safe to share across
 threads. Timestamps are integer seconds from night start (the sensor runs at
@@ -8,6 +9,7 @@ threads. Timestamps are integer seconds from night start (the sensor runs at
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 from dataclasses import dataclass
@@ -30,10 +32,11 @@ class Stage(IntEnum):
 
     @classmethod
     def from_name(cls, name: str) -> "Stage":
-        """Look up a stage by its lowercase level name (case-insensitive)."""
+        """Look up a stage by its lowercase level name (case-insensitive);
+        any other name or value is InvalidStageCode."""
         try:
             return _NAME_TO_STAGE[name.lower()]
-        except KeyError:
+        except (KeyError, AttributeError):  # AttributeError: not a string
             raise InvalidStageCode(name) from None
 
     @property
@@ -197,6 +200,40 @@ def stage_codes(intervals: Iterable[StageInterval], n: int) -> np.ndarray:
         lo = max(iv.start_t, 0)
         codes[lo : max(iv.end_t, lo)] = int(iv.stage)
     return codes
+
+
+def write_files(texts) -> None:
+    """Write each text of texts, a {path: str} mapping, to its path, every
+    file whole or not at all.
+
+    A symlink is followed, so its final target gets the text; a target that
+    exists and is not a regular file (a directory, FIFO or device) is
+    refused with FileExistsError before anything is written. Each text goes
+    to a new file beside its target, created exclusively ("x") as open()
+    creates any file; only once every text is written is each target
+    replaced (os.replace). On any failure the new files are removed and the
+    error re-raised, so every target keeps its old bytes or stays absent. A
+    killed process can leave one <target>.<hex>.tmp file beside its target.
+    Nothing is fsynced: surviving a power loss is not promised.
+    """
+    targets = {os.path.realpath(path): text for path, text in texts.items()}
+    for path in targets:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise FileExistsError(f"not a regular file, refused as an output: {path}")
+    written = []
+    try:
+        for path, text in targets.items():
+            tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+            with open(tmp, "x", encoding="utf-8") as fh:
+                written.append((tmp, path))
+                fh.write(text)
+        for tmp, path in written:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in written:
+            with contextlib.suppress(FileNotFoundError):  # already replaced
+                os.remove(tmp)
+        raise
 
 
 def usable_cpus() -> int:

@@ -39,7 +39,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import NightRecord, compute_gaps, night_fault
+import numpy as np
+
+from .core import NightRecord, compute_gaps, night_fault, write_files
 from .errors import InitialConnectFailure, MalformedRow
 from .ingest import canonical_rows, parse_sample_line, write_night
 
@@ -91,8 +93,7 @@ class StreamScript:
             key=lambda w: w.start_t,
         ))
         object.__setattr__(self, "dropout_windows", windows)
-        if not (self.tick_interval >= 0 and math.isfinite(self.tick_interval)):
-            raise ValueError(f"tick_interval must be finite and >= 0, got {self.tick_interval}")
+        check_tick(self.tick_interval)
         last_t = self.source.last_t
         for a, b in zip(windows, windows[1:]):
             if b.start_t < a.end_t:
@@ -114,6 +115,13 @@ class StreamScript:
         return tuple(t for t in self.source.t.tolist() if self.window_at(t) is None)
 
 
+def check_tick(tick: float) -> float:
+    """tick, unless it is not finite and >= 0: then a ValueError."""
+    if not (tick >= 0 and math.isfinite(tick)):
+        raise ValueError(f"tick_interval must be finite and >= 0, got {tick}")
+    return tick
+
+
 def _check_port(port: int) -> int:
     """port, unless it is not an integer in 0..65535: then a ValueError."""
     if port not in range(65536):
@@ -121,7 +129,7 @@ def _check_port(port: int) -> int:
     return port
 
 
-def _split_endpoint(endpoint: str) -> tuple[str, int]:
+def split_endpoint(endpoint: str) -> tuple[str, int]:
     """A "host:port" string as (host, port); an empty host is 127.0.0.1."""
     host, _, text = endpoint.rpartition(":")
     return host or "127.0.0.1", _check_port(int(text))
@@ -263,7 +271,7 @@ class DeviceServer:
 
 def serve_stream(script: StreamScript, endpoint: str = "127.0.0.1:0") -> DeviceServer:
     """Bind and start a server; raises OSError if the endpoint is not bindable."""
-    host, port = _split_endpoint(endpoint)
+    host, port = split_endpoint(endpoint)
     return DeviceServer(script, host, port).start()
 
 
@@ -307,15 +315,13 @@ def _connect(host: str, port: int, policy: RetryPolicy) -> Optional[socket.socke
 
 def _kept_t(raw: bytes, last_t: Optional[int]) -> Optional[int]:
     """The t of a received line that load_night would accept after last_t,
-    or None if the line must be dropped: malformed, a vital that is negative
-    or not finite, or a t not above last_t."""
+    or None if the line must be dropped: malformed, or a row that
+    night_fault finds unsound after last_t."""
     try:
         row = parse_sample_line(raw.decode("utf-8"), 0)
     except (UnicodeDecodeError, MalformedRow):
         return None
-    if last_t is not None and row[0] <= last_t:
-        return None
-    if not all(0.0 <= v < math.inf for v in row[1:]):
+    if night_fault(np.array(row[:1]), np.array([row[1:]]), after=last_t) is not None:
         return None
     return row[0]
 
@@ -360,19 +366,6 @@ def _append(out, lines: bytes, stamps: list[int], timestamps: list[int]) -> None
         timestamps.extend(stamps[:lines.count(b"\n", 0, done)])
 
 
-def _write_sidecar(sidecar: str, timestamps: list[int], gaps, dropped: int):
-    doc = {
-        "n_samples": len(timestamps),
-        "first_t": timestamps[0] if timestamps else None,
-        "last_t": timestamps[-1] if timestamps else None,
-        "gaps": [[start, length] for start, length in gaps],
-        "dropped_lines": dropped,
-    }
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def record_stream(
     endpoint: str,
     output_path,
@@ -395,9 +388,9 @@ def record_stream(
     recording ends normally at the first outage that outlasts the deadline.
     The end of the script looks like a final outage, so every run ends that
     way. Once the output is open, the sidecar is written however the run
-    ends.
+    ends, whole or not at all (core.write_files).
     """
-    host, port = _split_endpoint(endpoint)
+    host, port = split_endpoint(endpoint)
     path = str(output_path)
     sidecar = path + ".gaps.json"
     out = open(path, "wb", buffering=0)
@@ -429,7 +422,14 @@ def record_stream(
         with out:
             os.fsync(out.fileno())
         gaps = compute_gaps(timestamps)
-        _write_sidecar(sidecar, timestamps, gaps, dropped)
+        doc = {
+            "n_samples": len(timestamps),
+            "first_t": timestamps[0] if timestamps else None,
+            "last_t": timestamps[-1] if timestamps else None,
+            "gaps": [[start, length] for start, length in gaps],
+            "dropped_lines": dropped,
+        }
+        write_files({sidecar: json.dumps(doc, sort_keys=True, indent=2) + "\n"})
 
     return RecordingResult(
         path=path,

@@ -1,7 +1,7 @@
-"""Exception types shared across the pipeline.
-
-Every error carries enough context to print a one-line diagnostic; the CLI
-maps each class name to a nonzero exit.
+"""Exception types shared across the pipeline, one class per condition:
+too few of anything is TooFewItems, an unknown stage or level name
+InvalidStageCode, an input without spread ConstantInput. Every error carries
+enough context for the one line "ClassName: message" the CLI exits 1 with.
 """
 
 import copyreg
@@ -23,7 +23,7 @@ class BcgSleepError(Exception):
 
 class TooFewItems(BcgSleepError):
     """A step got fewer of something than it needs; unit names what, such as
-    nights, windows or training windows."""
+    nights, windows, training windows or seconds of night."""
 
     def __init__(self, n, needed, unit):
         super().__init__(f"need at least {needed} {unit}, got {n}")
@@ -70,12 +70,6 @@ class NegativeVital(BcgSleepError):
         self.value = value
 
 
-class UnknownLevel(BcgSleepError):
-    def __init__(self, name):
-        super().__init__(f"unknown sleep level name: {name!r}")
-        self.name = name
-
-
 class OverlappingIntervals(BcgSleepError):
     def __init__(self, i, j):
         super().__init__(f"label intervals {i} and {j} overlap")
@@ -89,38 +83,7 @@ class AllMissing(BcgSleepError):
     """An input holds none of what a step needs; the message says what."""
 
 
-# --- sleepwake ----------------------------------------------------------
-
-class RecordTooShort(BcgSleepError):
-    def __init__(self, length, needed):
-        super().__init__(f"record spans {length}s, need at least {needed}s")
-        self.length = length
-        self.needed = needed
-
-
-class NoEpochs(BcgSleepError):
-    def __init__(self):
-        super().__init__("no epochs to summarize")
-
-
-# --- features -----------------------------------------------------------
-
-class EmptyMatrix(BcgSleepError):
-    def __init__(self):
-        super().__init__("matrix has no rows")
-
-
-class DegenerateMatrix(BcgSleepError):
-    def __init__(self):
-        super().__init__("covariance matrix is identically zero")
-
-
 # --- models -------------------------------------------------------------
-
-class EmptyTrainingSet(BcgSleepError):
-    def __init__(self, what="training set"):
-        super().__init__(f"{what}: training set is empty")
-
 
 class SchemaMismatch(BcgSleepError):
     def __init__(self, detail):
@@ -135,15 +98,8 @@ class LengthMismatch(BcgSleepError):
 
 
 class ConstantInput(BcgSleepError):
-    def __init__(self, which):
-        super().__init__(f"correlation undefined: {which} input is constant")
-
-
-# --- synth --------------------------------------------------------------
-
-class DurationTooShort(BcgSleepError):
-    def __init__(self, duration, needed):
-        super().__init__(f"night duration {duration}s too short, need {needed}s")
+    def __init__(self, what):
+        super().__init__(f"{what} is constant")
 
 
 # --- devicesim ----------------------------------------------------------

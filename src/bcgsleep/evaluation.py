@@ -81,9 +81,9 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0:
-        raise ConstantInput("x")
+        raise ConstantInput("correlation input x")
     if syy == 0.0:
-        raise ConstantInput("y")
+        raise ConstantInput("correlation input y")
     r = float(dx @ dy) / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     df = n - 2

@@ -33,7 +33,7 @@ from .core import (
     plain_number,
     usable_cpus,
 )
-from .errors import DegenerateMatrix, EmptyMatrix, InvalidStageCode, MalformedRow
+from .errors import ConstantInput, InvalidStageCode, MalformedRow, TooFewItems
 
 SIGNAL_ORDER = ("hr", "rr", "sv", "b2b", "hrv")
 STAT_ORDER = ("mean", "median", "max", "min", "std", "p75")
@@ -175,7 +175,7 @@ def standardize_fit(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column (mean, population std); zero-variance columns get std 1."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
-        raise EmptyMatrix()
+        raise TooFewItems(0, 1, "values")
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
@@ -197,11 +197,11 @@ def pca_explained_variance(matrix: np.ndarray) -> list[float]:
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
-        raise EmptyMatrix()
+        raise TooFewItems(len(matrix) if matrix.ndim == 2 else 0, 2, "matrix rows")
     cov = np.cov(matrix, rowvar=False)
     cov = np.atleast_2d(cov)
     if not np.any(cov):
-        raise DegenerateMatrix()
+        raise ConstantInput("every column")
     eigvals = np.linalg.eigvalsh(cov)
     eigvals = np.clip(eigvals, 0.0, None)
     ratios = eigvals / eigvals.sum()

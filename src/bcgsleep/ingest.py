@@ -28,15 +28,15 @@ import numpy as np
 
 from .core import (
     MAX_NIGHT_SECONDS,
-    STAGE_NAMES,
     VITAL_FIELDS,
     NightRecord,
     Stage,
     StageInterval,
     plain_number,
     stage_codes,
+    write_files,
 )
-from .errors import MalformedRow, OverlappingIntervals, UnknownLevel
+from .errors import MalformedRow, OverlappingIntervals
 
 SAMPLE_FIELDS = ("t",) + VITAL_FIELDS
 CSV_HEADER = ",".join(SAMPLE_FIELDS)
@@ -92,7 +92,7 @@ def parse_sample_line(line: str, line_no: int) -> tuple:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRow(line_no, f"invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal with too many digits
+    except (ValueError, RecursionError) as exc:  # too many digits or too deep
         raise MalformedRow(line_no, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedRow(line_no, "expected a JSON object")
@@ -145,12 +145,14 @@ def parse_night(lines: Iterable[str], fmt: str, night_id: str = "") -> NightReco
     if fmt == "csv":
         reader = csv.reader(lines)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(1, "missing csv header") from None
-        if [h.strip() for h in header] != list(SAMPLE_FIELDS):
-            raise MalformedRow(1, f"bad csv header: {','.join(header)!r}")
-        rows = [_parse_csv_row(row, i) for i, row in enumerate(reader, start=2) if row]
+            header = next(reader, None)
+            if header is None:
+                raise MalformedRow(1, "missing csv header")
+            if [h.strip() for h in header] != list(SAMPLE_FIELDS):
+                raise MalformedRow(1, f"bad csv header: {','.join(header)!r}")
+            rows = [_parse_csv_row(row, i) for i, row in enumerate(reader, start=2) if row]
+        except csv.Error as exc:  # such as a field longer than the csv module allows
+            raise MalformedRow(reader.line_num, str(exc)) from None
     else:
         rows = [
             parse_sample_line(line, i)
@@ -235,12 +237,9 @@ def load_night(path, night_id: str = "") -> NightRecord:
 
 
 def save_night(record: NightRecord, path) -> None:
-    """Write a night file in the format its extension names."""
+    """Write a night file in the format its extension names (write_files)."""
     path = str(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in write_night(record, _format_of(path)):
-            fh.write(line)
-            fh.write("\n")
+    write_files({path: "".join(f"{line}\n" for line in write_night(record, _format_of(path)))})
 
 
 def parse_labels(text: str) -> list[StageInterval]:
@@ -249,9 +248,12 @@ def parse_labels(text: str) -> list[StageInterval]:
     Returns intervals sorted by start time. Unknown level names and
     overlapping intervals are rejected; a structurally bad level entry
     (missing keys, non-positive duration) raises MalformedRow with the
-    entry's index.
+    entry's index, a document nested too deeply to read MalformedRow(0).
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise MalformedRow(0, f"label file: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("levels"), list):
         raise MalformedRow(0, 'label file must be an object with a "levels" array')
 
@@ -265,13 +267,12 @@ def parse_labels(text: str) -> list[StageInterval]:
             seconds = level["seconds"]
         except KeyError as exc:
             raise MalformedRow(i, f"level entry missing {exc.args[0]!r}") from exc
-        if not isinstance(name, str) or name.lower() not in STAGE_NAMES:
-            raise UnknownLevel(name)
+        stage = Stage.from_name(name)
         if not isinstance(start_t, int) or isinstance(start_t, bool):
             raise MalformedRow(i, f"start_t must be an integer, got {start_t!r}")
         if not isinstance(seconds, int) or isinstance(seconds, bool) or seconds <= 0:
             raise MalformedRow(i, f"seconds must be a positive integer, got {seconds!r}")
-        entries.append((i, StageInterval(Stage.from_name(name), start_t, seconds)))
+        entries.append((i, StageInterval(stage, start_t, seconds)))
 
     entries.sort(key=lambda e: e[1].start_t)
     for (i, a), (j, b) in zip(entries, entries[1:]):

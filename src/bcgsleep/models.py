@@ -36,8 +36,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import N_STAGES, check_stage_codes, fork_map, usable_cpus
-from .errors import EmptyTrainingSet, RecordTooShort, SchemaMismatch, TooFewItems
+from .core import N_STAGES, check_stage_codes, fork_map, usable_cpus, write_files
+from .errors import SchemaMismatch, TooFewItems
 from .features import (
     WINDOW_LEN,
     FeatureTable,
@@ -134,16 +134,14 @@ def _as_matrix(rows) -> np.ndarray:
     return x
 
 
-def _training_set(rows, labels, model: str, min_rows: int = 0):
+def _training_set(rows, labels, model: str, min_rows: int = 1):
     """(x, y) for a fit, checked in this order: fewer than min_rows rows is
-    TooFewItems, no rows EmptyTrainingSet(model), and a row count that is not
-    the label count or a label that is not a stage code ValueError."""
+    TooFewItems, and a row count that is not the label count or a label that
+    is not a stage code ValueError."""
     x = _as_matrix(rows)
     y = np.asarray(labels, dtype=np.int64)
     if x.shape[0] < min_rows:
         raise TooFewItems(x.shape[0], min_rows, "training windows")
-    if x.shape[0] == 0:
-        raise EmptyTrainingSet(model)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"{x.shape[0]} rows vs {y.shape[0]} labels")
     return x, check_stage_codes(y, f"{model} labels")
@@ -715,7 +713,7 @@ def predict_hypnogram(model, record) -> np.ndarray:
     one. The record must be cleaned (one sample per second)."""
     n = record.last_t + 1
     if n < WINDOW_LEN:
-        raise RecordTooShort(max(n, 0), WINDOW_LEN)
+        raise TooFewItems(max(n, 0), WINDOW_LEN, "seconds of night")
     stats = window_rows(record, np.asarray(candidate_starts(record)))
     return np.pad(predict(model, stats), (0, WINDOW_LEN - 1), mode="edge")
 
@@ -729,7 +727,7 @@ def model_to_json(model) -> str:
 def model_from_json(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaMismatch(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict),
              f"model document must be a JSON object, not {type(doc).__name__}")
@@ -750,7 +748,9 @@ def model_from_json(text: str):
 
 
 def save_model(model, path):
-    Path(path).write_text(model_to_json(model) + "\n", encoding="utf-8")
+    """Write model's JSON document to path, whole or not at all
+    (core.write_files)."""
+    write_files({path: model_to_json(model) + "\n"})
 
 
 def load_model(path):

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import NightRecord
-from .errors import NoEpochs, RecordTooShort
+from .errors import TooFewItems
 from .preprocess import raw_hr_series
 
 # The paper's constants. BELOW_MAJORITY and ZERO_LIMIT are counts that must
@@ -133,7 +133,7 @@ def run_night(record: NightRecord) -> list[SleepWakeEpoch]:
     """
     series = raw_hr_series(record)
     if series.size < FORCED_AWAKE_PREFIX:
-        raise RecordTooShort(series.size, FORCED_AWAKE_PREFIX)
+        raise TooFewItems(series.size, FORCED_AWAKE_PREFIX, "seconds of night")
     n_epochs = series.size // EPOCH_LEN
     epochs = series[: n_epochs * EPOCH_LEN].reshape(n_epochs, EPOCH_LEN)
     starts = np.arange(n_epochs) * EPOCH_LEN
@@ -160,7 +160,7 @@ def run_night(record: NightRecord) -> list[SleepWakeEpoch]:
 def sleep_efficiency(epochs: Sequence[SleepWakeEpoch]) -> float:
     """Asleep epochs over total bedtime epochs."""
     if not epochs:
-        raise NoEpochs()
+        raise TooFewItems(0, 1, "epochs")
     return sum(1 for e in epochs if e.asleep) / len(epochs)
 
 

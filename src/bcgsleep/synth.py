@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .core import VITAL_FIELDS, NightRecord, Stage, StageInterval, stage_codes
-from .errors import DurationTooShort
+from .errors import TooFewItems
 from .features import SIGNAL_COLUMNS, SIGNAL_ORDER
 
 MIN_DURATION = 1800
@@ -252,7 +252,7 @@ def generate_night(
     exactly; otherwise the wake fraction is drawn from [0.08, 0.25].
     """
     if duration_s < MIN_DURATION:
-        raise DurationTooShort(duration_s, MIN_DURATION)
+        raise TooFewItems(duration_s, MIN_DURATION, "seconds of night")
     if target_efficiency is not None and not 0.0 < target_efficiency < 1.0:
         raise ValueError(f"target_efficiency out of (0, 1): {target_efficiency}")
     rng = np.random.default_rng(seed & _SEED_MASK)
@@ -325,7 +325,7 @@ def generate_step_night(
     [600, duration/2].
     """
     if duration_s < MIN_DURATION:
-        raise DurationTooShort(duration_s, MIN_DURATION)
+        raise TooFewItems(duration_s, MIN_DURATION, "seconds of night")
     profile = profile or default_profile()
     rng = np.random.default_rng(seed & _SEED_MASK)
     onset = int(rng.integers(600, duration_s // 2 + 1))

@@ -1,11 +1,12 @@
 import base64
+import errno
 import os
 from pathlib import Path
 
 import hypothesis
 import numpy as np
 
-from bcgsleep import models
+from bcgsleep import core, models
 from bcgsleep.core import NightRecord, VitalsSample
 
 hypothesis.settings.register_profile(
@@ -40,6 +41,34 @@ def record_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+def disk_full_after_half(monkeypatch, from_file=1):
+    """From the from_file-th file core.write_files opens on (1-based), each
+    write puts the first half of its text on disk and then raises
+    OSError(ENOSPC), as a disk that fills up would. Returns the list of
+    paths write_files opens."""
+    opened = []
+
+    def opening(path, mode, **kwargs):
+        fh = open(path, mode, **kwargs)
+        if mode != "x":  # fork_map's pipes
+            return fh
+        opened.append(path)
+        if len(opened) >= from_file:
+            write = fh.write
+
+            def half_then_enospc(text):
+                write(text[:len(text) // 2])
+                fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = half_then_enospc
+        return fh
+
+    # a module global named open shadows the builtin inside core only
+    monkeypatch.setattr(core, "open", opening, raising=False)
+    return opened
 
 
 def reencode(blob, fn):

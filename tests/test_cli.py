@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: exit codes, files written, config flow."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import select
 import socket
+import stat
 import subprocess
 import sys
 import time
@@ -20,7 +24,7 @@ from bcgsleep.errors import MalformedRow
 from bcgsleep.ingest import load_night, save_night
 from bcgsleep.models import load_model, model_to_json
 
-from conftest import checkout_env, claim_cpus, record_forks, reencode
+from conftest import checkout_env, claim_cpus, disk_full_after_half, record_forks, reencode
 
 
 @pytest.fixture(scope="module")
@@ -205,22 +209,61 @@ class TestDataErrors:
          "train_fraction out of (0, 1): 1.5"),
         ("train", ["--model", "knn", "--k", "0", "--train-fraction", "0"],
          "train_fraction out of (0, 1): 0.0"),
+        ("serve", ["--dropout", "5"], "dropout must be start:length[:mode], got '5'"),
+        ("serve", ["--endpoint", "127.0.0.1:70000"], "port must be in 0..65535, got 70000"),
+        ("serve", ["--tick", "nan"], "tick_interval must be finite and >= 0, got nan"),
     ], ids=["kfold-no-kind", "kfold-model-no-kind", "no-model", "kfold-zero-no-model",
             "kfold-one", "kfold-forest-no-trees", "kfold-knn-k-zero",
             "evaluate-fraction-above-one", "train-knn-k-zero", "train-forest-no-trees",
-            "train-fraction-above-one", "train-fraction-zero-before-k"])
+            "train-fraction-above-one", "train-fraction-zero-before-k",
+            "serve-dropout-no-length", "serve-port-above-range", "serve-tick-nan"])
     def test_missing_flag_named_before_any_input_is_read(self, workdir, tmp_path, capsys,
                                                          command, flags, message):
-        """A bad flag value ends the command before it reads any feature
+        """A bad flag value ends the command before it reads any input
         file: with a missing file, as with present ones, the one line names
         the flag's rule, and no output is written."""
-        out = tmp_path / "out"
-        out_flag = "--out-dir" if command == "evaluate" else "--out"
-        for feats in ([str(tmp_path / "missing.features.csv")], feature_args(workdir)):
-            code = main([command, "--features", *feats, *flags, out_flag, str(out)])
-            assert code == 1
+        if command == "serve":
+            runs = [["--in", str(night)] for night in
+                    (tmp_path / "missing.ndjson", workdir / "nights" / "night00.ndjson")]
+        else:
+            out_flag = "--out-dir" if command == "evaluate" else "--out"
+            runs = [["--features", *feats, out_flag, str(tmp_path / "out")] for feats in
+                    ([str(tmp_path / "missing.features.csv")], feature_args(workdir))]
+        for inputs in runs:
+            assert main([command, *inputs, *flags]) == 1
             assert capsys.readouterr().err == f"ValueError: {message}\n"
-            assert not out.exists()
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("site, start", [
+        ("night", "MalformedRow: malformed row at line 2: invalid JSON: maximum recursion"),
+        ("labels", "MalformedRow: malformed row at line 0: label file: maximum recursion"),
+        ("model", "SchemaMismatch: schema mismatch: not valid JSON: maximum recursion"),
+        ("config", "ValueError: config file: maximum recursion"),
+    ])
+    def test_deeply_nested_json_exits_1_in_one_line(self, workdir, tmp_path, capsys,
+                                                    site, start):
+        """JSON nested deeper than the decoder's recursion limit is the
+        reader's usual one-line error, not a RecursionError traceback."""
+        deep = tmp_path / "deep.json"
+        night = workdir / "nights" / "night00.ndjson"
+        if site == "night":
+            lines = night.read_text().splitlines(keepends=True)
+            deep.write_text(lines[0] + "[" * 5000 + "\n" + "".join(lines[1:]))
+        else:
+            deep.write_text("[" * 200_000)
+        argv = {
+            "night": ["sleepwake", "--in", str(deep), "--out", str(tmp_path / "e.csv")],
+            "labels": ["featurize", "--in", str(night), "--labels", str(deep),
+                       "--out", str(tmp_path / "f.csv")],
+            "model": ["evaluate", "--features", *feature_args(workdir), "--model", str(deep),
+                      "--out-dir", str(tmp_path / "ev")],
+            "config": ["--config", str(deep), "sleepwake", "--in", str(night),
+                       "--out", str(tmp_path / "e.csv")],
+        }[site]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]
 
     @pytest.mark.parametrize("folds", ["-3", "1"])
     def test_kfold_below_two_exits_1(self, workdir, tmp_path, capsys, folds):
@@ -969,3 +1012,225 @@ class TestServeRecordCommands:
         assert err.startswith("ValueError: ") and "0..65535" in err
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+def _night(workdir):
+    return str(workdir / "nights" / "night00.ndjson")
+
+
+# each writing command: its output's name, which of the files write_files
+# opens is that output, and its argv(workdir, output path)
+WRITING_RUNS = {
+    "synth-labels": ("night00.labels.json", 2, lambda w, out: [
+        "synth", "--out", str(out.parent), "--nights", "1", "--seed", "11",
+        "--duration", "1800"]),
+    "sleepwake": ("e.csv", 1, lambda w, out: [
+        "sleepwake", "--in", _night(w), "--out", str(out)]),
+    "featurize": ("f.features.csv", 1, lambda w, out: [
+        "featurize", "--in", _night(w), "--labels", str(w / "nights" / "night00.labels.json"),
+        "--out", str(out)]),
+    "train": ("m.json", 1, lambda w, out: [
+        "train", "--features", *feature_args(w), "--model", "nb", "--out", str(out)]),
+}
+
+
+class TestWholeOrAbsent:
+    """Every artifact is written whole or not at all (core.write_files): a
+    disk that fills up halfway through a write leaves the old bytes, or no
+    file, and no temporary file."""
+
+    @pytest.mark.parametrize("run", sorted(WRITING_RUNS))
+    def test_command_output_keeps_old_bytes(self, workdir, tmp_path, monkeypatch, capsys, run):
+        name, nth, argv = WRITING_RUNS[run]
+        out = tmp_path / name
+        out.write_bytes(b"old bytes\n")
+        disk_full_after_half(monkeypatch, from_file=nth)
+        assert main(argv(workdir, out)) == 1
+        assert capsys.readouterr().err == "OSError: [Errno 28] No space left on device\n"
+        assert out.read_bytes() == b"old bytes\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_train_keeps_a_loadable_model(self, workdir, tmp_path, monkeypatch):
+        model = tmp_path / "m.json"
+        assert main(["train", "--features", *feature_args(workdir), "--model", "tree",
+                     "--max-depth", "3", "--out", str(model)]) == 0
+        good = model.read_bytes()
+        with monkeypatch.context() as m:
+            disk_full_after_half(m)
+            assert main(["train", "--features", *feature_args(workdir), "--model", "tree",
+                         "--max-depth", "5", "--out", str(model)]) == 1
+        assert model.read_bytes() == good
+        assert main(["evaluate", "--features", *feature_args(workdir), "--model", str(model),
+                     "--out-dir", str(tmp_path / "ev")]) == 0
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_save_model_and_save_night(self, workdir, tmp_path, monkeypatch, exists):
+        model = models.train_gaussian_nb(np.arange(12.0).reshape(4, 3), [0, 1, 2, 3])
+        record = load_night(_night(workdir))
+        targets = {tmp_path / "m.json": lambda: models.save_model(model, tmp_path / "m.json"),
+                   tmp_path / "n.ndjson": lambda: save_night(record, tmp_path / "n.ndjson"),
+                   tmp_path / "n.csv": lambda: save_night(record, tmp_path / "n.csv")}
+        if exists:
+            for path in targets:
+                path.write_bytes(b"old\n")
+        disk_full_after_half(monkeypatch)
+        for path, save in targets.items():
+            with pytest.raises(OSError):
+                save()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["m.json", "n.csv", "n.ndjson"] if exists else [])
+        assert all(p.read_bytes() == b"old\n" for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("out_dir_exists", [True, False])
+    def test_output_set_never_partial(self, workdir, tmp_path, monkeypatch, capsys,
+                                      out_dir_exists):
+        """evaluate writes confusion.csv and metrics.json in one call; a
+        failure on the second leaves neither new file, and removes the
+        directories the run created."""
+        model = tmp_path / "m.json"
+        assert main(["train", "--features", *feature_args(workdir), "--model", "nb",
+                     "--out", str(model)]) == 0
+        out_dir = tmp_path / "made" / "ev"
+        if out_dir_exists:
+            out_dir.mkdir(parents=True)
+            (out_dir / "confusion.csv").write_text("old confusion\n")
+        disk_full_after_half(monkeypatch, from_file=2)
+        assert main(["evaluate", "--features", *feature_args(workdir), "--model", str(model),
+                     "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        if out_dir_exists:
+            assert [p.name for p in out_dir.iterdir()] == ["confusion.csv"]
+            assert (out_dir / "confusion.csv").read_text() == "old confusion\n"
+        else:
+            assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_non_regular_output_refused_in_one_line(self, workdir, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        if kind == "fifo":
+            os.mkfifo(out)
+        else:
+            out.mkdir()
+        assert main(["sleepwake", "--in", _night(workdir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"FileExistsError: not a regular file, refused as an output: {out}\n"
+        assert (stat.S_ISFIFO if kind == "fifo" else stat.S_ISDIR)(out.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_symlinked_output_followed(self, workdir, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        (tmp_path / "link.csv").symlink_to(real)
+        assert main(["sleepwake", "--in", _night(workdir), "--out",
+                     str(tmp_path / "link.csv")]) == 0
+        assert (tmp_path / "link.csv").is_symlink()
+        assert real.read_text().startswith("index,start_t,")
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """One valid file of each input kind, small enough for many runs: two
+    30 min nights (NDJSON, and night00 also as CSV), night00's labels, the
+    first 200 windows of each night's features, a depth-4 tree trained on
+    them and a train config."""
+    root = tmp_path_factory.mktemp("contract")
+    assert main(["synth", "--out", str(root), "--nights", "2", "--seed", "3",
+                 "--duration", "1800"]) == 0
+    save_night(load_night(root / "night00.ndjson"), root / "night00.csv")
+    for n in ("night00", "night01"):
+        assert main(["featurize", "--in", str(root / f"{n}.ndjson"),
+                     "--labels", str(root / f"{n}.labels.json"),
+                     "--out", str(root / f"{n}.features.csv")]) == 0
+        path = root / f"{n}.features.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:201]))
+    assert main(["train", "--features", *(str(root / f"night0{i}.features.csv") for i in (0, 1)),
+                 "--model", "tree", "--max-depth", "4", "--out", str(root / "tree.json")]) == 0
+    (root / "train.json").write_text(json.dumps(
+        {"seed": 3, "train_fraction": 0.7, "grouping": "window-level", "max_depth": 4}))
+    return root
+
+
+# For each input kind: its valid file in contract_inputs, and the command
+# that reads it as argv(input path, contract_inputs, output dir) with the
+# files that command writes. The mutated files ask for bounded work only:
+# the config goes to a tree model, which n_trees and k do not reach, and
+# the model is a tree, whose loader checks every child link.
+CONTRACT_RUNS = {
+    "night-ndjson": ("night00.ndjson", ["e.csv"], lambda src, root, out: [
+        "sleepwake", "--in", str(src), "--out", str(out / "e.csv")]),
+    "night-csv": ("night00.csv", ["e.csv"], lambda src, root, out: [
+        "sleepwake", "--in", str(src), "--out", str(out / "e.csv")]),
+    "labels": ("night00.labels.json", ["f.features.csv"], lambda src, root, out: [
+        "featurize", "--in", str(root / "night00.ndjson"), "--labels", str(src),
+        "--out", str(out / "f.features.csv")]),
+    "features": ("night00.features.csv", ["confusion.csv", "metrics.json"],
+                 lambda src, root, out: [
+        "evaluate", "--features", str(src), str(root / "night01.features.csv"),
+        "--model", str(root / "tree.json"), "--out-dir", str(out)]),
+    "model": ("tree.json", ["confusion.csv", "metrics.json"], lambda src, root, out: [
+        "evaluate", "--features", str(root / "night00.features.csv"),
+        str(root / "night01.features.csv"), "--model", str(src), "--out-dir", str(out)]),
+    "config": ("train.json", ["m.json"], lambda src, root, out: [
+        "--config", str(src), "train", "--features", str(root / "night00.features.csv"),
+        str(root / "night01.features.csv"), "--model", "tree", "--out", str(out / "m.json")]),
+}
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """data truncated, with bytes flipped, a line duplicated, two lines
+    swapped, junk spliced in, or a line of 200,000 nested JSON arrays put
+    in front of a line."""
+    lines = data.splitlines(keepends=True)
+    how = draw(st.sampled_from(["truncate", "flip", "duplicate", "swap", "junk", "nest"]))
+    if how == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if how == "flip":
+        out = bytearray(data)
+        for at, mask in draw(st.lists(st.tuples(st.integers(0, len(data) - 1),
+                                                st.integers(1, 255)), min_size=1, max_size=4)):
+            out[at] ^= mask
+        return bytes(out)
+    if how == "junk":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.binary(min_size=1, max_size=24)) + data[at:]
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == "duplicate":
+        lines.insert(i, lines[i])
+    elif how == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines.insert(i, b"[" * 200_000 + b"\n")
+    return b"".join(lines)
+
+
+class TestInputContract:
+    """For every input kind, a mutated file ends the command with exit 0,
+    or with exit 1 and one stderr line; either way the outputs that were
+    there before are whole: byte-identical after a failure, and no
+    temporary file is left beside them."""
+
+    @pytest.mark.parametrize("kind", sorted(CONTRACT_RUNS))
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_mutated_input(self, contract_inputs, tmp_path_factory, kind, data):
+        name, outputs, argv = CONTRACT_RUNS[kind]
+        good = (contract_inputs / name).read_bytes()
+        work = tmp_path_factory.mktemp("mutated")
+        src = work / name
+        src.write_bytes(data.draw(mutated(good), label="input"))
+        out = work / "out"
+        out.mkdir()
+        old = {o: f"old {o}\n".encode() for o in outputs}
+        for o, text in old.items():
+            (out / o).write_bytes(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv(src, contract_inputs, out))
+        assert code in (0, 1)
+        assert sorted(p.name for p in out.iterdir()) == sorted(outputs)
+        if code == 1:
+            err = stderr.getvalue()
+            assert err.endswith("\n") and err.count("\n") == 1, err
+            assert {o: (out / o).read_bytes() for o in outputs} == old

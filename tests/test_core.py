@@ -1,10 +1,12 @@
 """Domain types: stage codes, vital validation, record invariants, gap
-runs; fork_map, and the errors its workers send back."""
+runs; fork_map, and the errors its workers send back; write_files."""
 
 import dataclasses
+import errno
 import math
 import os
 import pickle
+import stat
 import time
 
 import numpy as np
@@ -22,11 +24,13 @@ from bcgsleep.core import (
     VitalsSample,
     compute_gaps,
     fork_map,
+    write_files,
 )
 from bcgsleep.errors import InvalidStageCode, NegativeVital, NonMonotonicTimestamp
 from bcgsleep.ingest import parse_night, sample_line
 
-from conftest import claim_cpus, make_record, make_sample, record_forks
+from conftest import (claim_cpus, disk_full_after_half, make_record, make_sample,
+                      record_forks)
 
 
 class TestStage:
@@ -218,18 +222,11 @@ ERROR_ARGS = {
     "MalformedRow": (5, "expected 31 columns"),
     "NonMonotonicTimestamp": (7,),
     "NegativeVital": ("hr", 12, -1.0),
-    "UnknownLevel": ("n3",),
     "OverlappingIntervals": (1, 2),
     "AllMissing": ("the feature files hold no windows",),
-    "RecordTooShort": (10, 300),
-    "NoEpochs": (),
-    "EmptyMatrix": (),
-    "DegenerateMatrix": (),
-    "EmptyTrainingSet": ("random forest",),
     "SchemaMismatch": ("no nodes",),
     "LengthMismatch": (3, 4),
     "ConstantInput": ("reference",),
-    "DurationTooShort": (60, 600),
     "InitialConnectFailure": ("127.0.0.1:9", 2.5),
 }
 ERROR_CLASSES = [c for c in vars(errors).values()
@@ -327,3 +324,99 @@ class TestForkMap:
         claim_cpus(monkeypatch, 2)
         with pytest.raises(TypeError, match="worker 1 cannot pickle"):
             fork_map(lambda job, t: (lambda: t) if t == 1 else t, range(2))
+
+
+class TestWriteFiles:
+    """core.write_files: every target whole or not written at all."""
+
+    def test_new_and_replaced_files(self, tmp_path):
+        old = tmp_path / "old.txt"
+        old.write_text("old bytes\n")
+        write_files({old: "new ünïcode\n", tmp_path / "new.txt": ""})
+        assert old.read_bytes() == "new ünïcode\n".encode("utf-8")
+        assert (tmp_path / "new.txt").read_bytes() == b""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.txt", "old.txt"]
+
+    def test_new_file_has_the_mode_open_gives(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            write_files({tmp_path / "a.txt": "x"})
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_write_leaves_old_bytes_or_no_file(self, tmp_path, monkeypatch, failing):
+        """A disk that fills up while the first or the second of two texts
+        is written leaves the old target as it was, the new one absent, and
+        no temporary file."""
+        (tmp_path / "a.txt").write_text("old a\n")
+        opened = disk_full_after_half(monkeypatch, from_file=failing)
+        with pytest.raises(OSError) as exc:
+            write_files({tmp_path / "a.txt": "new a\n" * 100, tmp_path / "b.txt": "new b\n" * 100})
+        assert exc.value.errno == errno.ENOSPC
+        assert len(opened) == failing
+        assert (tmp_path / "a.txt").read_text() == "old a\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+
+    def test_failed_replace_removes_every_new_file(self, tmp_path, monkeypatch):
+        replace = os.replace
+
+        def replace_once(src, dst):
+            if dst.endswith("b.txt"):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_once)
+        with pytest.raises(OSError):
+            write_files({tmp_path / "a.txt": "a", tmp_path / "b.txt": "b"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+
+    def test_interrupt_removes_new_files(self, tmp_path, monkeypatch):
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        (tmp_path / "a.txt").write_text("old")
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            write_files({tmp_path / "a.txt": "new"})
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+        assert (tmp_path / "a.txt").read_text() == "old"
+
+    def test_fifo_target_refused_untouched(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(FileExistsError, match="not a regular file"):
+            write_files({tmp_path / "first.txt": "x", fifo: "y"})
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    def test_directory_target_refused_untouched(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "kept").write_text("kept")
+        with pytest.raises(FileExistsError, match="not a regular file"):
+            write_files({target: "y"})
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert [p.name for p in target.iterdir()] == ["kept"]
+
+    def test_symlink_to_directory_refused(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "dir")
+        with pytest.raises(FileExistsError):
+            write_files({tmp_path / "link": "y"})
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_symlink_followed(self, tmp_path, exists):
+        real = tmp_path / "sub" / "real.txt"
+        real.parent.mkdir()
+        if exists:
+            real.write_text("old")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        write_files({link: "new"})
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "sub"]
+        assert [p.name for p in real.parent.iterdir()] == ["real.txt"]

@@ -38,7 +38,7 @@ from bcgsleep.devicesim import (
 from bcgsleep.errors import InitialConnectFailure
 from bcgsleep.ingest import load_night, sample_line, write_night
 
-from conftest import checkout_env, make_record, make_sample
+from conftest import checkout_env, disk_full_after_half, make_record, make_sample
 
 FAST = RetryPolicy(retry_interval=0.02, deadline=0.7)
 ONCE = RetryPolicy(retry_interval=0.02, deadline=0.3)  # record_lines' policy
@@ -384,6 +384,14 @@ class TestLineValidation:
         rec = load_night(res.path)
         assert rec.gaps == res.gaps == ((6, 3),)
 
+    def test_deeply_nested_line_dropped(self, tmp_path):
+        """A line the JSON decoder cannot read without exceeding the
+        recursion limit is one dropped line, not the end of the recording."""
+        good = [sample_line(make_sample(t)) for t in (0, 1)]
+        res = record_lines([good[0], "[" * 5000, good[1]], tmp_path / "out.ndjson")
+        assert res.timestamps == (0, 1) and res.dropped_lines == 1
+        assert load_night(res.path).t.tolist() == [0, 1]
+
     def test_negative_t_dropped(self, tmp_path):
         lines = [sample_line(make_sample(t)) for t in (-5, 0, 1)]
         res = record_lines(lines, tmp_path / "out.ndjson")
@@ -523,6 +531,24 @@ class TestFailureModes:
         assert out.read_bytes() == stream[:whole]  # the part of a fourth line is cut off
         assert side["n_samples"] == 3  # the lines wholly written
         assert load_night(out).t.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_failed_sidecar_write_keeps_old_bytes(self, tmp_path, monkeypatch, exists):
+        """The gap log is written whole or not at all (core.write_files): a
+        disk that fills up halfway through it leaves the old log, or none,
+        and no temporary file; the recording itself is complete."""
+        out = tmp_path / "out.ndjson"
+        side = tmp_path / "out.ndjson.gaps.json"
+        if exists:
+            side.write_text("old log\n")
+        disk_full_after_half(monkeypatch)
+        with pytest.raises(OSError) as exc:
+            record_lines([sample_line(make_sample(t)) for t in range(3)], out)
+        assert exc.value.errno == errno.ENOSPC
+        assert load_night(out).t.tolist() == [0, 1, 2]
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["out.ndjson", side.name] if exists else ["out.ndjson"])
+        assert not exists or side.read_text() == "old log\n"
 
     def test_short_writes_are_finished(self, tmp_path, monkeypatch):
         class ShortWrites(io.FileIO):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcgsleep.core import NightRecord, Stage, StageInterval
-from bcgsleep.errors import DegenerateMatrix, EmptyMatrix
+from bcgsleep.errors import ConstantInput, TooFewItems
 from bcgsleep.ingest import align_labels
 from bcgsleep.features import (
     FEATURE_CSV_HEADER,
@@ -196,7 +196,7 @@ class TestStandardize:
         np.testing.assert_allclose(z[:, 1], 0.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(TooFewItems):
             standardize_fit(np.empty((0, 3)))
 
 
@@ -221,11 +221,11 @@ class TestPca:
             assert sum(ratios) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_row_rejected(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(TooFewItems):
             pca_explained_variance(np.ones((1, 3)))
 
     def test_constant_data_rejected(self):
-        with pytest.raises(DegenerateMatrix):
+        with pytest.raises(ConstantInput):
             pca_explained_variance(np.ones((5, 3)))
 
 

@@ -12,11 +12,11 @@ from bcgsleep import ingest, synth
 
 from bcgsleep.core import Stage, StageInterval, VitalsSample
 from bcgsleep.errors import (
+    InvalidStageCode,
     MalformedRow,
     NegativeVital,
     NonMonotonicTimestamp,
     OverlappingIntervals,
-    UnknownLevel,
 )
 from bcgsleep.ingest import (
     CSV_HEADER,
@@ -369,7 +369,7 @@ class TestLabels:
 
     def test_unknown_level_rejected(self):
         doc = {"night_id": "n", "levels": [{"level": "n3", "start_t": 0, "seconds": 10}]}
-        with pytest.raises(UnknownLevel):
+        with pytest.raises(InvalidStageCode):
             parse_labels(json.dumps(doc))
 
     def test_missing_key_reports_entry_index(self):

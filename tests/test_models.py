@@ -20,12 +20,7 @@ from hypothesis import strategies as st
 
 from bcgsleep import models
 from bcgsleep.core import Stage
-from bcgsleep.errors import (
-    EmptyTrainingSet,
-    RecordTooShort,
-    SchemaMismatch,
-    TooFewItems,
-)
+from bcgsleep.errors import SchemaMismatch, TooFewItems
 from bcgsleep.features import FeatureTable, N_FEATURES, standardize_apply, standardize_fit
 from bcgsleep.models import (
     ForestParams,
@@ -255,7 +250,7 @@ class TestDecisionTree:
         assert np.array_equal(predict(tree, probe / 4.0), predict(scaled, probe))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(TooFewItems):
             train_decision_tree(np.empty((0, 3)), [])
 
     def test_json_round_trip_is_byte_identical(self):
@@ -872,7 +867,7 @@ class TestPredictContract:
 
     def test_short_record_rejected(self):
         rec = make_record([make_sample(t) for t in range(9)])
-        with pytest.raises(RecordTooShort):
+        with pytest.raises(TooFewItems):
             predict_hypnogram(self.model(), rec)
 
 

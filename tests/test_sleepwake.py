@@ -12,7 +12,7 @@ import statistics
 import numpy as np
 import pytest
 
-from bcgsleep.errors import NoEpochs, RecordTooShort
+from bcgsleep.errors import TooFewItems
 from bcgsleep.sleepwake import (
     EPOCH_CSV_HEADER,
     SleepWakeEpoch,
@@ -175,7 +175,7 @@ class TestBoundaryExactness:
 
 class TestRunNight:
     def test_too_short_raises(self):
-        with pytest.raises(RecordTooShort):
+        with pytest.raises(TooFewItems):
             run_night(flat_record(179))
 
     def test_first_six_epochs_forced_awake(self):
@@ -265,7 +265,7 @@ class TestSummaries:
         assert sleep_efficiency(self.mk([A, S, S, S])) == 0.75
 
     def test_efficiency_empty_raises(self):
-        with pytest.raises(NoEpochs):
+        with pytest.raises(TooFewItems):
             sleep_efficiency([])
 
     def test_onset_latency(self):

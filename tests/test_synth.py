@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bcgsleep.core import Stage, compute_gaps
-from bcgsleep.errors import DurationTooShort
+from bcgsleep.errors import TooFewItems
 from bcgsleep.synth import (
     DROPOUT_MARGIN,
     SubjectProfile,
@@ -40,7 +40,7 @@ class TestProfile:
 
 class TestGenerateNight:
     def test_too_short_rejected(self):
-        with pytest.raises(DurationTooShort):
+        with pytest.raises(TooFewItems):
             generate_night(default_profile(), duration_s=1799, seed=0)
 
     def test_intervals_partition_duration(self):
@@ -182,5 +182,5 @@ class TestStepNight:
         assert a[2] == b[2]
 
     def test_too_short(self):
-        with pytest.raises(DurationTooShort):
+        with pytest.raises(TooFewItems):
             generate_step_night(0, duration_s=600)
