@@ -440,14 +440,15 @@ def _extract_config(argv: list[str], parser) -> tuple[list[str], dict]:
 _CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
 
-def _config_args(config: dict, command: str, flags: dict) -> list[str]:
-    """Config entries as command-line tokens for one subcommand.
+def _apply_config(config: dict, command: str, flags: dict) -> None:
+    """Make each config entry its subcommand flag's default, so a value is
+    never read as a flag and an explicit flag still wins (an appending flag
+    adds its values to the config's).
 
     Each key must name one of the subcommand's flags (dashes or underscores),
     and each value must have the flag's type and be one of its choices; a
     list-valued flag takes a non-empty JSON list. Raises ValueError.
     """
-    tokens = []
     for key, value in config.items():
         name = key.replace("_", "-")
         if name not in flags:
@@ -463,11 +464,9 @@ def _config_args(config: dict, command: str, flags: dict) -> list[str]:
             if action.choices is not None and item not in action.choices:
                 raise ValueError(f"config key {key!r} must be one of "
                                  f"{', '.join(action.choices)}, got {item!r}")
-        if action.nargs == "+":
-            tokens += [f"--{name}", *map(str, value)]
-        else:
-            tokens += [f"--{name}={item}" for item in (value if many else [value])]
-    return tokens
+        # a scalar converts as its text on the command line would
+        action.default = list(value) if many else (action.type or str)(str(value))
+        action.required = False
 
 
 def main(argv=None) -> int:
@@ -477,9 +476,7 @@ def main(argv=None) -> int:
         argv, config = _extract_config(argv, parser)
         command = next((a for a in argv if not a.startswith("-")), None)
         if config and command in flags:
-            # config values go first, so explicit flags after them win
-            at = argv.index(command) + 1
-            argv[at:at] = _config_args(config, command, flags[command])
+            _apply_config(config, command, flags[command])
         args = parser.parse_args(argv)
         return args.func(args)
     except (BcgSleepError, OSError, ValueError) as exc:

@@ -1,5 +1,5 @@
-"""Shared domain types: stages, per-second vitals, night records;
-fork_map, the one place where the pipeline forks worker processes; and
+"""Shared domain types: stages, per-second vitals, night records; fork_map,
+the one way the pipeline runs work in parallel, starting no thread; and
 write_files, which writes every artifact but the recorder's appended NDJSON.
 
 All types are immutable values after construction and safe to share across

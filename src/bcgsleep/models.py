@@ -9,12 +9,12 @@ and the lower threshold; a tied leaf majority, forest vote or naive Bayes
 posterior goes to the lowest stage code (wake first); a tied kNN vote goes
 to the nearest neighbor whose class is among the winners.
 
-Both costly loops use every usable CPU, with no setting: the forest grows
-its trees in forked worker processes (core.fork_map), each bootstrap tree
-on the distinct rows of its draw weighted by their multiplicities, and kNN
-answers its queries in chunks of at most 256 rows, one contiguous block of
-chunks per thread, each thread holding two chunk x n buffers of at most
-8 MiB each. Neither changes a result.
+Both costly loops use every usable CPU in forked worker processes
+(core.fork_map), with no setting: the forest grows one tree per task, each
+bootstrap tree on the distinct rows of its draw weighted by their
+multiplicities, and kNN answers its queries in chunks of at most 256 rows,
+one contiguous block of chunks per worker, each block through two chunk x n
+buffers of at most 8 MiB each. Neither changes a result.
 
 A decision tree is a forest of one tree: both keep all their nodes in one
 NodeTable, the trees stacked in index order, and share one vote, one state
@@ -29,7 +29,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -58,7 +57,7 @@ MIN_GAIN = 1e-12
 
 _SEED_MASK = (1 << 64) - 1
 
-# Bytes of one kNN scratch buffer (chunk x n float64), each thread holding two.
+# Bytes of one kNN scratch buffer (chunk x n float64), each block holding two.
 _KNN_BUFFER_BYTES = 8 << 20
 
 
@@ -128,9 +127,14 @@ def kfold_indices(n: int, folds: int = 5, seed: int = 0,
 
 
 def _as_matrix(rows) -> np.ndarray:
+    """rows as a float matrix, a flat row as one row, for every fit and query:
+    a value that is not finite is one ValueError naming its row, the first."""
     x = np.asarray(rows, dtype=float)
     if x.ndim == 1:
         x = x.reshape(0, 0) if x.size == 0 else x.reshape(1, -1)
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"feature row {bad[0][0]} holds {x[tuple(bad[0])]}, which is not finite")
     return x
 
 
@@ -524,51 +528,19 @@ class Knn:
 
         Queries go in chunks of at most 256 rows, as many as fit one n-wide
         float64 buffer in _KNN_BUFFER_BYTES, so the scratch memory does not
-        grow with the training set. Each of min(usable CPUs, chunks) threads
-        takes a contiguous block of chunks and writes them through two such
-        buffers of its own: numpy releases the interpreter lock in the
-        matmul, the ufuncs and the partition, and each chunk fills its own
-        rows of the result. A row's distances come from the same operations
-        whatever the chunk height, so the neighbors do not depend on it.
+        grow with the training set. core.fork_map answers min(usable CPUs,
+        chunks) contiguous blocks of chunks (_knn_block), one per worker. A
+        row's distances come from the same operations whatever the chunk
+        height and block, so the neighbors depend on neither.
         """
-        k = self.k
         q = _as_matrix(rows)
         if q.shape[0] == 0:
-            return np.empty((0, k), dtype=np.int64)
+            return np.empty((0, self.k), dtype=np.int64)
         q = standardize_apply(q, (self.mean, self.std))
-        x_std = self.x_std
-        tt = (x_std * x_std).sum(axis=1)
-        out = np.empty((q.shape[0], k), dtype=np.int64)
-        chunk = min(256, max(1, _KNN_BUFFER_BYTES // (8 * tt.size)))
-        starts = range(0, q.shape[0], chunk)
-
-        def fill(block):
-            d2_buf = np.empty((chunk, tt.size))
-            part_buf = np.empty_like(d2_buf)
-            for lo in block:
-                qc = q[lo : lo + chunk]
-                d2, part = d2_buf[: qc.shape[0]], part_buf[: qc.shape[0]]
-                # |q - t|^2 expanded so one matmul does the heavy lifting; the
-                # steps give the bits of (qq + tt) - 2.0 * (q @ x.T)
-                np.add((qc * qc).sum(axis=1)[:, None], tt, out=d2)
-                np.matmul(qc, x_std.T, out=part)
-                np.multiply(part, 2.0, out=part)
-                np.subtract(d2, part, out=d2)
-                # partition pulls each row's k-th distance in O(n); the tiny
-                # candidate set (k plus any exact distance ties) is then
-                # ordered exactly
-                part[...] = d2
-                part.partition(k - 1, axis=1)
-                for i, row in enumerate(d2):
-                    cand = np.nonzero(row <= part[i, k - 1])[0]
-                    order = np.lexsort((cand, row[cand]))
-                    out[lo + i] = cand[order[:k]]
-
-        threads = min(usable_cpus(), len(starts))
-        # leaving the block joins every thread, so a later fork copies none
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(fill, np.array_split(starts, threads)))
-        return out
+        chunk = min(256, max(1, _KNN_BUFFER_BYTES // (8 * self.x_std.shape[0])))
+        starts = np.arange(0, q.shape[0], chunk)
+        blocks = np.array_split(starts, min(usable_cpus(), starts.size))
+        return np.concatenate(fork_map(_knn_block, blocks, (q, self.x_std, self.k, chunk)))
 
     def predict_codes(self, x: np.ndarray) -> np.ndarray:
         """Majority vote of the k neighbors; a tied vote goes to the nearest
@@ -602,6 +574,34 @@ class Knn:
         check_stage_codes(model.y, "knn y", SchemaMismatch)
         _require(1 <= model.k <= n, f"knn k={model.k} needs 1..{n} stored rows")
         return model
+
+
+def _knn_block(job: tuple, block: np.ndarray) -> np.ndarray:
+    """The (rows, k) int64 neighbors of the job's (q, x_std, k, chunk) queries
+    in the chunks starting at block, all through two chunk x n buffers."""
+    q, x_std, k, chunk = job
+    tt = (x_std * x_std).sum(axis=1)
+    d2_buf = np.empty((chunk, tt.size))
+    part_buf = np.empty_like(d2_buf)
+    out = np.empty((min(block[-1] + chunk, q.shape[0]) - block[0], k), dtype=np.int64)
+    for lo in block:
+        qc = q[lo : lo + chunk]
+        d2, part = d2_buf[: qc.shape[0]], part_buf[: qc.shape[0]]
+        # |q - t|^2 expanded so one matmul does the heavy lifting; the steps
+        # give the bits of (qq + tt) - 2.0 * (q @ x.T)
+        np.add((qc * qc).sum(axis=1)[:, None], tt, out=d2)
+        np.matmul(qc, x_std.T, out=part)
+        np.multiply(part, 2.0, out=part)
+        np.subtract(d2, part, out=d2)
+        # partition pulls each row's k-th distance in O(n); the tiny candidate
+        # set (k plus any exact distance ties) is then ordered exactly
+        part[...] = d2
+        part.partition(k - 1, axis=1)
+        for i, row in enumerate(d2):
+            cand = np.nonzero(row <= part[i, k - 1])[0]
+            order = np.lexsort((cand, row[cand]))
+            out[lo - block[0] + i] = cand[order[:k]]
+    return out
 
 
 def check_knn_k(k: int) -> int:

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcgsleep import features, models
-from bcgsleep.cli import _load_feature_files, main
+from bcgsleep.cli import _apply_config, _load_feature_files, build_parser, main
 from bcgsleep.core import STAGE_NAMES
 from bcgsleep.errors import MalformedRow
 from bcgsleep.ingest import load_night, save_night
@@ -656,6 +657,35 @@ class TestTrainCommand:
         doc = json.loads(out.read_text())
         assert doc["params"]["n_trees"] == 2 and doc["params"]["max_depth"] == 3
         assert doc["params"]["seed"] == -4
+
+    def test_config_value_that_looks_like_a_flag_is_a_value(self, workdir, tmp_path,
+                                                             monkeypatch):
+        # a feature file literally named -x, listed by the config
+        (tmp_path / "-x").write_bytes(Path(feature_args(workdir)[0]).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": ["-x"], "model": "nb", "out": "m.json"}))
+        assert main(["--config", str(cfg), "train"]) == 0
+        assert load_model(tmp_path / "m.json").kind == "GaussianNB"
+
+    def test_config_help_value_is_a_missing_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"features": ["--help"], "model": "nb", "out": str(out)}))
+        assert main(["--config", str(cfg), "train"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("FileNotFoundError") and "'--help'" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_config_and_command_line_dropouts_both_apply(self):
+        parser, flags = build_parser()
+        _apply_config({"dropout": ["5:3"]}, "serve", flags["serve"])
+        args = parser.parse_args(["serve", "--in", "n.ndjson", "--dropout", "9:2:disconnect"])
+        assert args.dropout == ["5:3", "9:2:disconnect"]
+        # the config's list is copied, not grown, by the command line's values
+        assert parser.parse_args(["serve", "--in", "n.ndjson"]).dropout == ["5:3"]
 
 
 class TestEvaluateCommand:

@@ -643,32 +643,30 @@ def _block_case(n_queries):
     return train_knn(x, y, k=5), queries, nbrs, preds
 
 
-def _pool_sizes(monkeypatch):
-    """The max_workers of every thread pool kNN opens from now on."""
-    pools = []
+def _workers(cpus, chunks):
+    """The workers core.fork_map forks for a kNN query of this many chunks:
+    one per block of chunks, none when one block runs in process."""
+    blocks = min(cpus, chunks)
+    return blocks if blocks > 1 else 0
 
-    class Pool(models.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
 
-    monkeypatch.setattr(models, "ThreadPoolExecutor", Pool)
-    return pools
+class KnnFailure(Exception):
+    pass
 
 
 class TestThreadedKnn:
-    """Each thread answers a contiguous block of query chunks, 256 rows high
-    at the default budget on these training sets; the CPUs are claimed so
-    that the pool size does not depend on the host."""
+    """Each forked worker answers a contiguous block of query chunks, 256
+    rows high at the default budget on these training sets; the CPUs are
+    claimed so that the number of workers does not depend on the host."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_queries", [1, 255, 257, 600, 1025])
     def test_blocks_match_quadratic_scan(self, monkeypatch, cpus, n_queries):
         claim_cpus(monkeypatch, cpus)
-        pools = _pool_sizes(monkeypatch)
+        forks = record_forks(monkeypatch)
         model, queries, want_nbrs, want_preds = _block_case(n_queries)
         got = model.neighbors(queries)
-        assert pools == [min(cpus, -(-n_queries // 256))]
+        assert len(forks) == _workers(cpus, -(-n_queries // 256))
         assert got.dtype == np.int64 and got.shape == (n_queries, 5)
         assert got.tolist() == want_nbrs.tolist()
         assert predict(model, queries).tolist() == want_preds.tolist()
@@ -683,24 +681,26 @@ class TestThreadedKnn:
                                                    budget, chunk):
         claim_cpus(monkeypatch, cpus)
         monkeypatch.setattr(models, "_KNN_BUFFER_BYTES", budget)
-        pools = _pool_sizes(monkeypatch)
+        forks = record_forks(monkeypatch)
         model, queries, want_nbrs, want_preds = _block_case(n_queries)
         assert model.x_std.shape[0] * 8 == 3200
         got = model.neighbors(queries)
-        assert pools == [min(cpus, -(-n_queries // chunk))]
+        assert len(forks) == _workers(cpus, -(-n_queries // chunk))
         assert got.tolist() == want_nbrs.tolist()
         assert predict(model, queries).tolist() == want_preds.tolist()
 
-    def test_memory_is_two_buffers_per_thread(self, monkeypatch):
-        # a 1 MiB budget makes 43-row chunks of 3000 training rows, 24 of them
-        # on two threads: each thread may hold two buffers of the budget; one
-        # more buffer per thread breaks the bound
-        threads = 2
+    def test_memory_is_two_buffers_per_block(self, monkeypatch):
+        # a 1 MiB budget makes 64-row chunks of 2048 training rows, each
+        # buffer exactly the budget; with one CPU the 17 chunks are one block
+        # answered in this process, where tracemalloc sees its allocations:
+        # two buffers plus the small arrays around them stay below three, and
+        # one more buffer breaks the bound
         budget = 1 << 20
-        claim_cpus(monkeypatch, threads)
+        claim_cpus(monkeypatch, 1)
         monkeypatch.setattr(models, "_KNN_BUFFER_BYTES", budget)
+        forks = record_forks(monkeypatch)
         rng = np.random.default_rng(14)
-        x, y = random_dataset(rng, n=3000, d=6)
+        x, y = random_dataset(rng, n=2048, d=6)
         model = train_knn(x, y, k=5)
         queries = rng.normal(size=(1025, 6))
         tracemalloc.start()
@@ -709,8 +709,30 @@ class TestThreadedKnn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert budget // (8 * x.shape[0]) < 256
-        assert peak < (2 * threads + 1) * budget + 2 * queries.nbytes
+        assert forks == []
+        assert budget // (8 * x.shape[0]) * 8 * x.shape[0] == budget
+        assert peak < 3 * budget
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        claim_cpus(monkeypatch, 2)
+        forks = record_forks(monkeypatch)
+        parent = os.getpid()
+        answer = models._knn_block
+
+        def fail_second_block(job, block):
+            if block[0] > 0:
+                raise KnnFailure(os.getpid())
+            return answer(job, block)
+
+        monkeypatch.setattr(models, "_knn_block", fail_second_block)
+        x, y, queries = _tied_knn_case(11)
+        with pytest.raises(KnnFailure) as err:
+            train_knn(x, y).neighbors(queries)
+        assert err.value.args[0] != parent
+        assert len(forks) == 2
+        for pid in forks:  # every worker was reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("k", [1, 5, 6])
@@ -869,6 +891,40 @@ class TestPredictContract:
         rec = make_record([make_sample(t) for t in range(9)])
         with pytest.raises(TooFewItems):
             predict_hypnogram(self.model(), rec)
+
+
+_TRAINERS = {
+    "tree": train_decision_tree,
+    "forest": lambda x, y: train_random_forest(x, y, ForestParams(n_trees=3)),
+    "knn": train_knn,
+    "nb": train_gaussian_nb,
+}
+
+
+class TestFiniteInput:
+    """One rule for every model: a row holding NaN or an infinity is one
+    ValueError naming the first such row, whether it is fitted or predicted."""
+
+    @staticmethod
+    def rows_with(value):
+        x, y = random_dataset(np.random.default_rng(22), n=40, d=4)
+        x[7, 2] = value
+        x[12, 0] = value
+        return x, y
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", sorted(_TRAINERS))
+    def test_fit_refuses(self, kind, value):
+        with pytest.raises(ValueError, match=r"^feature row 7 holds .*which is not finite$"):
+            _TRAINERS[kind](*self.rows_with(value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", sorted(_TRAINERS))
+    def test_predict_refuses(self, kind, value):
+        x, y = random_dataset(np.random.default_rng(22), n=40, d=4)
+        model = _TRAINERS[kind](x, y)
+        with pytest.raises(ValueError, match=r"^feature row 7 holds .*which is not finite$"):
+            predict(model, self.rows_with(value)[0])
 
 
 # A one-split tree and a forest of two such trees on x = [[0], [1]], y = [0, 2]
