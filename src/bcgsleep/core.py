@@ -1,6 +1,7 @@
-"""Shared domain types: stages, per-second vitals, night records; fork_map,
-the one way the pipeline runs work in parallel, starting no thread; and
-write_files, which writes every artifact but the recorder's appended NDJSON.
+"""Shared domain types: stages, per-second vitals, night records; fork_child,
+the one way a process is forked, and fork_map on it, the one way the
+pipeline runs work in parallel, starting no thread; and write_files, which
+writes every artifact but the recorder's appended NDJSON.
 
 All types are immutable values after construction and safe to share across
 threads. Timestamps are integer seconds from night start (the sensor runs at
@@ -245,16 +246,119 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+class Child(NamedTuple):
+    """A process fork_child started, the read end of its result pipe, and
+    the name its errors give it."""
+
+    pid: int
+    read: int
+    what: str
+
+
+# True in a process fork_child started: fork_map there runs a plain loop
+_in_child = False
+
+
+def fork_child(what: str, fn, *args, close=()) -> Child:
+    """Fork a child process that closes the file descriptors in close, runs
+    fn(*args), sends what fn returned (or the error it raised) back on a
+    pipe as one pickle and exits, never returning to the caller's code.
+
+    fn and args reach the child through fork, so only the result is
+    pickled. what names the child in errors. join_children reads what every
+    child sent, and reaps them.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _child_main(what, fn, args, (r, *close), w)
+    except BaseException:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return Child(pid, r, what)
+
+
+def _child_main(what, fn, args, close, w):
+    """The forked child of fork_child: run fn(*args), write (True, its
+    value) or (False, its error) to w as one pickle, and exit."""
+    global _in_child
+    code = 1
+    try:
+        _in_child = True
+        for fd in close:
+            os.close(fd)
+        try:
+            payload = True, fn(*args)
+        except BaseException as exc:
+            payload = False, exc
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, TypeError(f"{what} cannot pickle its result "
+                                                  f"or error: {exc}")))
+        with open(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap_children(children) -> list[int]:
+    """Close the result pipe of every child of fork_child in children, then
+    wait for each to end; returns their exit codes, negative for a signal."""
+    for child in children:
+        os.close(child.read)
+    return [os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1]) for child in children]
+
+
+def join_children(children) -> list:
+    """What each child of fork_child in children sent, in order: the value
+    its fn returned.
+
+    The calling thread reads each pipe to its end in turn, then closes every
+    pipe and reaps every child whatever happens (_reap_children), so none
+    outlives the call. A child that died before sending is ChildProcessError
+    naming its exit status, the first such in order; else the error of the
+    first child in order whose fn raised is raised here.
+    """
+    sent = []
+    try:
+        for child in children:
+            # read whole, then unpickled: unpickling straight from the pipe
+            # raised the peak RSS of some cohort-cli rounds by up to 12 MB
+            with open(child.read, "rb", closefd=False) as fh:
+                data = fh.read()
+            try:
+                sent.append(pickle.loads(data))
+            except Exception as exc:  # cut short if the child died; its exit status tells
+                sent.append((False, exc))
+            del data
+    finally:
+        codes = _reap_children(children)
+    for child, code in zip(children, codes):
+        if code:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise ChildProcessError(f"{child.what} ended by {how} before sending its results")
+    for ok, value in sent:
+        if not ok:
+            raise value
+    return [value for _, value in sent]
+
+
 def fork_map(fn, tasks, job=()) -> list:
     """[fn(job, t) for t in tasks], computed in forked worker processes.
 
-    min(len(tasks), usable_cpus()) workers are forked with os.fork. Worker w
-    runs tasks w, w + W, ... in order and writes its results to its own pipe
-    as one pickle, so fn, job and the tasks reach it through fork and only
-    results and errors are pickled. The calling thread reads the pipes one
-    after another and then reaps every child, so no pipe or child outlives
-    the call and no thread is started. With one worker, or where the
-    platform has no fork, the tasks run in a plain loop in this process.
+    min(len(tasks), usable_cpus()) workers are forked (fork_child). Worker
+    w runs tasks w, w + W, ... in order and sends its results back as one
+    pickle, so fn, job and the tasks reach it through fork and only results
+    and errors are pickled. The calling thread collects them
+    (join_children), so no pipe or child outlives the call and no thread is
+    started. With one worker, inside a forked child (so a worker's own
+    fork_map starts no grandchildren), or where the platform has no fork,
+    the tasks run in a plain loop in this process.
 
     A failed task ends its worker's run. The error raised is that of the
     first failed task in task order, the one the plain loop raises; it must
@@ -263,44 +367,20 @@ def fork_map(fn, tasks, job=()) -> list:
     """
     tasks = list(tasks)
     n_workers = min(len(tasks), usable_cpus())
-    if n_workers <= 1 or not hasattr(os, "fork"):
+    if n_workers <= 1 or _in_child or not hasattr(os, "fork"):
         return [fn(job, t) for t in tasks]
-    pids, reads, sent = [], [], []
+    children = []
     try:
         for w in range(n_workers):
-            r, wr = os.pipe()
-            reads.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _fork_worker(fn, job, tasks[w::n_workers], w, n_workers, reads, wr)
-            finally:
-                os.close(wr)
-            pids.append(pid)
-        for r in reads:
-            # read whole, then unpickled: unpickling straight from the pipe
-            # raised the peak RSS of some cohort-cli rounds by up to 12 MB
-            with open(r, "rb", closefd=False) as fh:
-                data = fh.read()
-            try:
-                sent.append(pickle.loads(data))
-            except Exception as exc:  # cut short if the worker died; its exit status tells
-                sent.append(exc)
-            del data
-    finally:
-        for r in reads:
-            os.close(r)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            children.append(fork_child(f"fork_map worker {w}", _worker_tasks, fn, job,
+                                       tasks[w::n_workers], w, n_workers,
+                                       close=[c.read for c in children]))
+    except BaseException:
+        _reap_children(children)
+        raise
     results = [None] * len(tasks)
     first_failed = None
-    for w, (code, payload) in enumerate(zip(codes, sent)):
-        if code:
-            how = f"signal {-code}" if code < 0 else f"exit status {code}"
-            raise ChildProcessError(f"fork_map worker {w} ended by {how} "
-                                    f"before sending its results")
-        if isinstance(payload, Exception):
-            raise payload
-        failed_at, value = payload
+    for w, (failed_at, value) in enumerate(join_children(children)):
         if failed_at is None:
             results[w::n_workers] = value
         elif first_failed is None or failed_at < first_failed[0]:
@@ -310,29 +390,13 @@ def fork_map(fn, tasks, job=()) -> list:
     return results
 
 
-def _fork_worker(fn, job, tasks, w, n_workers, reads, wr):
-    """fork_map's worker w, in the forked child: run its tasks (w, w +
-    n_workers, ...), write (None, results) or (index of the failed task,
-    its error) to wr as one pickle, and exit, never returning to the
-    caller's code."""
-    code = 1
+def _worker_tasks(fn, job, tasks, w, n_workers):
+    """fork_map's worker w: (None, its tasks' results), or (the index of
+    its failed task in fork_map's task order, that task's error)."""
+    results = []
     try:
-        for r in reads:
-            os.close(r)
-        results = []
-        try:
-            for t in tasks:
-                results.append(fn(job, t))
-            payload = None, results
-        except BaseException as exc:
-            payload = w + n_workers * len(results), exc
-        try:
-            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            data = pickle.dumps((w, TypeError(f"fork_map worker {w} cannot pickle its "
-                                              f"results or error: {exc}")))
-        with open(wr, "wb") as fh:
-            fh.write(data)
-        code = 0
-    finally:
-        os._exit(code)
+        for t in tasks:
+            results.append(fn(job, t))
+    except BaseException as exc:
+        return w + n_workers * len(results), exc
+    return None, results

@@ -8,11 +8,16 @@ server's clock keeps running through a dropout, and outside dropouts it
 advances on each line wholly handed to the socket, so whatever the script
 says is lost is exactly what the recorder's gap log ends up showing.
 
-The server runs one thread, whose serving loop owns the listener, the
-client it is streaming to and the batch of due lines not yet sent. It sends
-the batch before it sleeps, before a dropout window and once it reaches
-BATCH_BYTES: a paced script (tick_interval > 0) still sends one line per
-tick, while at tick 0 a night goes out in a few large sends. The recorder
+The server forks one child process (core.fork_child), whose serving loop
+owns the listener, the client it is streaming to and the batch of due lines
+not yet sent, so formatting lines and recording them share no interpreter
+lock; where there is no fork, the loop runs in the server's one thread,
+which otherwise only collects the child's sent t values and reaps it. The
+loop sends the batch before it sleeps, before a dropout window and once it
+reaches BATCH_BYTES: a paced script (tick_interval > 0) still sends one line
+per tick, while at tick 0 a night goes out in a few large sends. stop(), and
+the death of the process that started the server, reach the loop through one
+socket pair that it selects on wherever it waits. The recorder
 runs in the caller's thread, and one helper owns its outage rule: connect
 every retry_interval until the deadline has passed. It reads the socket in
 chunks into one buffer and cuts the whole lines off it. Lines whose columns
@@ -28,11 +33,13 @@ complete.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import json
 import math
 import os
 import select
+import signal
 import socket
 import threading
 import time
@@ -41,7 +48,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NightRecord, compute_gaps, night_fault, write_files
+from .core import (Child, NightRecord, compute_gaps, fork_child, join_children, night_fault,
+                   write_files)
 from .errors import InitialConnectFailure, MalformedRow
 from .ingest import canonical_rows, parse_sample_line, write_night
 
@@ -138,13 +146,21 @@ def split_endpoint(endpoint: str) -> tuple[str, int]:
 class DeviceServer:
     """Streams a script to one client at a time; extra connects are closed.
 
-    One thread runs the serving loop, which owns the listener, the client,
-    the script cursor and the batch of due lines not yet sent. It sends the
-    batch before it sleeps, before a dropout window and whenever the batch
-    reaches BATCH_BYTES. It blocks while no client is attached (except
-    inside dropout windows, where time passes regardless), resends nothing,
-    skips nothing it was not told to skip, and closes the listener when the
-    script is exhausted. stop() also cuts short the sleep of a paced script.
+    start() forks one child process that runs the serving loop, which owns
+    the listener, the client, the script cursor and the batch of due lines
+    not yet sent; where the platform has no fork, the loop runs in the
+    server's thread instead. The loop sends the batch before it sleeps,
+    before a dropout window and whenever the batch reaches BATCH_BYTES. It
+    blocks while no client is attached (except inside dropout windows, where
+    time passes regardless), resends nothing, skips nothing it was not told
+    to skip, and closes the listener when the script is exhausted.
+
+    stop(), and the death of this process, reach the loop through one
+    socket pair: the loop selects on it while it waits for a client, while
+    it waits to send, in a paced sleep and once per batch, so it always
+    ends through its cleanup. The server's thread collects the child's
+    sent t values, reaps it and then sets finished, so sent_timestamps is
+    complete once finished is set.
     """
 
     def __init__(self, script: StreamScript, host: str = "127.0.0.1", port: int = 0):
@@ -152,14 +168,18 @@ class DeviceServer:
         # create_server closes its socket on OSError only, so a port it
         # would reject with OverflowError is refused before a socket exists
         self._listener = socket.create_server((host, _check_port(port)))
-        # accept() polls so that the serving thread notices stop()
-        self._listener.settimeout(0.1)
+        # the loop selects before it accepts, so accept() must not block
+        self._listener.setblocking(False)
         self.address = self._listener.getsockname()[:2]
-        self._stop = threading.Event()
+        # stop() writes to _stop_w; the loop reads nothing from _stop but
+        # selects on it, which also sees EOF once this process dies
+        self._stop, self._stop_w = socket.socketpair()
+        self._stop_lock = threading.Lock()  # _stop_w: stop() against the thread's close
         self.finished = threading.Event()
         self._sent: list[int] = []
-        self._conn: Optional[socket.socket] = None  # the serving thread's client
-        self._serve_thread = threading.Thread(target=self._serve_loop, daemon=True)
+        self._conn: Optional[socket.socket] = None  # the serving loop's client
+        self._child: Optional[Child] = None
+        self._thread = threading.Thread(target=self._run, daemon=True)
 
     @property
     def endpoint(self) -> str:
@@ -170,35 +190,79 @@ class DeviceServer:
         return list(self._sent)
 
     def start(self) -> "DeviceServer":
-        self._serve_thread.start()
+        if hasattr(os, "fork"):
+            self._child = fork_child("device server", self._serve_child,
+                                     close=(self._stop_w.fileno(),))
+            self._listener.close()
+            self._stop.close()
+        self._thread.start()
         return self
 
     def stop(self):
-        self._stop.set()
-        if self._serve_thread.ident is None:
-            self._listener.close()  # never started: nothing else will close it
+        with self._stop_lock:
+            with contextlib.suppress(OSError):  # closed: the loop has ended
+                self._stop_w.send(b"\0")
+            self._stop_w.close()
+        if self._thread.ident is None:  # never started: nothing else will close these
+            self._listener.close()
+            self._stop.close()
         else:
-            self._serve_thread.join(timeout=10)
+            self._thread.join(timeout=10)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self.finished.wait(timeout)
 
-    def _close_extras(self):
+    def _run(self):
+        """The server's thread: collect and reap the child, or run the loop
+        where there is none; then close the stop writer and set finished."""
+        try:
+            if self._child is None:
+                with self._stop:
+                    self._serve_loop()
+            else:
+                self._sent = join_children([self._child])[0]
+        finally:
+            with self._stop_lock:
+                self._stop_w.close()
+            self.finished.set()
+
+    def _serve_child(self) -> list[int]:
+        """The forked child: the serving loop, then the t values it sent.
+        Ctrl-C reaches the whole process group, so the child leaves it to
+        the caller, whose stop() ends the loop."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        self._serve_loop()
+        return self._sent
+
+    def _cut_extra(self):
         # one client at a time: whoever connects while one is attached is cut
-        while select.select([self._listener], [], [], 0)[0]:
-            try:
-                extra, _ = self._listener.accept()
-            except TimeoutError:
-                return
-            extra.close()
+        with contextlib.suppress(BlockingIOError):  # gone before it was taken
+            self._listener.accept()[0].close()
 
     def _next_client(self) -> Optional[socket.socket]:
-        while not self._stop.is_set():
+        """The next client to connect, or None once stopped."""
+        while True:
+            ready = select.select([self._listener, self._stop], [], [])[0]
+            if self._stop in ready:
+                return None
             try:
-                return self._listener.accept()[0]
-            except TimeoutError:
+                conn = self._listener.accept()[0]
+            except BlockingIOError:  # gone before it was taken
                 continue
-        return None
+            conn.setblocking(False)
+            return conn
+
+    def _writable(self) -> bool:
+        """Wait until the client can take more bytes, cutting any other
+        client that connects meanwhile; False once stopped."""
+        while True:
+            ready, writable, _ = select.select([self._stop, self._listener], [self._conn], [])
+            if self._stop in ready:
+                return False
+            if self._listener in ready:
+                self._cut_extra()
+            if writable:
+                return True
 
     def _drop_client(self):
         if self._conn is not None:
@@ -212,17 +276,19 @@ class DeviceServer:
         A line counts as sent once it is wholly handed to the socket. If the
         client fails, the next one gets the stream from the first line not
         wholly sent; the part of it already sent is a partial tail that the
-        recorder discards. Returns early, leaving the rest unsent, on stop().
+        recorder discards. Returns early, leaving the rest unsent, once
+        stopped.
         """
         data = memoryview("".join(lines).encode("ascii"))
         ends = list(itertools.accumulate(map(len, lines)))
         done = sent = 0  # bytes handed to the socket; lines wholly among them
-        while sent < len(lines) and not self._stop.is_set():
+        while sent < len(lines):
             if self._conn is None:
                 self._conn = self._next_client()
                 if self._conn is None:
                     return
-            self._close_extras()
+            if not self._writable():
+                return
             try:
                 done += self._conn.send(data[done:])
             except OSError:
@@ -242,8 +308,6 @@ class DeviceServer:
         try:
             source = self.script.source
             for t, line in zip(source.t.tolist(), write_night(source, "ndjson")):
-                if self._stop.is_set():
-                    return
                 window = self.script.window_at(t)
                 if window is None:
                     lines.append(line + "\n")
@@ -255,8 +319,9 @@ class DeviceServer:
                     lines, stamps, size = [], [], 0
                     if window is not None and window.mode == DISCONNECT:
                         self._drop_client()
-                if tick > 0:
-                    self._stop.wait(tick)
+                    # the paced sleep, cut short once stopped
+                    if select.select([self._stop], [], [], tick)[0]:
+                        return
             self._send(lines, stamps)
         finally:
             # The listener closes before the client is dropped, so a client
@@ -266,7 +331,6 @@ class DeviceServer:
             # the backlog.
             self._listener.close()
             self._drop_client()
-            self.finished.set()
 
 
 def serve_stream(script: StreamScript, endpoint: str = "127.0.0.1:0") -> DeviceServer:

@@ -11,8 +11,9 @@ write -> parse bit-exactly. The canonical sample line is exactly what
 sample_line writes, ``{"t":INT,"hr":NUM,"rr":NUM,"sv":NUM,"hrv":NUM,"b2b":NUM}``
 with JSON numbers; SAMPLE_LINE matches it. load_night reads an NDJSON file of
 canonical lines in bulk, a regex scan and one numpy conversion per piece of
-the file, into the same record bit for bit; any other file goes through
-parse_night, the per-line parser, which owns every diagnostic. Label files
+the file, a large file in parts on the usable CPUs (core.fork_map), into
+the same record bit for bit; any other file goes through parse_night, the
+per-line parser, which owns every diagnostic. Label files
 are a single JSON document:
 ``{"night_id": "...", "levels": [{"level": "wake", "start_t": 0, "seconds": 300}, ...]}``.
 """
@@ -32,8 +33,10 @@ from .core import (
     NightRecord,
     Stage,
     StageInterval,
+    fork_map,
     plain_number,
     stage_codes,
+    usable_cpus,
     write_files,
 )
 from .errors import MalformedRow, OverlappingIntervals
@@ -53,6 +56,9 @@ _VITAL = (rb"-?(?:0|[1-9]\d*)\.\d+(?:[eE][-+]?\d+)?"
           rb"|-?[1-9]\d{0,299}|0")
 # canonical_rows scans a file in pieces of about this many bytes
 _SCAN_BYTES = 64 * 1024
+# load_night reads an NDJSON file in parts of at least this many bytes, at
+# most one per usable CPU, so a file below twice this is read in one piece
+_PART_BYTES = 1 << 20
 # One canonical sample line as sample_line writes it, anchored per line
 # (re.M) and capturing the six numbers; t has at most six digits.
 SAMPLE_LINE = re.compile(
@@ -217,19 +223,39 @@ def _format_of(path: str) -> str:
     return "csv" if path.endswith(".csv") else "ndjson"
 
 
+def _bulk_rows(data: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """canonical_rows(data), read in parts cut at line boundaries, each of
+    at least _PART_BYTES and at most one per usable CPU, in forked workers
+    (core.fork_map); None if any part is not canonical."""
+    n = min(usable_cpus(), len(data) // _PART_BYTES)
+    if n <= 1:
+        return canonical_rows(data)
+    cuts = [0, *(data.find(b"\n", len(data) * k // n) + 1 or len(data) for k in range(1, n)),
+            len(data)]
+    parts = fork_map(_canonical_part, zip(cuts, cuts[1:]), data)
+    if any(part is None for part in parts):
+        return None
+    return np.concatenate([t for t, _ in parts]), np.concatenate([v for _, v in parts])
+
+
+def _canonical_part(data: bytes, span: tuple[int, int]):
+    return canonical_rows(data[span[0]:span[1]])
+
+
 def load_night(path, night_id: str = "") -> NightRecord:
     """Read a night file in the format its extension names.
 
-    An NDJSON file that canonical_rows reads is built from its columns; the
-    record still runs its own vital and timestamp checks. Any other file
-    goes through parse_night, which gives the same record bit for bit and
-    owns every diagnostic.
+    An NDJSON file that canonical_rows reads is built from its columns, a
+    file of at least 2 MiB read in parts on the usable CPUs (_bulk_rows);
+    the record still runs its own vital and timestamp checks. Any other
+    file goes through parse_night, which gives the same record bit for bit
+    and owns every diagnostic.
     """
     path = str(path)
     fmt = _format_of(path)
     if fmt == "ndjson":
         with open(path, "rb") as fh:
-            columns = canonical_rows(fh.read())
+            columns = _bulk_rows(fh.read())
         if columns is not None:
             return NightRecord(night_id, *columns)
     with open(path, "r", encoding="utf-8") as fh:

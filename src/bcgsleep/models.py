@@ -345,7 +345,12 @@ def _grow_tree(x, y, w, max_depth, mtry, rng) -> NodeTable:
         right[i] = build(idx[~mask], depth + 1)
         return i
 
-    build(np.arange(x.shape[0], dtype=np.int64), 0)
+    try:
+        build(np.arange(x.shape[0], dtype=np.int64), 0)
+    finally:
+        # build reaches itself through its closure cell; emptying the cell
+        # frees the tree's rows now instead of at the next cyclic collection
+        del build
     i8 = np.int64
     return NodeTable(np.array(feature, i8), np.array(threshold, float), np.array(left, i8),
                      np.array(right, i8), np.array(label, i8), np.zeros(1, i8))

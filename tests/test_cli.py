@@ -6,6 +6,7 @@ import io
 import json
 import os
 import select
+import signal
 import socket
 import stat
 import subprocess
@@ -369,8 +370,9 @@ class TestFeaturizeCommand:
         assert set(windows.night_id.tolist()) == {"night00"}
 
     def test_full_night_same_bytes_on_one_and_two_cpus(self, tmp_path, monkeypatch):
-        """A full 8 h night is formatted in two forked blocks on two CPUs,
-        and in process on one; the file is the same."""
+        """A full 8 h night is read in two forked parts and formatted in
+        two forked blocks on two CPUs, and in process on one; the file is
+        the same."""
         assert main(["synth", "--out", str(tmp_path), "--nights", "1", "--seed", "4"]) == 0
         written = []
         for cpus in (1, 2):
@@ -381,7 +383,7 @@ class TestFeaturizeCommand:
                 assert main(["featurize", "--in", str(tmp_path / "night00.ndjson"),
                              "--labels", str(tmp_path / "night00.labels.json"),
                              "--out", str(out)]) == 0
-            assert len(forks) == (0 if cpus == 1 else 2)
+            assert len(forks) == (0 if cpus == 1 else 4)
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
@@ -1005,6 +1007,29 @@ class TestServeRecordCommands:
             server.terminate()
             server.wait(timeout=10)
             server.stdout.close()
+
+    def test_ctrl_c_ends_serve_quietly(self, workdir):
+        """Ctrl-C reaches the whole process group: serve stops its server's
+        child, which leaves the interrupt to it, and exits 0 with nothing
+        on stderr; once both have ended, their stdout pipe reads EOF."""
+        server = subprocess.Popen(
+            [sys.executable, "-m", "bcgsleep", "serve", "--in",
+             str(workdir / "nights" / "night00.ndjson"), "--endpoint", "127.0.0.1:0",
+             "--tick", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=checkout_env(), start_new_session=True,
+        )
+        try:
+            assert server.stdout.readline().startswith("serving ")
+            os.killpg(server.pid, signal.SIGINT)
+            assert server.wait(timeout=10) == 0
+            assert select.select([server.stdout], [], [], 2)[0]
+            assert server.stdout.read() == "" and server.stderr.read() == ""
+        finally:
+            server.kill()
+            server.wait()
+            server.stdout.close()
+            server.stderr.close()
 
     @pytest.mark.parametrize("port", ["99999", "-1", "65536"])
     def test_serve_port_out_of_range_exits_1(self, workdir, port, capsys):

@@ -259,6 +259,10 @@ def _fail_tasks_one_and_two(job, t):
     return t
 
 
+def _inner_fork_map(job, t):
+    return fork_map(_square, range(3), t)
+
+
 def _exit_on_task_one(job, t):
     if t == 1:
         os._exit(3)
@@ -319,6 +323,15 @@ class TestForkMap:
         with pytest.raises(ChildProcessError, match="worker 1 ended by exit status 3"):
             fork_map(_exit_on_task_one, range(4))
         assert len(tracked) == 2
+
+    def test_fork_map_in_a_worker_starts_no_grandchild(self, monkeypatch, tracked):
+        """A worker's own fork_map runs its tasks in a plain loop: a cohort
+        report's night loads in a worker, and would otherwise fork again."""
+        claim_cpus(monkeypatch, 2)
+        got = fork_map(_inner_fork_map, range(2))
+        assert len(tracked) == 2
+        for t, inner in enumerate(got):
+            assert inner == [(t * u * u, tracked[t]) for u in range(3)]
 
     def test_unpicklable_result_is_named(self, monkeypatch, tracked):
         claim_cpus(monkeypatch, 2)

@@ -14,6 +14,7 @@ import errno
 import io
 import json
 import math
+import os
 import re
 import signal
 import socket
@@ -38,7 +39,7 @@ from bcgsleep.devicesim import (
 from bcgsleep.errors import InitialConnectFailure
 from bcgsleep.ingest import load_night, sample_line, write_night
 
-from conftest import checkout_env, disk_full_after_half, make_record, make_sample
+from conftest import checkout_env, disk_full_after_half, make_record, make_sample, record_forks
 
 FAST = RetryPolicy(retry_interval=0.02, deadline=0.7)
 ONCE = RetryPolicy(retry_interval=0.02, deadline=0.3)  # record_lines' policy
@@ -267,6 +268,141 @@ class TestBatchedStream:
         finally:
             srv.stop()
         assert first == (sample_line(make_sample(0)) + "\n").encode("ascii")
+
+
+def _running(pid):
+    """Whether process pid exists and has not ended (a zombie has ended)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        if os.path.isdir("/proc"):
+            return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _read_some(client, n):
+    """At least n bytes from client; fails if it closes first."""
+    got = b""
+    while len(got) < n:
+        chunk = client.recv(65536)
+        assert chunk, "client lost service"
+        got += chunk
+    return got
+
+
+class TestServerProcess:
+    """The serving loop runs in one forked child: stop() ends and reaps it
+    in every state, and so does the death of the process that started it."""
+
+    @pytest.mark.parametrize("state", ["finished", "mid-batch", "paced sleep"])
+    def test_stop_leaves_no_child(self, tmp_path, monkeypatch, state):
+        forks = record_forks(monkeypatch)
+        n = 5000 if state == "mid-batch" else 40
+        srv = devicesim.DeviceServer(script_of(n, tick=5.0 if state == "paced sleep" else 0.0))
+        # small socket buffers (the accepted client inherits the listener's)
+        # keep a server with a client that does not read blocked mid-batch
+        srv._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        srv.start()
+        try:
+            if state == "finished":
+                res = record_stream(srv.endpoint, tmp_path / "out.ndjson", FAST)
+                assert res.n_samples == n and srv.wait(5)
+                t0 = time.monotonic()
+                srv.stop()
+            else:
+                with socket.socket() as client:
+                    client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                    client.connect(srv.address)
+                    client.settimeout(5)
+                    _read_some(client, 1000 if state == "mid-batch" else 1)
+                    time.sleep(0.1)  # the server now waits to send, or sleeps
+                    t0 = time.monotonic()
+                    srv.stop()
+                    while client.recv(65536):  # then the server closes the client
+                        pass
+        finally:
+            srv.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert srv.finished.is_set()
+        sent = len(srv.sent_timestamps)
+        assert (sent == n) if state == "finished" else (0 < sent < n)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(forks[0], os.WNOHANG)
+        assert not _running(forks[0])
+
+    @pytest.mark.parametrize("with_client", [False, True])
+    def test_killed_owner_leaves_no_server(self, with_client):
+        code = (
+            "import time, numpy as np; "
+            "from bcgsleep.core import NightRecord; "
+            "from bcgsleep.devicesim import StreamScript, serve_stream; "
+            "night = NightRecord('n', np.arange(100), np.ones((100, 5))); "
+            "srv = serve_stream(StreamScript(night, tick_interval=5.0)); "
+            "print(srv._child.pid, srv.address[1], flush=True); "
+            "time.sleep(60)"
+        )
+        owner = subprocess.Popen([sys.executable, "-c", code], env=checkout_env(),
+                                 stdout=subprocess.PIPE, text=True)
+        try:
+            pid, port = map(int, owner.stdout.readline().split())
+            client = socket.create_connection(("127.0.0.1", port)) if with_client else None
+            if client is not None:
+                client.settimeout(5)
+                _read_some(client, 1)  # the first line; the server now sleeps
+            owner.kill()
+            owner.wait(timeout=10)
+            deadline = time.monotonic() + 2.0
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not _running(pid)
+            if client is not None:
+                with client:
+                    assert client.recv(65536) == b""
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+
+    def test_without_fork_the_loop_runs_in_the_thread(self, tmp_path, monkeypatch):
+        """Where the platform has no fork, the thread serves the same
+        stream: the same recorded bytes and sent t values."""
+        windows = (DropoutWindow(400, 30, "disconnect"), DropoutWindow(1500, 7, "silence"),
+                   DropoutWindow(2990, 5, "disconnect"))
+        script = script_of(3000, windows=windows)
+        outcomes = []
+        for fork in (True, False):
+            with monkeypatch.context() as m:
+                if not fork:
+                    m.delattr(os, "fork")
+                srv = serve_stream(script, "127.0.0.1:0")
+                try:
+                    res = record_stream(srv.endpoint, tmp_path / f"{fork}.ndjson", FAST)
+                finally:
+                    srv.stop()
+            assert (srv._child is not None) == fork
+            outcomes.append((Path(res.path).read_bytes(), res.timestamps, srv.sent_timestamps))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == script.expected_timestamps()
+
+    def test_without_fork_stop_cuts_a_paced_sleep_short(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        srv = serve_stream(script_of(5, tick=5.0), "127.0.0.1:0")
+        try:
+            with socket.create_connection(srv.address) as client:
+                client.settimeout(5)
+                assert client.recv(65536)
+                t0 = time.monotonic()
+                srv.stop()
+                assert time.monotonic() - t0 < 1.0
+        finally:
+            srv.stop()
+        assert srv.finished.is_set() and srv._child is None
 
 
 class TestSingleClientRule:

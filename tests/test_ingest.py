@@ -34,7 +34,7 @@ from bcgsleep.ingest import (
     write_night,
 )
 
-from conftest import flat_record, make_record, make_sample
+from conftest import claim_cpus, flat_record, make_record, make_sample, record_forks
 
 finite_vital = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -322,6 +322,59 @@ class TestBulkLoad:
         for bad in (line + "\n\n", line + "\r\n", " " + line, line.replace("7", "-0", 1),
                     line.replace("7", "604800", 1)):
             assert canonical_rows(bad.encode()) is None
+
+
+@pytest.fixture(scope="module")
+def night_8h(tmp_path_factory):
+    """An 8 h synth night file, about 3.7 MB of canonical lines."""
+    item = next(iter(synth.generate_cohort(1, seed=5, duration_s=8 * 3600)))
+    path = tmp_path_factory.mktemp("night8h") / "night.ndjson"
+    save_night(item.record, path)
+    return path
+
+
+class TestPartedLoad:
+    """load_night reads a large file in parts cut at line boundaries, one
+    per usable CPU, in forked workers: the record, or the error, is the
+    serial read's."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_same_record_as_one_cpu(self, night_8h, monkeypatch, cpus):
+        outcomes = []
+        for claimed in (1, cpus):
+            claim_cpus(monkeypatch, claimed)
+            with monkeypatch.context() as m:
+                forks = record_forks(m)
+                outcomes.append(_outcome(lambda: load_night(night_8h, night_id="n")))
+            assert len(forks) == (0 if claimed == 1 else cpus)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == _outcome(lambda: _per_line(night_8h, "n"))
+
+    def test_bad_line_in_the_second_part(self, night_8h, tmp_path, monkeypatch):
+        lines = night_8h.read_text().split("\n")
+        at = len(lines) * 3 // 4
+        lines[at] = lines[at][:-1]  # its closing brace cut off
+        path = tmp_path / "night.ndjson"
+        path.write_text("\n".join(lines))
+        claim_cpus(monkeypatch, 1)
+        with pytest.raises(MalformedRow) as serial:
+            load_night(path)
+        assert serial.value.line_no == at + 1
+        claim_cpus(monkeypatch, 2)
+        with monkeypatch.context() as m:
+            forks = record_forks(m)
+            with pytest.raises(MalformedRow) as parted:
+                load_night(path)
+        assert len(forks) == 2
+        assert parted.value.line_no == at + 1 and str(parted.value) == str(serial.value)
+
+    def test_long_last_line_without_newline(self, night_8h, tmp_path, monkeypatch):
+        """A file whose last cut finds no newline after it reads as the
+        per-line parser reads it."""
+        path = tmp_path / "night.ndjson"
+        path.write_bytes(night_8h.read_bytes() + b"x" * (3 << 20))
+        claim_cpus(monkeypatch, 3)
+        assert _outcome(lambda: load_night(path)) == _outcome(lambda: _per_line(path))
 
 
 class TestLabels:

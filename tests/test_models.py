@@ -6,6 +6,7 @@ forest against its own degenerate single-tree configuration, and the tree
 against the memorization property of unlimited-depth CART.
 """
 
+import gc
 import json
 import math
 import os
@@ -260,6 +261,19 @@ class TestDecisionTree:
         text = model_to_json(tree)
         again = model_to_json(model_from_json(text))
         assert text == again
+
+    def test_grown_tree_leaves_no_garbage_cycle(self):
+        """_grow_tree's recursion leaves nothing for the cyclic collector,
+        so a tree's rows are freed when the call returns."""
+        x, y = random_dataset(np.random.default_rng(41), n=2000, d=6, spread=1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            models._grow_tree(x, y, np.ones(y.size, dtype=np.int64), None, 3,
+                              np.random.default_rng(0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _float_best_split(x, y, idx, feats):
