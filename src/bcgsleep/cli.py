@@ -98,8 +98,8 @@ def _cmd_serve(args) -> int:
     record = ingest.load_night(args.infile, night_id=_night_stem(args.infile))
     script = devicesim.StreamScript(record, dropouts, tick)
     server = devicesim.DeviceServer(script, host, port).start()
-    print(f"serving {len(record.t)} samples on {server.endpoint}", flush=True)
-    try:
+    try:  # a Ctrl-C as soon as the banner is out still stops the server
+        print(f"serving {len(record.t)} samples on {server.endpoint}", flush=True)
         while not server.wait(timeout=0.5):
             pass
     except KeyboardInterrupt:

@@ -1,7 +1,9 @@
 """Shared domain types: stages, per-second vitals, night records; fork_child,
 the one way a process is forked, and fork_map on it, the one way the
-pipeline runs work in parallel, starting no thread; and write_files, which
-writes every artifact but the recorder's appended NDJSON.
+pipeline runs work in parallel, starting no thread; spans, the one rule that
+cuts work into contiguous runs, one per usable CPU, for fork_map and its
+callers alike; and write_files, which writes every artifact but the
+recorder's appended NDJSON.
 
 All types are immutable values after construction and safe to share across
 threads. Timestamps are integer seconds from night start (the sensor runs at
@@ -348,55 +350,47 @@ def join_children(children) -> list:
     return [value for _, value in sent]
 
 
+def spans(n: int, min_len: int) -> list[tuple[int, int]]:
+    """range(n) cut into contiguous (lo, hi) spans in order: at most one per
+    usable CPU, and none shorter than min_len unless there is only one.
+    Every split of work across CPUs is sized here."""
+    k = max(1, min(usable_cpus(), n // min_len))
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 def fork_map(fn, tasks, job=()) -> list:
     """[fn(job, t) for t in tasks], computed in forked worker processes.
 
-    min(len(tasks), usable_cpus()) workers are forked (fork_child). Worker
-    w runs tasks w, w + W, ... in order and sends its results back as one
-    pickle, so fn, job and the tasks reach it through fork and only results
-    and errors are pickled. The calling thread collects them
-    (join_children), so no pipe or child outlives the call and no thread is
-    started. With one worker, inside a forked child (so a worker's own
-    fork_map starts no grandchildren), or where the platform has no fork,
-    the tasks run in a plain loop in this process.
+    The tasks are cut into contiguous runs, one per worker (spans), and
+    each run is forked off as a child (fork_child) that runs it in the same
+    plain loop as the serial case and sends its results back as one pickle,
+    so fn, job and the tasks reach it through fork and only results and
+    errors are pickled. The calling thread collects them (join_children),
+    so no pipe or child outlives the call and no thread is started. With
+    one run, inside a forked child (so a worker's own fork_map starts no
+    grandchildren), or where the platform has no fork, the whole task list
+    is that loop in this process.
 
-    A failed task ends its worker's run. The error raised is that of the
-    first failed task in task order, the one the plain loop raises; it must
-    pickle, as every BcgSleepError does. A worker that dies before sending
-    its results is ChildProcessError naming its exit status.
+    A failed task ends its run. The runs are in task order, so the error
+    raised is that of the first failed task, the one the plain loop raises;
+    it must pickle, as every BcgSleepError does. A worker that dies before
+    sending its results is ChildProcessError naming its exit status.
     """
     tasks = list(tasks)
-    n_workers = min(len(tasks), usable_cpus())
-    if n_workers <= 1 or _in_child or not hasattr(os, "fork"):
-        return [fn(job, t) for t in tasks]
+    runs = spans(len(tasks), 1)
+    if len(runs) == 1 or _in_child or not hasattr(os, "fork"):
+        return _run(fn, job, tasks)
     children = []
     try:
-        for w in range(n_workers):
-            children.append(fork_child(f"fork_map worker {w}", _worker_tasks, fn, job,
-                                       tasks[w::n_workers], w, n_workers,
+        for w, (lo, hi) in enumerate(runs):
+            children.append(fork_child(f"fork_map worker {w}", _run, fn, job, tasks[lo:hi],
                                        close=[c.read for c in children]))
     except BaseException:
         _reap_children(children)
         raise
-    results = [None] * len(tasks)
-    first_failed = None
-    for w, (failed_at, value) in enumerate(join_children(children)):
-        if failed_at is None:
-            results[w::n_workers] = value
-        elif first_failed is None or failed_at < first_failed[0]:
-            first_failed = failed_at, value
-    if first_failed is not None:
-        raise first_failed[1]
-    return results
+    return [value for run in join_children(children) for value in run]
 
 
-def _worker_tasks(fn, job, tasks, w, n_workers):
-    """fork_map's worker w: (None, its tasks' results), or (the index of
-    its failed task in fork_map's task order, that task's error)."""
-    results = []
-    try:
-        for t in tasks:
-            results.append(fn(job, t))
-    except BaseException as exc:
-        return w + n_workers * len(results), exc
-    return None, results
+def _run(fn, job, tasks) -> list:
+    """fork_map's one loop, run by each worker and by the serial case."""
+    return [fn(job, t) for t in tasks]

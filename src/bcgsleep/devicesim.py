@@ -191,8 +191,13 @@ class DeviceServer:
 
     def start(self) -> "DeviceServer":
         if hasattr(os, "fork"):
-            self._child = fork_child("device server", self._serve_child,
-                                     close=(self._stop_w.fileno(),))
+            # a Ctrl-C before the child ignores SIGINT waits there, held
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                self._child = fork_child("device server", self._serve_child, held,
+                                         close=(self._stop_w.fileno(),))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
             self._listener.close()
             self._stop.close()
         self._thread.start()
@@ -226,11 +231,13 @@ class DeviceServer:
                 self._stop_w.close()
             self.finished.set()
 
-    def _serve_child(self) -> list[int]:
+    def _serve_child(self, mask) -> list[int]:
         """The forked child: the serving loop, then the t values it sent.
         Ctrl-C reaches the whole process group, so the child leaves it to
-        the caller, whose stop() ends the loop."""
+        the caller, whose stop() ends the loop: SIGINT, blocked since the
+        fork, is ignored before the signal mask is set back to mask."""
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         self._serve_loop()
         return self._sent
 

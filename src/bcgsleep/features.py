@@ -11,7 +11,7 @@ Percentiles are linear interpolation at rank p*(n-1) over the sorted values
 
 Feature files are CSV: the header FEATURE_CSV_HEADER, then 30 statistics and
 a stage name per window. windows_to_csv formats a large table in
-contiguous blocks, one per usable CPU, in forked workers. load_feature_csv
+contiguous blocks (core.spans), in forked workers. load_feature_csv
 reads a file in bulk; parse_feature_csv, the per-line parser, reads what the
 bulk read refuses and owns every diagnostic.
 """
@@ -31,7 +31,7 @@ from .core import (
     Stage,
     fork_map,
     plain_number,
-    usable_cpus,
+    spans,
 )
 from .errors import ConstantInput, InvalidStageCode, MalformedRow, TooFewItems
 
@@ -221,18 +221,15 @@ def windows_to_csv(windows: FeatureTable):
     """Feature windows as CSV lines: the header, then per window its 30
     statistics and its stage name.
 
-    Formatting the floats is most of the cost, so a table of at least
-    2 * _MIN_CSV_BLOCK_ROWS windows is cut into contiguous blocks, one per
-    usable CPU and none shorter than that, formatted in forked workers
-    (core.fork_map). The lines are the same whoever formats them.
+    Formatting the floats is most of the cost, so the rows are cut into
+    contiguous blocks of at least _MIN_CSV_BLOCK_ROWS (core.spans), each
+    formatted in its own forked worker (core.fork_map). The lines are the
+    same whoever formats them.
     """
     yield FEATURE_CSV_HEADER
-    n = len(windows)
-    if not n:
+    if not len(windows):
         return
-    blocks = max(1, min(usable_cpus(), n // _MIN_CSV_BLOCK_ROWS))
-    bounds = [(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
-    texts = fork_map(_csv_block, bounds, windows)
+    texts = fork_map(_csv_block, spans(len(windows), _MIN_CSV_BLOCK_ROWS), windows)
     texts.reverse()
     while texts:  # each block's text is freed once split into its lines
         yield from texts.pop().split("\n")

@@ -35,8 +35,8 @@ from .core import (
     StageInterval,
     fork_map,
     plain_number,
+    spans,
     stage_codes,
-    usable_cpus,
     write_files,
 )
 from .errors import MalformedRow, OverlappingIntervals
@@ -56,8 +56,8 @@ _VITAL = (rb"-?(?:0|[1-9]\d*)\.\d+(?:[eE][-+]?\d+)?"
           rb"|-?[1-9]\d{0,299}|0")
 # canonical_rows scans a file in pieces of about this many bytes
 _SCAN_BYTES = 64 * 1024
-# load_night reads an NDJSON file in parts of at least this many bytes, at
-# most one per usable CPU, so a file below twice this is read in one piece
+# load_night reads an NDJSON file in parts of at least this many bytes
+# (core.spans), so a file below twice this is read in one piece
 _PART_BYTES = 1 << 20
 # One canonical sample line as sample_line writes it, anchored per line
 # (re.M) and capturing the six numbers; t has at most six digits.
@@ -224,22 +224,23 @@ def _format_of(path: str) -> str:
 
 
 def _bulk_rows(data: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """canonical_rows(data), read in parts cut at line boundaries, each of
-    at least _PART_BYTES and at most one per usable CPU, in forked workers
-    (core.fork_map); None if any part is not canonical."""
-    n = min(usable_cpus(), len(data) // _PART_BYTES)
-    if n <= 1:
-        return canonical_rows(data)
-    cuts = [0, *(data.find(b"\n", len(data) * k // n) + 1 or len(data) for k in range(1, n)),
-            len(data)]
-    parts = fork_map(_canonical_part, zip(cuts, cuts[1:]), data)
+    """canonical_rows(data), read in contiguous parts of at least
+    _PART_BYTES (core.spans) moved to whole lines (_canonical_part), each
+    in its own forked worker (core.fork_map); None if any is not canonical."""
+    parts = fork_map(_canonical_part, spans(len(data), _PART_BYTES), data)
     if any(part is None for part in parts):
         return None
+    if len(parts) == 1:  # the columns as they are, not copied
+        return parts[0]
     return np.concatenate([t for t, _ in parts]), np.concatenate([v for _, v in parts])
 
 
 def _canonical_part(data: bytes, span: tuple[int, int]):
-    return canonical_rows(data[span[0]:span[1]])
+    """canonical_rows of the lines of data that start within span: each end
+    moves forward to a line start, so the parts of a cut tile data's lines.
+    The whole of data is sliced without a copy."""
+    lo, hi = (pos and (data.find(b"\n", pos - 1) + 1 or len(data)) for pos in span)
+    return canonical_rows(data[lo:hi])
 
 
 def load_night(path, night_id: str = "") -> NightRecord:

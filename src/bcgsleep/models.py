@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import N_STAGES, check_stage_codes, fork_map, usable_cpus, write_files
+from .core import N_STAGES, check_stage_codes, fork_map, spans, write_files
 from .errors import SchemaMismatch, TooFewItems
 from .features import (
     WINDOW_LEN,
@@ -305,52 +305,39 @@ def _best_split(x, y, w, idx, feats):
 
 def _grow_tree(x, y, w, max_depth, mtry, rng) -> NodeTable:
     """CART on rows x with codes y, row i counted w[i] times (int64, >= 1),
-    as a table of one tree."""
+    as a table of one tree.
+
+    Nodes grow in pre-order from an explicit stack, left child first, so a
+    split's left child is the next node, the split-feature draws come in
+    pre-order, and no depth overflows the interpreter's stack.
+    """
     n_features = x.shape[1]
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    label: list[int] = []
-
-    def leaf(idx) -> int:
-        i = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(i)
-        right.append(i)
-        label.append(int(np.argmax(np.bincount(y[idx], weights=w[idx], minlength=N_STAGES))))
-        return i
-
-    def build(idx, depth) -> int:
+    nodes = []  # [feature, threshold, left, right, label] per node
+    # (rows, depth, the node whose right child they are, or -1)
+    stack = [(np.arange(x.shape[0], dtype=np.int64), 0, -1)]
+    while stack:
+        idx, depth, parent = stack.pop()
+        i = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = i
         ysub = y[idx]
+        feat, gain = -1, 0.0
         # a one-row node is pure, and no split leaves a side empty
-        if (max_depth is not None and depth >= max_depth) or (ysub == ysub[0]).all():
-            return leaf(idx)
-        if mtry is None or mtry >= n_features:
-            feats = np.arange(n_features)
-        else:
-            feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
-        feat, thr, gain = _best_split(x, y, w, idx, feats)
+        if not ((max_depth is not None and depth >= max_depth) or (ysub == ysub[0]).all()):
+            if mtry is None or mtry >= n_features:
+                feats = np.arange(n_features)
+            else:
+                feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
+            feat, thr, gain = _best_split(x, y, w, idx, feats)
         if feat < 0 or gain <= MIN_GAIN:
-            return leaf(idx)
-        i = len(feature)
-        feature.append(feat)
-        threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
-        label.append(-1)
+            counts = np.bincount(ysub, weights=w[idx], minlength=N_STAGES)
+            nodes.append([-1, 0.0, i, i, int(np.argmax(counts))])
+            continue
+        nodes.append([feat, thr, i + 1, -1, -1])
         mask = x[idx, feat] <= thr
-        left[i] = build(idx[mask], depth + 1)
-        right[i] = build(idx[~mask], depth + 1)
-        return i
-
-    try:
-        build(np.arange(x.shape[0], dtype=np.int64), 0)
-    finally:
-        # build reaches itself through its closure cell; emptying the cell
-        # frees the tree's rows now instead of at the next cyclic collection
-        del build
+        stack.append((idx[~mask], depth + 1, i))
+        stack.append((idx[mask], depth + 1, -1))
+    feature, threshold, left, right, label = zip(*nodes)
     i8 = np.int64
     return NodeTable(np.array(feature, i8), np.array(threshold, float), np.array(left, i8),
                      np.array(right, i8), np.array(label, i8), np.zeros(1, i8))
@@ -533,18 +520,18 @@ class Knn:
 
         Queries go in chunks of at most 256 rows, as many as fit one n-wide
         float64 buffer in _KNN_BUFFER_BYTES, so the scratch memory does not
-        grow with the training set. core.fork_map answers min(usable CPUs,
-        chunks) contiguous blocks of chunks (_knn_block), one per worker. A
-        row's distances come from the same operations whatever the chunk
-        height and block, so the neighbors depend on neither.
+        grow with the training set. The chunks are cut into contiguous
+        blocks (core.spans), each answered in its own forked worker
+        (core.fork_map, _knn_block). A row's distances come from the same
+        operations whatever the chunk height and block, so the neighbors
+        depend on neither.
         """
         q = _as_matrix(rows)
         if q.shape[0] == 0:
             return np.empty((0, self.k), dtype=np.int64)
         q = standardize_apply(q, (self.mean, self.std))
         chunk = min(256, max(1, _KNN_BUFFER_BYTES // (8 * self.x_std.shape[0])))
-        starts = np.arange(0, q.shape[0], chunk)
-        blocks = np.array_split(starts, min(usable_cpus(), starts.size))
+        blocks = spans(-(-q.shape[0] // chunk), 1)
         return np.concatenate(fork_map(_knn_block, blocks, (q, self.x_std, self.k, chunk)))
 
     def predict_codes(self, x: np.ndarray) -> np.ndarray:
@@ -581,15 +568,17 @@ class Knn:
         return model
 
 
-def _knn_block(job: tuple, block: np.ndarray) -> np.ndarray:
-    """The (rows, k) int64 neighbors of the job's (q, x_std, k, chunk) queries
-    in the chunks starting at block, all through two chunk x n buffers."""
+def _knn_block(job: tuple, block: tuple[int, int]) -> np.ndarray:
+    """The (rows, k) int64 neighbors of the job's (q, x_std, k, chunk)
+    queries in the chunks block[0]:block[1], chunk rows each, all through
+    two chunk x n buffers."""
     q, x_std, k, chunk = job
+    first, end = block[0] * chunk, min(block[1] * chunk, q.shape[0])
     tt = (x_std * x_std).sum(axis=1)
     d2_buf = np.empty((chunk, tt.size))
     part_buf = np.empty_like(d2_buf)
-    out = np.empty((min(block[-1] + chunk, q.shape[0]) - block[0], k), dtype=np.int64)
-    for lo in block:
+    out = np.empty((end - first, k), dtype=np.int64)
+    for lo in range(first, end, chunk):
         qc = q[lo : lo + chunk]
         d2, part = d2_buf[: qc.shape[0]], part_buf[: qc.shape[0]]
         # |q - t|^2 expanded so one matmul does the heavy lifting; the steps
@@ -605,7 +594,7 @@ def _knn_block(job: tuple, block: np.ndarray) -> np.ndarray:
         for i, row in enumerate(d2):
             cand = np.nonzero(row <= part[i, k - 1])[0]
             order = np.lexsort((cand, row[cand]))
-            out[lo - block[0] + i] = cand[order[:k]]
+            out[lo - first + i] = cand[order[:k]]
     return out
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcgsleep import features, models
+from bcgsleep import features, ingest, models
 from bcgsleep.cli import _apply_config, _load_feature_files, build_parser, main
 from bcgsleep.core import STAGE_NAMES
 from bcgsleep.errors import MalformedRow
@@ -804,39 +804,56 @@ GOLDEN_SHA256 = {
 }
 
 
+def _golden_artifacts(workdir, out):
+    """The digest of each GOLDEN_SHA256 artifact, the workdir's nights read
+    and every other artifact made from them into out through the CLI."""
+    nights = workdir / "nights"
+    (out / "features").mkdir(parents=True)
+    for stem in ("night00", "night01", "night02"):
+        assert main(["featurize", "--in", str(nights / f"{stem}.ndjson"),
+                     "--labels", str(nights / f"{stem}.labels.json"),
+                     "--out", str(out / "features" / f"{stem}.features.csv")]) == 0
+    feats = feature_args(out)
+    for kind in ("tree", "forest", "knn", "nb"):
+        model = out / f"{kind}.json"
+        assert main(["train", "--features", *feats, "--model", kind,
+                     "--n-trees", "10", "--seed", "3", "--out", str(model)]) == 0
+        assert main(["evaluate", "--features", *feats, "--model", str(model),
+                     "--seed", "3", "--out-dir", str(out / f"eval-{kind}")]) == 0
+    assert main(["evaluate", "--features", *feats, "--kfold", "3",
+                 "--model-kind", "nb", "--seed", "3",
+                 "--out-dir", str(out / "kfold-nb")]) == 0
+    assert main(["report", "--night", str(nights / "night01.ndjson"),
+                 "--labels", str(nights / "night01.labels.json"),
+                 "--model", str(out / "tree.json"),
+                 "--out-dir", str(out / "report-tree")]) == 0
+    assert main(["report", "--night", str(nights / "night01.ndjson"),
+                 "--labels", str(nights / "night01.labels.json"),
+                 "--model", str(out / "forest.json"),
+                 "--out-dir", str(out / "report-forest")]) == 0
+    assert main(["report", "--cohort-dir", str(nights),
+                 "--out-dir", str(out / "report-cohort")]) == 0
+    for stem in ("night00", "night01", "night02"):
+        assert main(["sleepwake", "--in", str(nights / f"{stem}.ndjson"),
+                     "--out", str(out / f"sleepwake-{stem}.csv")]) == 0
+    save_night(load_night(nights / "night01.ndjson"), out / "night01.csv")
+    return {name: _sha256((workdir if name.startswith("nights/") else out) / name)
+            for name in GOLDEN_SHA256}
+
+
 class TestGoldenArtifacts:
-    def test_artifacts_match_golden_digests(self, workdir, tmp_path):
-        feats = feature_args(workdir)
-        for kind in ("tree", "forest", "knn", "nb"):
-            model = tmp_path / f"{kind}.json"
-            assert main(["train", "--features", *feats, "--model", kind,
-                         "--n-trees", "10", "--seed", "3", "--out", str(model)]) == 0
-            assert main(["evaluate", "--features", *feats, "--model", str(model),
-                         "--seed", "3", "--out-dir", str(tmp_path / f"eval-{kind}")]) == 0
-        assert main(["evaluate", "--features", *feats, "--kfold", "3",
-                     "--model-kind", "nb", "--seed", "3",
-                     "--out-dir", str(tmp_path / "kfold-nb")]) == 0
-        nights = workdir / "nights"
-        assert main(["report", "--night", str(nights / "night01.ndjson"),
-                     "--labels", str(nights / "night01.labels.json"),
-                     "--model", str(tmp_path / "tree.json"),
-                     "--out-dir", str(tmp_path / "report-tree")]) == 0
-        assert main(["report", "--night", str(nights / "night01.ndjson"),
-                     "--labels", str(nights / "night01.labels.json"),
-                     "--model", str(tmp_path / "forest.json"),
-                     "--out-dir", str(tmp_path / "report-forest")]) == 0
-        assert main(["report", "--cohort-dir", str(nights),
-                     "--out-dir", str(tmp_path / "report-cohort")]) == 0
-        for stem in ("night00", "night01", "night02"):
-            assert main(["sleepwake", "--in", str(nights / f"{stem}.ndjson"),
-                         "--out", str(tmp_path / f"sleepwake-{stem}.csv")]) == 0
-        save_night(load_night(nights / "night01.ndjson"), tmp_path / "night01.csv")
-        from_workdir = ("features/", "nights/")
-        got = {
-            name: _sha256((workdir if name.startswith(from_workdir) else tmp_path) / name)
-            for name in GOLDEN_SHA256
-        }
-        assert got == GOLDEN_SHA256
+    def test_artifacts_match_golden_digests(self, workdir, tmp_path, monkeypatch):
+        """The same digests on one CPU, where every fork_map runs in
+        process, and on two and three, where the work is cut into
+        contiguous runs, most of them uneven. The floors of the feature
+        writer's blocks and the night reader's parts are lowered so that
+        these 1 h nights are cut too."""
+        monkeypatch.setattr(features, "_MIN_CSV_BLOCK_ROWS", 500)
+        monkeypatch.setattr(ingest, "_PART_BYTES", 1 << 16)
+        for cpus in (1, 2, 3):
+            claim_cpus(monkeypatch, cpus)
+            got = _golden_artifacts(workdir, tmp_path / f"cpus{cpus}")
+            assert got == GOLDEN_SHA256, f"on {cpus} claimed CPUs"
 
 
 class TestReportCommand:

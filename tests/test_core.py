@@ -24,6 +24,7 @@ from bcgsleep.core import (
     VitalsSample,
     compute_gaps,
     fork_map,
+    spans,
     write_files,
 )
 from bcgsleep.errors import InvalidStageCode, NegativeVital, NonMonotonicTimestamp
@@ -269,6 +270,20 @@ def _exit_on_task_one(job, t):
     return t
 
 
+class TestSpans:
+    @pytest.mark.parametrize("min_len", [1, 2, 10])
+    @pytest.mark.parametrize("n", [0, 1, 7, 23])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_contiguous_runs_one_per_cpu_at_most(self, monkeypatch, cpus, n, min_len):
+        claim_cpus(monkeypatch, cpus)
+        got = spans(n, min_len)
+        assert [lo for lo, _ in got] == [0] + [hi for _, hi in got[:-1]]
+        assert got[-1][1] == n
+        assert len(got) == max(1, min(cpus, n // min_len))
+        if len(got) > 1:
+            assert min(hi - lo for lo, hi in got) >= min_len
+
+
 class TestForkMap:
     """fork_map against the plain loop, with every child and pipe checked
     gone after each call."""
@@ -302,9 +317,11 @@ class TestForkMap:
         assert [v for v, _ in got] == [3 * t * t for t in range(n_tasks)]
         workers = min(cpus, n_tasks)
         assert len(tracked) == (workers if workers > 1 else 0)
-        # worker w ran tasks w, w + W, ...
+        # worker w ran the w-th of W contiguous runs of tasks
+        runs = [range(n_tasks * w // workers, n_tasks * (w + 1) // workers)
+                for w in range(workers)]
         assert [pid for _, pid in got] == [
-            (tracked[t % workers] if workers > 1 else os.getpid()) for t in range(n_tasks)]
+            (tracked[w] if workers > 1 else os.getpid()) for w, run in enumerate(runs) for _ in run]
 
     def test_without_fork_runs_in_process(self, monkeypatch):
         claim_cpus(monkeypatch, 4)
@@ -320,7 +337,8 @@ class TestForkMap:
 
     def test_dead_worker_is_one_clear_error(self, monkeypatch, tracked):
         claim_cpus(monkeypatch, 2)
-        with pytest.raises(ChildProcessError, match="worker 1 ended by exit status 3"):
+        # task 1 is in worker 0's run of tasks 0 and 1
+        with pytest.raises(ChildProcessError, match="worker 0 ended by exit status 3"):
             fork_map(_exit_on_task_one, range(4))
         assert len(tracked) == 2
 

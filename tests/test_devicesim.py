@@ -369,6 +369,26 @@ class TestServerProcess:
             owner.wait()
             owner.stdout.close()
 
+    def test_ctrl_c_before_the_child_ignores_it_is_dropped(self, tmp_path, monkeypatch):
+        """A SIGINT that reaches the child after the fork but before it
+        ignores SIGINT waits, blocked, and is discarded: the child serves
+        the whole night and the caller never sees a KeyboardInterrupt."""
+        serve_child = devicesim.DeviceServer._serve_child
+
+        def interrupted_first(self, *args):
+            os.kill(os.getpid(), signal.SIGINT)
+            return serve_child(self, *args)
+
+        monkeypatch.setattr(devicesim.DeviceServer, "_serve_child", interrupted_first)
+        script = script_of(200)
+        srv = serve_stream(script, "127.0.0.1:0")
+        try:
+            res = record_stream(srv.endpoint, tmp_path / "out.ndjson", FAST)
+            assert srv.wait(5)
+        finally:
+            srv.stop()
+        assert res.timestamps == tuple(srv.sent_timestamps) == script.expected_timestamps()
+
     def test_without_fork_the_loop_runs_in_the_thread(self, tmp_path, monkeypatch):
         """Where the platform has no fork, the thread serves the same
         stream: the same recorded bytes and sent t values."""

@@ -368,6 +368,19 @@ class TestPartedLoad:
         assert len(forks) == 2
         assert parted.value.line_no == at + 1 and str(parted.value) == str(serial.value)
 
+    @pytest.mark.parametrize("tail", [b"", b"\n"])
+    @pytest.mark.parametrize("n_lines", [1, 2, 3, 6, 7])
+    def test_parts_tile_the_lines(self, monkeypatch, n_lines, tail):
+        """Lines of one length, cut in three: a cut lands on a line start,
+        inside a line or past the last newline, and each line is read once."""
+        data = "\n".join(sample_line((t, 60.0, 14.0, 70.0, 40.0, 1000.0))
+                         for t in range(n_lines)).encode() + tail
+        want = ingest.canonical_rows(data)
+        claim_cpus(monkeypatch, 3)
+        monkeypatch.setattr(ingest, "_PART_BYTES", 1)
+        got = ingest._bulk_rows(data)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
     def test_long_last_line_without_newline(self, night_8h, tmp_path, monkeypatch):
         """A file whose last cut finds no newline after it reads as the
         per-line parser reads it."""

@@ -262,9 +262,19 @@ class TestDecisionTree:
         again = model_to_json(model_from_json(text))
         assert text == again
 
+    def test_deeper_than_the_recursion_limit(self):
+        """Alternating labels on one rising feature split off one row at a
+        time, so the tree is 1499 splits deep: deeper than Python's
+        default recursion limit of 1000 frames."""
+        x = np.arange(1500, dtype=float).reshape(-1, 1)
+        y = np.arange(1500) % 2
+        tree = train_decision_tree(x, y, TreeParams(max_depth=None))
+        assert tree.nodes.feature.size > 1500
+        assert predict(tree, x).tolist() == y.tolist()
+
     def test_grown_tree_leaves_no_garbage_cycle(self):
-        """_grow_tree's recursion leaves nothing for the cyclic collector,
-        so a tree's rows are freed when the call returns."""
+        """_grow_tree leaves nothing for the cyclic collector, so a tree's
+        rows are freed when the call returns."""
         x, y = random_dataset(np.random.default_rng(41), n=2000, d=6, spread=1.0)
         gc.collect()
         gc.disable()
