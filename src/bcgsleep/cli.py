@@ -9,6 +9,11 @@ exit 1 with a single diagnostic line naming the error.
 featurize, train, evaluate and report --cohort-dir spread their per-night
 work over every usable CPU in forked workers (core.fork_map), with no
 setting; what they write is the same as a serial run's.
+
+featurize writes each feature CSV together with its binary twin
+(features.feature_twin), both whole or neither; train and evaluate read a
+file's twin when it provably belongs to the CSV and the CSV otherwise, so
+the twin is optional, safe to delete and never changes a result or an error.
 """
 
 from __future__ import annotations
@@ -136,14 +141,21 @@ def _cmd_featurize(args) -> int:
     cleaned = preprocess.clean_for_features(record)
     aligned = ingest.align_labels(cleaned, intervals)
     windows = features.window_night(cleaned, aligned)
-    write_files({args.out: "\n".join(features.windows_to_csv(windows)) + "\n"})
+    data = ("\n".join(features.windows_to_csv(windows)) + "\n").encode("utf-8")
+    write_files({args.out: data,
+                 features.twin_path(args.out): features.feature_twin(windows, data)})
     candidates = len(features.candidate_starts(cleaned))
     print(f"kept {len(windows)} of {candidates} windows -> {args.out}")
     return 0
 
 
 def _load_feature_file(job, path) -> features.FeatureTable:
-    return features.load_feature_csv(path, night_id=_night_stem(path))
+    """The table of one feature file: from its binary twin when that
+    provably belongs to the CSV (features.load_feature_twin), else from the
+    CSV, with the CSV's diagnostics."""
+    night_id = _night_stem(path)
+    table = features.load_feature_twin(path, night_id)
+    return features.load_feature_csv(path, night_id) if table is None else table
 
 
 def _load_feature_files(paths) -> features.FeatureTable:

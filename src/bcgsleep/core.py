@@ -206,13 +206,13 @@ def stage_codes(intervals: Iterable[StageInterval], n: int) -> np.ndarray:
 
 
 def write_files(texts) -> None:
-    """Write each text of texts, a {path: str} mapping, to its path, every
-    file whole or not at all.
+    """Write each text of texts, a {path: str or bytes} mapping, to its
+    path, every file whole or not at all; a str is written as UTF-8.
 
     A symlink is followed, so its final target gets the text; a target that
     exists and is not a regular file (a directory, FIFO or device) is
     refused with FileExistsError before anything is written. Each text goes
-    to a new file beside its target, created exclusively ("x") as open()
+    to a new file beside its target, created exclusively ("xb") as open()
     creates any file; only once every text is written is each target
     replaced (os.replace). On any failure the new files are removed and the
     error re-raised, so every target keeps its old bytes or stays absent. A
@@ -226,10 +226,12 @@ def write_files(texts) -> None:
     written = []
     try:
         for path, text in targets.items():
+            data = text.encode("utf-8") if isinstance(text, str) else text
             tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-            with open(tmp, "x", encoding="utf-8") as fh:
+            with open(tmp, "xb") as fh:
                 written.append((tmp, path))
-                fh.write(text)
+                fh.write(data)
+            del data  # a str's encoded copy goes before the next is made
         for tmp, path in written:
             os.replace(tmp, path)
     except BaseException:

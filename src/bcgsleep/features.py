@@ -14,13 +14,23 @@ a stage name per window. windows_to_csv formats a large table in
 contiguous blocks (core.spans), in forked workers. load_feature_csv
 reads a file in bulk; parse_feature_csv, the per-line parser, reads what the
 bulk read refuses and owns every diagnostic.
+
+Beside a CSV, featurize writes its binary twin (twin_path): the table's x
+and y and the sha256 of the CSV's exact bytes (feature_twin).
+load_feature_twin gives the table from the twin only when the twin is whole,
+well-formed and names that digest; otherwise the CSV readers decide, so a
+twin never changes a table or an error.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import math
+import os
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +39,7 @@ from .core import (
     VITAL_FIELDS,
     NightRecord,
     Stage,
+    check_stage_codes,
     fork_map,
     plain_number,
     spans,
@@ -209,12 +220,21 @@ def pca_explained_variance(matrix: np.ndarray) -> list[float]:
 
 
 def _csv_block(windows: FeatureTable, rows: tuple[int, int]) -> str:
-    """CSV lines of the windows rows[0]:rows[1], joined by newlines."""
+    """CSV lines of the windows rows[0]:rows[1], joined by newlines.
+
+    Each cell is the repr of its float. A column repeats many of its values
+    (an 8 h night's 30 columns are about half distinct), so each distinct
+    bit pattern is formatted once and its text gathered into the rows;
+    bit patterns, not values, so that -0.0 stays "-0.0".
+    """
     lo, hi = rows
-    return "\n".join(
-        ",".join(map(repr, stats)) + "," + STAGE_NAMES[code]
-        for stats, code in zip(windows.x[lo:hi].tolist(), windows.y[lo:hi].tolist())
-    )
+    cells = []
+    for col in windows.x[lo:hi].T:
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        cells.append(texts[inverse].tolist())
+    cells.append(np.array(STAGE_NAMES, dtype=object)[windows.y[lo:hi]].tolist())
+    return "\n".join(map(",".join, zip(*cells)))
 
 
 def windows_to_csv(windows: FeatureTable):
@@ -303,3 +323,70 @@ def load_feature_csv(path, night_id: str = "") -> FeatureTable:
             fh.seek(0)
             table = parse_feature_csv(fh, night_id)
     return table
+
+
+def twin_path(path) -> str:
+    """The path of the binary twin of the feature CSV at path: path.npy."""
+    return os.fspath(path) + ".npy"
+
+
+def feature_twin(windows: FeatureTable, csv_data: bytes) -> bytes:
+    """The binary twin of the feature CSV whose exact bytes are csv_data,
+    which windows_to_csv(windows) formatted: three arrays written one after
+    another by np.save, windows.x as <f8 (n, 30), windows.y as <i8 (n,),
+    and the sha256 of csv_data as 32 u1."""
+    buf = io.BytesIO()
+    digest = np.frombuffer(hashlib.sha256(csv_data).digest(), dtype=np.uint8)
+    for a in (np.ascontiguousarray(windows.x, "<f8"), np.ascontiguousarray(windows.y, "<i8"),
+              digest):
+        np.save(buf, a, allow_pickle=False)
+    return buf.getvalue()
+
+
+def _saved_array(fh, end: int, dtype: str, shape: tuple) -> np.ndarray:
+    """The next array in fh, a file of end bytes, as np.save wrote it.
+
+    Its header must say C order, dtype and shape (None: any length), and
+    the file must hold all its data; else ValueError. The header is checked
+    before any of the data is read or allocated.
+    """
+    start = fh.tell()
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 array")
+    got, fortran_order, got_dtype = np.lib.format.read_array_header_1_0(fh)
+    if (fortran_order or got_dtype != np.dtype(dtype) or len(got) != len(shape)
+            or any(g < 0 or s not in (None, g) for g, s in zip(got, shape))
+            or math.prod(got) * got_dtype.itemsize > end - fh.tell()):
+        raise ValueError("not the twin's layout")
+    fh.seek(start)
+    return np.load(fh, allow_pickle=False)
+
+
+def load_feature_twin(path, night_id: str = "") -> Optional[FeatureTable]:
+    """The table load_feature_csv(path, night_id) gives, read from the
+    CSV's binary twin, or None unless the twin provably belongs to the CSV.
+
+    The twin must be feature_twin's layout exactly, with nothing after the
+    digest; x must be finite and y stage codes; and only then is the CSV
+    read and hashed, and its sha256 must be the twin's digest. A missing,
+    stale, truncated or malformed twin is None, and the caller reads the
+    CSV instead. The digest ties the twin to its CSV; it does not vouch for
+    values edited into a twin that keeps its digest.
+    """
+    try:
+        with open(twin_path(path), "rb") as fh:
+            end = os.fstat(fh.fileno()).st_size
+            x = _saved_array(fh, end, "<f8", (None, N_FEATURES))
+            y = _saved_array(fh, end, "<i8", (len(x),))
+            digest = _saved_array(fh, end, "u1", (32,))
+            if fh.read(1):
+                return None
+        if not np.isfinite(x).all():
+            return None
+        check_stage_codes(y, "feature twin")
+        with open(path, "rb") as fh:
+            if hashlib.sha256(fh.read()).digest() != digest.tobytes():
+                return None
+    except (OSError, ValueError):
+        return None
+    return _table(x, y, np.arange(len(y), dtype=np.int64), night_id)

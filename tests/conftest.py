@@ -52,7 +52,7 @@ def disk_full_after_half(monkeypatch, from_file=1):
 
     def opening(path, mode, **kwargs):
         fh = open(path, mode, **kwargs)
-        if mode != "x":  # fork_map's pipes
+        if mode != "xb":  # fork_map's pipes
             return fh
         opened.append(path)
         if len(opened) >= from_file:

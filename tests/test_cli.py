@@ -535,8 +535,8 @@ class TestBulkFeatureRead:
             m.setattr(features, "_bulk_feature_csv", lambda fh, night_id: None)
             assert bulk == _table_outcome(lambda: _load_feature_files([str(path)]))
 
-    def test_featurized_files_take_the_bulk_path(self, workdir, monkeypatch):
-        paths = feature_args(workdir)
+    def test_featurized_files_take_the_bulk_path(self, workdir, tmp_path, monkeypatch):
+        paths = _csv_copies(feature_args(workdir), tmp_path)
         with monkeypatch.context() as m:
             m.setattr(features, "_bulk_feature_csv", lambda fh, night_id: None)
             want = _table_outcome(lambda: _load_feature_files(paths))
@@ -554,6 +554,172 @@ class TestBulkFeatureRead:
             table = features.load_feature_csv(path, "empty")
         assert len(table) == 0 and table.x.shape == (0, features.N_FEATURES)
         assert np.array_equal(table.y, np.empty(0, dtype=np.int64))
+
+
+def _saved(*arrays, version=None) -> bytes:
+    """The arrays written one after another as np.save writes them (in the
+    .npy format version given, else the oldest that fits)."""
+    buf = io.BytesIO()
+    for a in arrays:
+        np.lib.format.write_array(buf, np.asanyarray(a), version=version)
+    return buf.getvalue()
+
+
+def _csv_copies(paths, to):
+    """Copies of the feature CSVs at paths in the directory to, without
+    the binary twins that would be read in their place."""
+    copies = [to / Path(src).name for src in paths]
+    for src, copy in zip(paths, copies):
+        copy.write_bytes(Path(src).read_bytes())
+    return copies
+
+
+def _more_rows_promised(x, y, digest) -> bytes:
+    """A twin whose x header promises 2**40 rows: reading that x would ask
+    for 264 TB, which no host gives."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 40, features.N_FEATURES)})
+    return buf.getvalue() + x.tobytes() + _saved(y, digest)
+
+
+def _with(a, at, value):
+    a = a.copy()
+    a[at] = value
+    return a
+
+
+# ways a twin may not belong to its CSV, each as twin bytes made from the
+# CSV's table (x, y) and the sha256 of the CSV's bytes (digest, 32 u1)
+TWIN_EDITS = {
+    "empty": lambda x, y, d: b"",
+    "cut in x": lambda x, y, d: _saved(x, y, d)[:1000],
+    "cut in the digest": lambda x, y, d: _saved(x, y, d)[:-1],
+    "trailing byte": lambda x, y, d: _saved(x, y, d) + b"\0",
+    "trailing array": lambda x, y, d: _saved(x, y, d, d),
+    "no digest": lambda x, y, d: _saved(x, y),
+    "digest of other bytes": lambda x, y, d: _saved(x, y, _with(d, 0, d[0] ^ 1)),
+    "digest short": lambda x, y, d: _saved(x, y, d[:31]),
+    "digest as <u4": lambda x, y, d: _saved(x, y, d.astype("<u4")),
+    "x as <f4": lambda x, y, d: _saved(x.astype("<f4"), y, d),
+    "x big-endian": lambda x, y, d: _saved(x.astype(">f8"), y, d),
+    "x in Fortran order": lambda x, y, d: _saved(np.asfortranarray(x), y, d),
+    "x flat": lambda x, y, d: _saved(x.ravel(), y, d),
+    "x one column short": lambda x, y, d: _saved(x[:, 1:], y, d),
+    "x as objects": lambda x, y, d: _saved(x.astype(object), y, d),
+    "y as <i4": lambda x, y, d: _saved(x, y.astype("<i4"), d),
+    "y one row short": lambda x, y, d: _saved(x, y[:-1], d),
+    "format 2.0": lambda x, y, d: _saved(x, y, d, version=(2, 0)),
+    "nan": lambda x, y, d: _saved(_with(x, (39, 3), np.nan), y, d),
+    "inf": lambda x, y, d: _saved(_with(x, (39, 3), -np.inf), y, d),
+    "stage code 4": lambda x, y, d: _saved(x, _with(y, 39, 4), d),
+    "stage code -1": lambda x, y, d: _saved(x, _with(y, 39, -1), d),
+    "more rows promised": _more_rows_promised,
+}
+
+
+class TestFeatureTwin:
+    """featurize writes each feature CSV's binary twin beside it, and train
+    and evaluate read the twin instead of the CSV only when it provably
+    belongs to that CSV; anything else is what the CSV alone gives."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_valid_twins_are_read_instead_of_the_csv(self, workdir, tmp_path, monkeypatch,
+                                                     cpus):
+        def refuse(path, night_id=""):
+            raise AssertionError(f"{path} was parsed as CSV")
+
+        claim_cpus(monkeypatch, cpus)
+        feats = feature_args(workdir)
+        monkeypatch.setattr(features, "load_feature_csv", refuse)
+        model = tmp_path / "m.json"
+        assert main(["train", "--features", *feats, "--model", "nb", "--out", str(model)]) == 0
+        assert main(["evaluate", "--features", *feats, "--model", str(model),
+                     "--out-dir", str(tmp_path / "ev")]) == 0
+        assert main(["evaluate", "--features", *feats, "--kfold", "2", "--model-kind", "nb",
+                     "--out-dir", str(tmp_path / "kf")]) == 0
+
+    def test_twin_gives_the_csv_table(self, workdir, tmp_path):
+        paths = feature_args(workdir)
+        csvs = _csv_copies(paths, tmp_path)
+        assert (_table_outcome(lambda: _load_feature_files(paths))
+                == _table_outcome(lambda: _load_feature_files(csvs)))
+
+    def csv_and_table(self, workdir, tmp_path, csv):
+        """night00's feature CSV copied to tmp_path, with line 41's fourth
+        cell set to nan if csv is "bad cell", or its row 3 dropped if
+        "edited", and the table of the unedited file (x, y)."""
+        src = feature_args(workdir, ("night00",))[0]
+        with open(features.twin_path(src), "rb") as fh:
+            x, y = np.load(fh), np.load(fh)
+        lines = Path(src).read_text().split("\n")
+        if csv == "bad cell":
+            lines[40] = _set_cell(lines[40], 3, lambda c: "nan")
+        elif csv == "edited":
+            del lines[3]
+        path = tmp_path / "night00.features.csv"
+        path.write_text("\n".join(lines))
+        return path, x, y
+
+    @pytest.mark.parametrize("csv", ["valid", "bad cell"])
+    @pytest.mark.parametrize("edit", sorted(TWIN_EDITS))
+    def test_ignored_twin_gives_what_the_csv_alone_gives(self, workdir, tmp_path, monkeypatch,
+                                                         csv, edit):
+        path, x, y = self.csv_and_table(workdir, tmp_path, csv)
+        digest = np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8)
+        alone = _table_outcome(lambda: _load_feature_files([path]))
+        Path(features.twin_path(path)).write_bytes(TWIN_EDITS[edit](x, y, digest))
+        parsed = []
+        load_feature_csv = features.load_feature_csv
+        monkeypatch.setattr(features, "load_feature_csv",
+                            lambda *a: parsed.append(a) or load_feature_csv(*a))
+        assert _table_outcome(lambda: _load_feature_files([path])) == alone
+        assert len(parsed) == 1  # one file, read in process: the CSV was parsed
+
+    @pytest.mark.parametrize("csv", ["edited", "bad cell"])
+    def test_stale_twin_gives_the_csv_outputs_and_diagnostic(self, workdir, tmp_path, csv):
+        """A CSV edited after featurize, beside its old twin, gives what it
+        gives alone: the same model bytes and line, or the same one-line
+        diagnostic."""
+        path, _, _ = self.csv_and_table(workdir, tmp_path, csv)
+        Path(features.twin_path(path)).write_bytes(
+            Path(features.twin_path(feature_args(workdir, ("night00",))[0])).read_bytes())
+        runs = []
+        for twin in (True, False):
+            if not twin:
+                Path(features.twin_path(path)).unlink()
+            out = tmp_path / f"m{twin}.json"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["train", "--features", str(path), *feature_args(workdir, ("night01",)),
+                             "--model", "nb", "--out", str(out)])
+            runs.append((code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(),
+                         out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1]
+        if csv == "bad cell":
+            assert runs[0][0] == 1
+            assert runs[0][2] == (
+                "MalformedRow: malformed row at line 41: feature values must be finite\n")
+
+    @pytest.mark.parametrize("from_file", [1, 2])
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_failed_featurize_write_leaves_neither_file(self, workdir, tmp_path, monkeypatch,
+                                                        capsys, from_file, exists):
+        out = tmp_path / "f.features.csv"
+        twin = Path(features.twin_path(out))
+        if exists:
+            out.write_bytes(b"old csv\n")
+            twin.write_bytes(b"old twin\n")
+        opened = disk_full_after_half(monkeypatch, from_file=from_file)
+        assert main(["featurize", "--in", _night(workdir),
+                     "--labels", str(workdir / "nights" / "night00.labels.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "OSError: [Errno 28] No space left on device\n"
+        assert len(opened) == from_file  # the CSV's temporary file, then the twin's
+        if exists:
+            assert (out.read_bytes(), twin.read_bytes()) == (b"old csv\n", b"old twin\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["f.features.csv", "f.features.csv.npy"] if exists else [])
 
 
 class TestTrainCommand:
@@ -764,7 +930,8 @@ def _sha256(path) -> str:
 # model schema 4. The kNN and naive Bayes files differ from schema 3's only in
 # the schema number; the tree and forest node tables are schema 3's per-tree
 # arrays, concatenated with their row offsets, and all arrays are bit-equal to
-# the lists of schemas 1 and 2.
+# the lists of schemas 1 and 2. The three .npy entries are the feature files'
+# binary twins, which were added later and change no other digest.
 GOLDEN_SHA256 = {
     "nights/night00.ndjson": "c9a52144c1926b0a58614f21c52e1d59f22ca83b386d32356a603a66245a1abb",
     "nights/night00.labels.json": "c1d697ab0330ecae9b2e4cdc12df1d9ed7c90d8ee8c13d35036c16eb2820aa22",
@@ -773,8 +940,11 @@ GOLDEN_SHA256 = {
     "nights/night02.ndjson": "8b52a332202c75f143818b416aaeac7ce91a988f528a80fef6a2545988e80bfa",
     "nights/night02.labels.json": "87309ba7311bece0d35468a6eed1cfe71f0dde1d4ed04d966a526eb75bf829ca",
     "features/night00.features.csv": "893a92137de425cc3da786db6fdefe55d8a2ec4ef126d65d1b549b451de463ee",
+    "features/night00.features.csv.npy": "242c5f71cc346bb0ab8c673c0cb4e6398869a9d8008fc1a65f715158cfa32c07",
     "features/night01.features.csv": "d298929664027b6ff77bd7e933ea1130e60e89f9d7812321b5274aec152a341f",
+    "features/night01.features.csv.npy": "c70cb00465bf3791ffdace535c6a894d4686d4a6c1b9727223dda1d232739d62",
     "features/night02.features.csv": "53e6e6195b7a5625d6ec3fa68d00c00334478c0733e79991d9c2adeec63db2d0",
+    "features/night02.features.csv.npy": "618a9bcd5092f1f8fcb511ce272d7a62e53397e939040632eeb9e150cfc392dd",
     "tree.json": "6a913c67cc2ad395557ca5aa654a1f9f7de1a0664699191eec8e17d9441d3082",
     "forest.json": "9a1913b39e92094d2bb12bac1dc34d0c0888109d51af03cbe2943d791826bda0",
     "knn.json": "dbb47b0ef60faea013c36f72b82b50b04ddc5a7fbbd86747da476e3ef292be66",
@@ -804,15 +974,19 @@ GOLDEN_SHA256 = {
 }
 
 
-def _golden_artifacts(workdir, out):
+def _golden_artifacts(workdir, out, twins=True):
     """The digest of each GOLDEN_SHA256 artifact, the workdir's nights read
-    and every other artifact made from them into out through the CLI."""
+    and every other artifact made from them into out through the CLI. With
+    twins False, the feature files' binary twins are deleted before any
+    command reads the feature files, and are left out."""
     nights = workdir / "nights"
     (out / "features").mkdir(parents=True)
     for stem in ("night00", "night01", "night02"):
         assert main(["featurize", "--in", str(nights / f"{stem}.ndjson"),
                      "--labels", str(nights / f"{stem}.labels.json"),
                      "--out", str(out / "features" / f"{stem}.features.csv")]) == 0
+        if not twins:
+            Path(features.twin_path(out / "features" / f"{stem}.features.csv")).unlink()
     feats = feature_args(out)
     for kind in ("tree", "forest", "knn", "nb"):
         model = out / f"{kind}.json"
@@ -838,7 +1012,13 @@ def _golden_artifacts(workdir, out):
                      "--out", str(out / f"sleepwake-{stem}.csv")]) == 0
     save_night(load_night(nights / "night01.ndjson"), out / "night01.csv")
     return {name: _sha256((workdir if name.startswith("nights/") else out) / name)
-            for name in GOLDEN_SHA256}
+            for name in _golden(twins)}
+
+
+def _golden(twins=True):
+    """GOLDEN_SHA256, without the feature files' binary twins unless twins."""
+    return {name: digest for name, digest in GOLDEN_SHA256.items()
+            if twins or not name.endswith(".npy")}
 
 
 class TestGoldenArtifacts:
@@ -854,6 +1034,11 @@ class TestGoldenArtifacts:
             claim_cpus(monkeypatch, cpus)
             got = _golden_artifacts(workdir, tmp_path / f"cpus{cpus}")
             assert got == GOLDEN_SHA256, f"on {cpus} claimed CPUs"
+
+    def test_same_digests_without_the_twins(self, workdir, tmp_path):
+        """train and evaluate read the CSVs when no twin is there, and
+        every model and output set is the same."""
+        assert _golden_artifacts(workdir, tmp_path, twins=False) == _golden(twins=False)
 
 
 class TestReportCommand:
@@ -1232,7 +1417,8 @@ CONTRACT_RUNS = {
         "sleepwake", "--in", str(src), "--out", str(out / "e.csv")]),
     "night-csv": ("night00.csv", ["e.csv"], lambda src, root, out: [
         "sleepwake", "--in", str(src), "--out", str(out / "e.csv")]),
-    "labels": ("night00.labels.json", ["f.features.csv"], lambda src, root, out: [
+    "labels": ("night00.labels.json", ["f.features.csv", "f.features.csv.npy"],
+               lambda src, root, out: [
         "featurize", "--in", str(root / "night00.ndjson"), "--labels", str(src),
         "--out", str(out / "f.features.csv")]),
     "features": ("night00.features.csv", ["confusion.csv", "metrics.json"],

@@ -368,6 +368,21 @@ class TestWriteFiles:
         assert (tmp_path / "new.txt").read_bytes() == b""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["new.txt", "old.txt"]
 
+    @pytest.mark.parametrize("failing", [None, 1, 2])
+    def test_text_and_bytes_in_one_call(self, tmp_path, monkeypatch, failing):
+        """A str target (written as UTF-8) and a bytes target are both
+        whole, or, when either write fails, both absent."""
+        data = bytes(range(256)) * 40
+        if failing:
+            disk_full_after_half(monkeypatch, from_file=failing)
+            with pytest.raises(OSError):
+                write_files({tmp_path / "t.txt": "ünï\n" * 900, tmp_path / "b.bin": data})
+            assert list(tmp_path.iterdir()) == []
+        else:
+            write_files({tmp_path / "t.txt": "ünï\n" * 900, tmp_path / "b.bin": data})
+            assert (tmp_path / "t.txt").read_bytes() == "ünï\n".encode("utf-8") * 900
+            assert (tmp_path / "b.bin").read_bytes() == data
+
     def test_new_file_has_the_mode_open_gives(self, tmp_path):
         umask = os.umask(0o027)
         try:

@@ -5,10 +5,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcgsleep.core import NightRecord, Stage, StageInterval
+from bcgsleep.core import STAGE_NAMES, NightRecord, Stage, StageInterval
 from bcgsleep.errors import ConstantInput, TooFewItems
 from bcgsleep.ingest import align_labels
 from bcgsleep.features import (
@@ -306,3 +306,42 @@ class TestCsvRoundTrip:
         x, y = windows_to_matrix(windows)
         assert x.shape == (8, N_FEATURES)
         assert x is windows.x and y is windows.y
+
+
+# cells for the CSV formatter: both zeros, the subnormal extremes, the
+# smallest normal, the largest double, and the non-finite values
+csv_cell = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+class TestCsvFormatting:
+    """windows_to_csv formats each distinct value of a column once; every
+    line is still the per-value repr of its row."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_same_lines_as_repr_of_each_value(self, data):
+        # a small pool per table, so that columns repeat values, and -0.0
+        # and 0.0 (equal, but not the same bits) often share a column
+        pool = data.draw(st.lists(csv_cell, min_size=1, max_size=6), label="pool")
+        n = data.draw(st.integers(0, 12), label="rows")
+        x = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n * N_FEATURES,
+                                        max_size=n * N_FEATURES), label="cells"),
+                     dtype=np.float64).reshape(n, N_FEATURES)
+        y = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                     dtype=np.int64)
+        table = FeatureTable(x, y, np.arange(n, dtype=np.int64), np.full(n, "n"))
+        want = [",".join(map(repr, row)) + "," + STAGE_NAMES[code]
+                for row, code in zip(x.tolist(), y.tolist())]
+        assert list(windows_to_csv(table)) == [FEATURE_CSV_HEADER, *want]
+
+    def test_signed_zeros_in_one_column(self):
+        x = np.zeros((3, N_FEATURES))
+        x[1, 0] = -0.0
+        table = FeatureTable(x, np.zeros(3, dtype=np.int64), np.arange(3), np.full(3, "n"))
+        assert [line.split(",")[0] for line in windows_to_csv(table)][1:] == [
+            "0.0", "-0.0", "0.0"]
