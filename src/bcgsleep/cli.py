@@ -6,14 +6,10 @@ explicit --seed (never the clock), a JSON --config file can pre-set any
 flag (command-line values win), usage problems exit 2, and data problems
 exit 1 with a single diagnostic line naming the error.
 
-featurize, train, evaluate and report --cohort-dir spread their per-night
-work over every usable CPU in forked workers (core.fork_map), with no
-setting; what they write is the same as a serial run's.
-
-featurize writes each feature CSV together with its binary twin
-(features.feature_twin), both whole or neither; train and evaluate read a
-file's twin when it provably belongs to the CSV and the CSV otherwise, so
-the twin is optional, safe to delete and never changes a result or an error.
+Large night reads, feature CSV formatting, forest trees, kNN query blocks
+and report --cohort-dir's nights are spread over every usable CPU in forked
+workers (core.fork_map), with no setting; what a command writes is the same
+as a serial run's.
 """
 
 from __future__ import annotations
@@ -141,29 +137,23 @@ def _cmd_featurize(args) -> int:
     cleaned = preprocess.clean_for_features(record)
     aligned = ingest.align_labels(cleaned, intervals)
     windows = features.window_night(cleaned, aligned)
-    data = ("\n".join(features.windows_to_csv(windows)) + "\n").encode("utf-8")
-    write_files({args.out: data,
-                 features.twin_path(args.out): features.feature_twin(windows, data)})
+    features.save_features(windows, args.out)
     candidates = len(features.candidate_starts(cleaned))
     print(f"kept {len(windows)} of {candidates} windows -> {args.out}")
     return 0
 
 
-def _load_feature_file(job, path) -> features.FeatureTable:
-    """The table of one feature file: from its binary twin when that
-    provably belongs to the CSV (features.load_feature_twin), else from the
-    CSV, with the CSV's diagnostics."""
-    night_id = _night_stem(path)
-    table = features.load_feature_twin(path, night_id)
-    return features.load_feature_csv(path, night_id) if table is None else table
-
-
 def _load_feature_files(paths) -> features.FeatureTable:
-    """One table for all files, in the order given; each file's rows take
-    its stem as night id. The files are read in forked workers, one file
-    per task (core.fork_map); a bad file raises what reading it alone
-    raises, the first bad one in order if several are."""
-    windows = features.FeatureTable.concat(fork_map(_load_feature_file, paths))
+    """One table for all files, read in the order given; each file's rows
+    take its stem as night id, and two files with one stem are a ValueError
+    before any file is read."""
+    ids = [_night_stem(p) for p in paths]
+    for i, night_id in enumerate(ids):
+        if night_id in ids[:i]:
+            raise ValueError(f"feature files {paths[ids.index(night_id)]} and {paths[i]} "
+                             f"share the night id {night_id!r}")
+    windows = features.FeatureTable.concat(
+        [features.load_features(p, night_id) for p, night_id in zip(paths, ids)])
     if not len(windows):
         raise AllMissing("the feature files hold no windows")
     return windows

@@ -3,7 +3,7 @@ the one way a process is forked, and fork_map on it, the one way the
 pipeline runs work in parallel, starting no thread; spans, the one rule that
 cuts work into contiguous runs, one per usable CPU, for fork_map and its
 callers alike; and write_files, which writes every artifact but the
-recorder's appended NDJSON.
+recorder's appended NDJSON. The package is POSIX-only, as it needs os.fork.
 
 All types are immutable values after construction and safe to share across
 threads. Timestamps are integer seconds from night start (the sensor runs at
@@ -369,9 +369,8 @@ def fork_map(fn, tasks, job=()) -> list:
     so fn, job and the tasks reach it through fork and only results and
     errors are pickled. The calling thread collects them (join_children),
     so no pipe or child outlives the call and no thread is started. With
-    one run, inside a forked child (so a worker's own fork_map starts no
-    grandchildren), or where the platform has no fork, the whole task list
-    is that loop in this process.
+    one run, or inside a forked child (so a worker's own fork_map starts no
+    grandchildren), the whole task list is that loop in this process.
 
     A failed task ends its run. The runs are in task order, so the error
     raised is that of the first failed task, the one the plain loop raises;
@@ -380,7 +379,7 @@ def fork_map(fn, tasks, job=()) -> list:
     """
     tasks = list(tasks)
     runs = spans(len(tasks), 1)
-    if len(runs) == 1 or _in_child or not hasattr(os, "fork"):
+    if len(runs) == 1 or _in_child:
         return _run(fn, job, tasks)
     children = []
     try:

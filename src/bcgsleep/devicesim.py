@@ -11,14 +11,14 @@ says is lost is exactly what the recorder's gap log ends up showing.
 The server forks one child process (core.fork_child), whose serving loop
 owns the listener, the client it is streaming to and the batch of due lines
 not yet sent, so formatting lines and recording them share no interpreter
-lock; where there is no fork, the loop runs in the server's one thread,
-which otherwise only collects the child's sent t values and reaps it. The
-loop sends the batch before it sleeps, before a dropout window and once it
-reaches BATCH_BYTES: a paced script (tick_interval > 0) still sends one line
-per tick, while at tick 0 a night goes out in a few large sends. stop(), and
-the death of the process that started the server, reach the loop through one
-socket pair that it selects on wherever it waits. The recorder
-runs in the caller's thread, and one helper owns its outage rule: connect
+lock; the server's one thread only collects the child's sent t values and
+reaps it. The loop sends the batch before it sleeps, before a dropout window
+and once it reaches BATCH_BYTES: a paced script (tick_interval > 0) still
+sends one line per tick, while at tick 0 a night goes out in a few large
+sends. stop(), and the death of the process that started the server, reach
+the loop through one socket pair that it selects on wherever it waits. The
+package is POSIX-only: the server needs fork. The recorder runs in the
+caller's thread, and one helper owns its outage rule: connect
 every retry_interval until the deadline has passed. It reads the socket in
 chunks into one buffer and cuts the whole lines off it. Lines whose columns
 ingest.canonical_rows reads and core.night_fault finds sound after the last
@@ -148,11 +148,10 @@ class DeviceServer:
 
     start() forks one child process that runs the serving loop, which owns
     the listener, the client, the script cursor and the batch of due lines
-    not yet sent; where the platform has no fork, the loop runs in the
-    server's thread instead. The loop sends the batch before it sleeps,
-    before a dropout window and whenever the batch reaches BATCH_BYTES. It
-    blocks while no client is attached (except inside dropout windows, where
-    time passes regardless), resends nothing, skips nothing it was not told
+    not yet sent. The loop sends the batch before it sleeps, before a
+    dropout window and whenever the batch reaches BATCH_BYTES. It blocks
+    while no client is attached (except inside dropout windows, where time
+    passes regardless), resends nothing, skips nothing it was not told
     to skip, and closes the listener when the script is exhausted.
 
     stop(), and the death of this process, reach the loop through one
@@ -190,16 +189,15 @@ class DeviceServer:
         return list(self._sent)
 
     def start(self) -> "DeviceServer":
-        if hasattr(os, "fork"):
-            # a Ctrl-C before the child ignores SIGINT waits there, held
-            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                self._child = fork_child("device server", self._serve_child, held,
-                                         close=(self._stop_w.fileno(),))
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            self._listener.close()
-            self._stop.close()
+        # a Ctrl-C before the child ignores SIGINT waits there, held
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self._child = fork_child("device server", self._serve_child, held,
+                                     close=(self._stop_w.fileno(),))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        self._listener.close()
+        self._stop.close()
         self._thread.start()
         return self
 
@@ -218,14 +216,10 @@ class DeviceServer:
         return self.finished.wait(timeout)
 
     def _run(self):
-        """The server's thread: collect and reap the child, or run the loop
-        where there is none; then close the stop writer and set finished."""
+        """The server's thread: collect and reap the child, then close the
+        stop writer and set finished."""
         try:
-            if self._child is None:
-                with self._stop:
-                    self._serve_loop()
-            else:
-                self._sent = join_children([self._child])[0]
+            self._sent = join_children([self._child])[0]
         finally:
             with self._stop_lock:
                 self._stop_w.close()

@@ -10,16 +10,12 @@ Percentiles are linear interpolation at rank p*(n-1) over the sorted values
 (numpy's default); std is the population standard deviation.
 
 Feature files are CSV: the header FEATURE_CSV_HEADER, then 30 statistics and
-a stage name per window. windows_to_csv formats a large table in
-contiguous blocks (core.spans), in forked workers. load_feature_csv
-reads a file in bulk; parse_feature_csv, the per-line parser, reads what the
-bulk read refuses and owns every diagnostic.
-
-Beside a CSV, featurize writes its binary twin (twin_path): the table's x
-and y and the sha256 of the CSV's exact bytes (feature_twin).
-load_feature_twin gives the table from the twin only when the twin is whole,
-well-formed and names that digest; otherwise the CSV readers decide, so a
-twin never changes a table or an error.
+a stage name per window, each with a binary twin beside it. save_features
+writes both, whole or neither; load_features reads the twin when it provably
+belongs to the CSV and the CSV otherwise, so a twin never changes a table or
+an error. windows_to_csv formats the lines, a large table in contiguous
+blocks (core.spans) in forked workers; parse_feature_csv, the per-line
+parser, reads what the bulk CSV read refuses and owns every diagnostic.
 """
 
 from __future__ import annotations
@@ -43,6 +39,7 @@ from .core import (
     fork_map,
     plain_number,
     spans,
+    write_files,
 )
 from .errors import ConstantInput, InvalidStageCode, MalformedRow, TooFewItems
 
@@ -309,38 +306,46 @@ def _bulk_feature_csv(fh, night_id: str):
     return _table(x, y, np.arange(len(y), dtype=np.int64), night_id)
 
 
-def load_feature_csv(path, night_id: str = "") -> FeatureTable:
-    """Read a feature CSV file as parse_feature_csv reads it, bit for bit.
-
-    The rows after the header are read in bulk. A file the bulk read
-    refuses (an empty body, a cell that is not a finite number, an unknown
-    stage name, a row of another width, text that is not UTF-8) is read
-    again by parse_feature_csv, which raises its diagnostic.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        table = _bulk_feature_csv(fh, night_id)
-        if table is None:
-            fh.seek(0)
-            table = parse_feature_csv(fh, night_id)
-    return table
-
-
-def twin_path(path) -> str:
-    """The path of the binary twin of the feature CSV at path: path.npy."""
+def _twin_path(path) -> str:
     return os.fspath(path) + ".npy"
 
 
-def feature_twin(windows: FeatureTable, csv_data: bytes) -> bytes:
-    """The binary twin of the feature CSV whose exact bytes are csv_data,
-    which windows_to_csv(windows) formatted: three arrays written one after
-    another by np.save, windows.x as <f8 (n, 30), windows.y as <i8 (n,),
-    and the sha256 of csv_data as 32 u1."""
-    buf = io.BytesIO()
-    digest = np.frombuffer(hashlib.sha256(csv_data).digest(), dtype=np.uint8)
+def save_features(windows: FeatureTable, path) -> None:
+    """Write windows as the feature CSV at path (windows_to_csv's lines)
+    and its binary twin at path + ".npy", in one core.write_files call, so
+    both are written or neither.
+
+    The twin is three arrays written one after another by np.save:
+    windows.x as <f8 (n, 30), windows.y as <i8 (n,), and the sha256 of the
+    CSV's exact bytes as 32 u1.
+    """
+    data = ("\n".join(windows_to_csv(windows)) + "\n").encode("utf-8")
+    twin = io.BytesIO()
+    digest = np.frombuffer(hashlib.sha256(data).digest(), dtype=np.uint8)
     for a in (np.ascontiguousarray(windows.x, "<f8"), np.ascontiguousarray(windows.y, "<i8"),
               digest):
-        np.save(buf, a, allow_pickle=False)
-    return buf.getvalue()
+        np.save(twin, a, allow_pickle=False)
+    write_files({path: data, _twin_path(path): twin.getvalue()})
+
+
+def load_features(path, night_id: str = "") -> FeatureTable:
+    """The table of the feature file at path, every row with night_id, read
+    as parse_feature_csv reads the CSV, bit for bit.
+
+    The twin is read when it provably belongs to the CSV (_load_twin).
+    Otherwise the CSV's rows after the header are read in bulk, and a file
+    the bulk read refuses (an empty body, a cell that is not a finite
+    number, an unknown stage name, a row of another width, text that is not
+    UTF-8) is read again by parse_feature_csv, which raises its diagnostic.
+    """
+    table = _load_twin(path, night_id)
+    if table is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            table = _bulk_feature_csv(fh, night_id)
+            if table is None:
+                fh.seek(0)
+                table = parse_feature_csv(fh, night_id)
+    return table
 
 
 def _saved_array(fh, end: int, dtype: str, shape: tuple) -> np.ndarray:
@@ -362,11 +367,11 @@ def _saved_array(fh, end: int, dtype: str, shape: tuple) -> np.ndarray:
     return np.load(fh, allow_pickle=False)
 
 
-def load_feature_twin(path, night_id: str = "") -> Optional[FeatureTable]:
-    """The table load_feature_csv(path, night_id) gives, read from the
-    CSV's binary twin, or None unless the twin provably belongs to the CSV.
+def _load_twin(path, night_id: str) -> Optional[FeatureTable]:
+    """The table of the feature CSV at path, read from its binary twin, or
+    None unless the twin provably belongs to the CSV.
 
-    The twin must be feature_twin's layout exactly, with nothing after the
+    The twin must be save_features' layout exactly, with nothing after the
     digest; x must be finite and y stage codes; and only then is the CSV
     read and hashed, and its sha256 must be the twin's digest. A missing,
     stale, truncated or malformed twin is None, and the caller reads the
@@ -374,7 +379,7 @@ def load_feature_twin(path, night_id: str = "") -> Optional[FeatureTable]:
     values edited into a twin that keeps its digest.
     """
     try:
-        with open(twin_path(path), "rb") as fh:
+        with open(_twin_path(path), "rb") as fh:
             end = os.fstat(fh.fileno()).st_size
             x = _saved_array(fh, end, "<f8", (None, N_FEATURES))
             y = _saved_array(fh, end, "<i8", (len(x),))

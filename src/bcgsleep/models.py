@@ -216,9 +216,17 @@ def _check_shape(a: np.ndarray, shape: tuple, what: str):
 # CART
 
 
+def _check_max_depth(max_depth: Optional[int]):
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0 or None, got {max_depth}")
+
+
 @dataclass(frozen=True)
 class TreeParams:
     max_depth: Optional[int] = 20
+
+    def __post_init__(self):
+        _check_max_depth(self.max_depth)
 
 
 class NodeTable(NamedTuple):
@@ -437,6 +445,7 @@ class ForestParams:
             raise ValueError("need at least one tree")
         if self.features_per_split < 1:
             raise ValueError("features_per_split must be positive")
+        _check_max_depth(self.max_depth)
 
 
 def _tree_rng(master_seed: int, index: int) -> np.random.Generator:

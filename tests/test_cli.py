@@ -214,11 +214,16 @@ class TestDataErrors:
         ("serve", ["--dropout", "5"], "dropout must be start:length[:mode], got '5'"),
         ("serve", ["--endpoint", "127.0.0.1:70000"], "port must be in 0..65535, got 70000"),
         ("serve", ["--tick", "nan"], "tick_interval must be finite and >= 0, got nan"),
+        ("train", ["--model", "tree", "--max-depth", "-1"],
+         "max_depth must be >= 0 or None, got -1"),
+        ("evaluate", ["--kfold", "3", "--model-kind", "forest", "--max-depth", "-1"],
+         "max_depth must be >= 0 or None, got -1"),
     ], ids=["kfold-no-kind", "kfold-model-no-kind", "no-model", "kfold-zero-no-model",
             "kfold-one", "kfold-forest-no-trees", "kfold-knn-k-zero",
             "evaluate-fraction-above-one", "train-knn-k-zero", "train-forest-no-trees",
             "train-fraction-above-one", "train-fraction-zero-before-k",
-            "serve-dropout-no-length", "serve-port-above-range", "serve-tick-nan"])
+            "serve-dropout-no-length", "serve-port-above-range", "serve-tick-nan",
+            "train-tree-negative-depth", "kfold-forest-negative-depth"])
     def test_missing_flag_named_before_any_input_is_read(self, workdir, tmp_path, capsys,
                                                          command, flags, message):
         """A bad flag value ends the command before it reads any input
@@ -389,19 +394,23 @@ class TestFeaturizeCommand:
 
 
 class TestFeatureFileReads:
-    """_load_feature_files reads one file per forked task: the table, or
-    the first bad file's error, is the plain loop's."""
+    """_load_feature_files reads each file in turn, in process: the table,
+    or the first bad file's error; files that share a night id are refused
+    before any is read."""
 
-    @pytest.mark.parametrize("cpus", [2, 3, 4])
-    def test_same_table_as_in_process(self, workdir, monkeypatch, cpus):
-        paths = feature_args(workdir) + feature_args(workdir, ("night00",))
-        claim_cpus(monkeypatch, 1)
-        want = _table_outcome(lambda: _load_feature_files(paths))
-        claim_cpus(monkeypatch, cpus)
-        assert _table_outcome(lambda: _load_feature_files(paths)) == want
+    def test_train_and_evaluate_start_no_process(self, workdir, tmp_path, monkeypatch):
+        claim_cpus(monkeypatch, 2)
+        forks = record_forks(monkeypatch)
+        feats = feature_args(workdir)
+        model = tmp_path / "m.json"
+        assert main(["train", "--features", *feats, "--model", "nb", "--out", str(model)]) == 0
+        assert main(["evaluate", "--features", *feats, "--model", str(model),
+                     "--out-dir", str(tmp_path / "ev")]) == 0
+        assert main(["evaluate", "--features", *feats, "--kfold", "2", "--model-kind", "nb",
+                     "--out-dir", str(tmp_path / "kf")]) == 0
+        assert forks == []
 
-    @pytest.mark.parametrize("cpus", [2, 3, 4])
-    def test_first_bad_file_in_order_is_raised(self, workdir, tmp_path, monkeypatch, cpus):
+    def test_first_bad_file_in_order_is_raised(self, workdir, tmp_path):
         # the 2nd file has a bad cell at line 41, the 4th an extra cell at line 3
         paths = []
         for i, stem in enumerate(("night00", "night01", "night02", "night00")):
@@ -412,15 +421,29 @@ class TestFeatureFileReads:
                 lines[2] = lines[2] + ","
             paths.append(tmp_path / f"file{i}.features.csv")
             paths[-1].write_text("\n".join(lines))
-        claim_cpus(monkeypatch, 1)
-        with pytest.raises(MalformedRow) as serial:
+        with pytest.raises(MalformedRow) as err:
             _load_feature_files(paths)
-        assert serial.value.line_no == 41
-        claim_cpus(monkeypatch, cpus)
-        with pytest.raises(MalformedRow) as forked:
-            _load_feature_files(paths)
-        assert forked.value.line_no == 41
-        assert str(forked.value) == str(serial.value)
+        assert err.value.line_no == 41
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("second", ["same path", "other directory"])
+    def test_files_sharing_a_night_id_are_refused(self, workdir, tmp_path, monkeypatch, capsys,
+                                                  command, second):
+        """Each file's windows are one night, named by its stem; two files
+        with one stem would silently become one night."""
+        def refuse(path, night_id=""):
+            raise AssertionError(f"{path} was read")
+
+        first = feature_args(workdir, ("night00",))[0]
+        other = first if second == "same path" else str(tmp_path / "d2" / "night00.features.csv")
+        monkeypatch.setattr(features, "load_features", refuse)
+        out = ["--model", "nb", "--out", str(tmp_path / "m.json")] if command == "train" else [
+            "--kfold", "2", "--model-kind", "nb", "--out-dir", str(tmp_path / "ev")]
+        assert main([command, "--features", first, *feature_args(workdir, ("night01",)), other,
+                     *out]) == 1
+        assert capsys.readouterr().err == (
+            f"ValueError: feature files {first} and {other} share the night id 'night00'\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _table_outcome(read):
@@ -551,7 +574,7 @@ class TestBulkFeatureRead:
         path.write_text(features.FEATURE_CSV_HEADER + "\n\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = features.load_feature_csv(path, "empty")
+            table = features.load_features(path, "empty")
         assert len(table) == 0 and table.x.shape == (0, features.N_FEATURES)
         assert np.array_equal(table.y, np.empty(0, dtype=np.int64))
 
@@ -563,6 +586,11 @@ def _saved(*arrays, version=None) -> bytes:
     for a in arrays:
         np.lib.format.write_array(buf, np.asanyarray(a), version=version)
     return buf.getvalue()
+
+
+def _twin(path) -> Path:
+    """The binary twin's path beside the feature CSV at path."""
+    return Path(str(path) + ".npy")
 
 
 def _csv_copies(paths, to):
@@ -626,12 +654,12 @@ class TestFeatureTwin:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_valid_twins_are_read_instead_of_the_csv(self, workdir, tmp_path, monkeypatch,
                                                      cpus):
-        def refuse(path, night_id=""):
-            raise AssertionError(f"{path} was parsed as CSV")
+        def refuse(fh, night_id):
+            raise AssertionError(f"{fh.name} was parsed as CSV")
 
         claim_cpus(monkeypatch, cpus)
         feats = feature_args(workdir)
-        monkeypatch.setattr(features, "load_feature_csv", refuse)
+        monkeypatch.setattr(features, "_bulk_feature_csv", refuse)
         model = tmp_path / "m.json"
         assert main(["train", "--features", *feats, "--model", "nb", "--out", str(model)]) == 0
         assert main(["evaluate", "--features", *feats, "--model", str(model),
@@ -650,7 +678,7 @@ class TestFeatureTwin:
         cell set to nan if csv is "bad cell", or its row 3 dropped if
         "edited", and the table of the unedited file (x, y)."""
         src = feature_args(workdir, ("night00",))[0]
-        with open(features.twin_path(src), "rb") as fh:
+        with open(_twin(src), "rb") as fh:
             x, y = np.load(fh), np.load(fh)
         lines = Path(src).read_text().split("\n")
         if csv == "bad cell":
@@ -668,11 +696,11 @@ class TestFeatureTwin:
         path, x, y = self.csv_and_table(workdir, tmp_path, csv)
         digest = np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8)
         alone = _table_outcome(lambda: _load_feature_files([path]))
-        Path(features.twin_path(path)).write_bytes(TWIN_EDITS[edit](x, y, digest))
+        _twin(path).write_bytes(TWIN_EDITS[edit](x, y, digest))
         parsed = []
-        load_feature_csv = features.load_feature_csv
-        monkeypatch.setattr(features, "load_feature_csv",
-                            lambda *a: parsed.append(a) or load_feature_csv(*a))
+        bulk_feature_csv = features._bulk_feature_csv
+        monkeypatch.setattr(features, "_bulk_feature_csv",
+                            lambda *a: parsed.append(a) or bulk_feature_csv(*a))
         assert _table_outcome(lambda: _load_feature_files([path])) == alone
         assert len(parsed) == 1  # one file, read in process: the CSV was parsed
 
@@ -682,12 +710,12 @@ class TestFeatureTwin:
         gives alone: the same model bytes and line, or the same one-line
         diagnostic."""
         path, _, _ = self.csv_and_table(workdir, tmp_path, csv)
-        Path(features.twin_path(path)).write_bytes(
-            Path(features.twin_path(feature_args(workdir, ("night00",))[0])).read_bytes())
+        _twin(path).write_bytes(
+            _twin(feature_args(workdir, ("night00",))[0]).read_bytes())
         runs = []
         for twin in (True, False):
             if not twin:
-                Path(features.twin_path(path)).unlink()
+                _twin(path).unlink()
             out = tmp_path / f"m{twin}.json"
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -706,7 +734,7 @@ class TestFeatureTwin:
     def test_failed_featurize_write_leaves_neither_file(self, workdir, tmp_path, monkeypatch,
                                                         capsys, from_file, exists):
         out = tmp_path / "f.features.csv"
-        twin = Path(features.twin_path(out))
+        twin = _twin(out)
         if exists:
             out.write_bytes(b"old csv\n")
             twin.write_bytes(b"old twin\n")
@@ -733,9 +761,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flags", [
         ("--model", "tree", "--max-depth", "0"),
-        ("--model", "tree", "--max-depth", "-2"),
-        ("--model", "forest", "--n-trees", "2", "--max-depth", "-2", "--seed", "-4"),
-    ], ids=["tree-depth-0", "tree-depth-negative", "forest-negative-depth-and-seed"])
+        ("--model", "forest", "--n-trees", "2", "--max-depth", "3", "--seed", "-4"),
+    ], ids=["tree-depth-0", "forest-negative-seed"])
     def test_trained_model_reloads_byte_identical(self, workdir, tmp_path, flags):
         out = tmp_path / "model.json"
         assert main(["train", "--features", *feature_args(workdir), *flags,
@@ -986,7 +1013,7 @@ def _golden_artifacts(workdir, out, twins=True):
                      "--labels", str(nights / f"{stem}.labels.json"),
                      "--out", str(out / "features" / f"{stem}.features.csv")]) == 0
         if not twins:
-            Path(features.twin_path(out / "features" / f"{stem}.features.csv")).unlink()
+            _twin(out / "features" / f"{stem}.features.csv").unlink()
     feats = feature_args(out)
     for kind in ("tree", "forest", "knn", "nb"):
         model = out / f"{kind}.json"

@@ -323,11 +323,6 @@ class TestForkMap:
         assert [pid for _, pid in got] == [
             (tracked[w] if workers > 1 else os.getpid()) for w, run in enumerate(runs) for _ in run]
 
-    def test_without_fork_runs_in_process(self, monkeypatch):
-        claim_cpus(monkeypatch, 4)
-        monkeypatch.delattr(os, "fork")
-        assert fork_map(_square, range(5), 1) == [(t * t, os.getpid()) for t in range(5)]
-
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_first_failed_task_in_order_wins(self, monkeypatch, tracked, cpus):
         claim_cpus(monkeypatch, cpus)

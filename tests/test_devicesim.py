@@ -389,41 +389,6 @@ class TestServerProcess:
             srv.stop()
         assert res.timestamps == tuple(srv.sent_timestamps) == script.expected_timestamps()
 
-    def test_without_fork_the_loop_runs_in_the_thread(self, tmp_path, monkeypatch):
-        """Where the platform has no fork, the thread serves the same
-        stream: the same recorded bytes and sent t values."""
-        windows = (DropoutWindow(400, 30, "disconnect"), DropoutWindow(1500, 7, "silence"),
-                   DropoutWindow(2990, 5, "disconnect"))
-        script = script_of(3000, windows=windows)
-        outcomes = []
-        for fork in (True, False):
-            with monkeypatch.context() as m:
-                if not fork:
-                    m.delattr(os, "fork")
-                srv = serve_stream(script, "127.0.0.1:0")
-                try:
-                    res = record_stream(srv.endpoint, tmp_path / f"{fork}.ndjson", FAST)
-                finally:
-                    srv.stop()
-            assert (srv._child is not None) == fork
-            outcomes.append((Path(res.path).read_bytes(), res.timestamps, srv.sent_timestamps))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][1] == script.expected_timestamps()
-
-    def test_without_fork_stop_cuts_a_paced_sleep_short(self, monkeypatch):
-        monkeypatch.delattr(os, "fork")
-        srv = serve_stream(script_of(5, tick=5.0), "127.0.0.1:0")
-        try:
-            with socket.create_connection(srv.address) as client:
-                client.settimeout(5)
-                assert client.recv(65536)
-                t0 = time.monotonic()
-                srv.stop()
-                assert time.monotonic() - t0 < 1.0
-        finally:
-            srv.stop()
-        assert srv.finished.is_set() and srv._child is None
-
 
 class TestSingleClientRule:
     def test_second_client_is_cut(self):

@@ -1112,6 +1112,13 @@ class TestSerialization:
         with pytest.raises(SchemaMismatch, match="ill-typed: need at least one tree"):
             model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("kind", ["DecisionTree", "RandomForest"])
+    def test_negative_max_depth_rejected(self, kind):
+        doc = _document(kind)
+        doc["params"]["max_depth"] = -1
+        with pytest.raises(SchemaMismatch, match="ill-typed: max_depth must be >= 0 or None"):
+            model_from_json(json.dumps(doc))
+
     def test_schema_1_document_rejected(self):
         """A schema-1 file (top-level seed, criterion and min_samples_split
         in params) is refused by its schema number, with no second path."""
