@@ -410,7 +410,8 @@ class TestFeatureFileReads:
                      "--out-dir", str(tmp_path / "kf")]) == 0
         assert forks == []
 
-    def test_first_bad_file_in_order_is_raised(self, workdir, tmp_path):
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_first_bad_file_in_order_is_raised(self, workdir, tmp_path, monkeypatch, cpus):
         # the 2nd file has a bad cell at line 41, the 4th an extra cell at line 3
         paths = []
         for i, stem in enumerate(("night00", "night01", "night02", "night00")):
@@ -421,9 +422,17 @@ class TestFeatureFileReads:
                 lines[2] = lines[2] + ","
             paths.append(tmp_path / f"file{i}.features.csv")
             paths[-1].write_text("\n".join(lines))
+        claim_cpus(monkeypatch, 1)
+        with pytest.raises(MalformedRow) as serial:
+            _load_feature_files(paths)
+        assert serial.value.line_no == 41
+        # more claimed CPUs change nothing: the same error, and no process
+        claim_cpus(monkeypatch, cpus)
+        forks = record_forks(monkeypatch)
         with pytest.raises(MalformedRow) as err:
             _load_feature_files(paths)
-        assert err.value.line_no == 41
+        assert str(err.value) == str(serial.value)
+        assert forks == []
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize("second", ["same path", "other directory"])
